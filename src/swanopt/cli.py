@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, theory
-from .gradient_ops import WhiteningConfig, grad_whitening, orthogonalize
+from .gradient_ops import WhiteningConfig, grad_whitening
 from .matrixops import frobenius_norm, random_matrix, sample_stiefel
 from .optimizers import OptimizerConfig
 from .harness import (
@@ -59,58 +59,55 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _quadratic_descriptors(adam_lr: float, newton_lr: float, swan_lr: float):
-    exact = WhiteningConfig(mode="exact_eig")
-    return (
-        OptimizerDescriptor("gd_optimal", OptimizerConfig(kind="gd_optimal")),
-        OptimizerDescriptor(
-            "adam",
-            OptimizerConfig(kind="adam", learning_rate=adam_lr),
-        ),
-        OptimizerDescriptor(
-            "newton", OptimizerConfig(kind="newton", learning_rate=newton_lr)
-        ),
-        OptimizerDescriptor(
-            "whitened", OptimizerConfig(kind="whitened_gd_optimal", learning_rate=swan_lr)
-        ),
-        OptimizerDescriptor(
-            "whitened_ortho",
-            OptimizerConfig(kind="whitened_gd_optimal", learning_rate=swan_lr),
-            orthogonal_init=True,
-        ),
-    )
+def _tune(args, problem: ProblemSpec, cfg: OptimizerConfig, lo: float, grid_points: int):
+    """Tune cfg's rate in [lo, 1] for the lowest final loss after ``args.steps``
+    steps (a diverged run scores inf); returns (rate, final loss)."""
 
-
-def _cmd_quadratic(args) -> int:
-    problem = ProblemSpec(kind="quadratic", seed=args.seed, m=args.m, n=args.n, kappa=args.kappa)
-    built = problem.build()
-
-    def adam_final(eta: float) -> float:
+    def final_loss(eta: float) -> float:
         spec = ExperimentSpec(
             problem=problem,
-            optimizers=(
-                OptimizerDescriptor("adam", OptimizerConfig(kind="adam", learning_rate=eta)),
-            ),
+            optimizers=(OptimizerDescriptor("x", replace(cfg, learning_rate=eta)),),
             steps=args.steps,
             record_every=args.steps,
             seed=args.seed,
         )
-        row = run_experiment(spec).summary["optimizers"]["adam"]
+        row = run_experiment(spec).summary["optimizers"]["x"]
         return row["final_loss"] if not row["diverged"] else float("inf")
 
-    adam_lr, _ = theory.tune_learning_rate(adam_final, 1e-3, 1.0, grid_points=8)
+    return theory.tune_learning_rate(final_loss, lo, 1.0, grid_points=grid_points)
+
+
+def _run(args, problem: ProblemSpec, descs) -> dict:
+    """Run the final comparison, write its files, and return the summary rows."""
     spec = ExperimentSpec(
         problem=problem,
-        optimizers=_quadratic_descriptors(adam_lr, 1.0, 1.0),
+        optimizers=tuple(descs),
         steps=args.steps,
         record_every=args.record_every,
         seed=args.seed,
         out_dir=str(_out_dir(args)),
         file_format=args.format,
     )
-    result = run_experiment(spec)
+    return run_experiment(spec).summary["optimizers"]
+
+
+def _quadratic_descriptors(adam_lr: float, newton_lr: float, swan_lr: float):
+    whitened = OptimizerConfig(kind="whitened_gd_optimal", learning_rate=swan_lr)
+    return (
+        OptimizerDescriptor("gd_optimal", OptimizerConfig(kind="gd_optimal")),
+        OptimizerDescriptor("adam", OptimizerConfig(kind="adam", learning_rate=adam_lr)),
+        OptimizerDescriptor("newton", OptimizerConfig(kind="newton", learning_rate=newton_lr)),
+        OptimizerDescriptor("whitened", whitened),
+        OptimizerDescriptor("whitened_ortho", whitened, orthogonal_init=True),
+    )
+
+
+def _cmd_quadratic(args) -> int:
+    problem = ProblemSpec(kind="quadratic", seed=args.seed, m=args.m, n=args.n, kappa=args.kappa)
+    adam_lr, _ = _tune(args, problem, OptimizerConfig(kind="adam"), 1e-3, 8)
+    rows = _run(args, problem, _quadratic_descriptors(adam_lr, 1.0, 1.0))
     _say(args, f"quadratic m={args.m} kappa={args.kappa:g}, adam lr {adam_lr:.4g}")
-    for name, row in result.summary["optimizers"].items():
+    for name, row in rows.items():
         _say(
             args,
             f"  {name}: final excess {row['final_loss_minus_opt']:.3e} "
@@ -121,62 +118,23 @@ def _cmd_quadratic(args) -> int:
 
 def _cmd_rastrigin(args) -> int:
     exact = WhiteningConfig(mode="exact_eig")
-    whitened = OptimizerConfig(
-        kind="swan", ablation="whiten_only", swan_rescale=False, whitening_cfg=exact
-    )
     problem = ProblemSpec(kind="rastrigin", m=args.m, seed=args.seed)
-
-    def final_loss(cfg: OptimizerConfig, eta: float) -> float:
-        spec = ExperimentSpec(
-            problem=problem,
-            optimizers=(
-                OptimizerDescriptor("x", replace(cfg, learning_rate=eta)),
-            ),
-            steps=args.steps,
-            record_every=args.steps,
-            seed=args.seed,
-        )
-        row = run_experiment(spec).summary["optimizers"]["x"]
-        return row["final_loss"] if not row["diverged"] else float("inf")
-
-    tuned = {}
-    for name, cfg in (
-        ("sgd", OptimizerConfig(kind="sgd")),
-        ("adam", OptimizerConfig(kind="adam")),
-        ("whitened", whitened),
-        ("swan", OptimizerConfig(kind="swan", whitening_cfg=exact)),
-    ):
-        eta, val = theory.tune_learning_rate(
-            lambda e, c=cfg: final_loss(c, e), 1e-4, 1.0, grid_points=args.grid_points
-        )
-        tuned[name] = eta
-        _say(args, f"tuned {name}: eta={eta:.4g} final={val:.4f}")
-    descs = tuple(
-        OptimizerDescriptor(name, replace(cfg, learning_rate=tuned[name]))
-        for name, cfg in (
-            ("sgd", OptimizerConfig(kind="sgd")),
-            ("adam", OptimizerConfig(kind="adam")),
-            ("whitened", whitened),
-            ("swan", OptimizerConfig(kind="swan", whitening_cfg=exact)),
-        )
-    ) + (
-        OptimizerDescriptor(
-            "whitened_ortho",
-            replace(whitened, learning_rate=tuned["whitened"]),
-            orthogonal_init=True,
+    candidates = {
+        "sgd": OptimizerConfig(kind="sgd"),
+        "adam": OptimizerConfig(kind="adam"),
+        "whitened": OptimizerConfig(
+            kind="swan", ablation="whiten_only", swan_rescale=False, whitening_cfg=exact
         ),
-    )
-    spec = ExperimentSpec(
-        problem=problem,
-        optimizers=descs,
-        steps=args.steps,
-        record_every=args.record_every,
-        seed=args.seed,
-        out_dir=str(_out_dir(args)),
-        file_format=args.format,
-    )
-    result = run_experiment(spec)
-    for name, row in result.summary["optimizers"].items():
+        "swan": OptimizerConfig(kind="swan", whitening_cfg=exact),
+    }
+    tuned = {}
+    for name, cfg in candidates.items():
+        eta, val = _tune(args, problem, cfg, 1e-4, args.grid_points)
+        _say(args, f"tuned {name}: eta={eta:.4g} final={val:.4f}")
+        tuned[name] = replace(cfg, learning_rate=eta)
+    descs = [OptimizerDescriptor(name, cfg) for name, cfg in tuned.items()]
+    descs.append(OptimizerDescriptor("whitened_ortho", tuned["whitened"], orthogonal_init=True))
+    for name, row in _run(args, problem, descs).items():
         _say(args, f"  {name}: final loss {row['final_loss']:.4f}")
     return 0
 
@@ -204,11 +162,7 @@ def _cmd_mlp_kl(args) -> int:
                 )
                 kls[pre] = analysis.kl_to_reference(snap, ref[pre])
             rows.append((t, kls["raw"], kls["gradnorm"]))
-    out = _out_dir(args) / "kl_trace.csv"
-    lines = ["step,kl_raw,kl_gradnorm"] + [
-        f"{t},{'%.17g' % a},{'%.17g' % b}" for t, a, b in rows
-    ]
-    out.write_text("\n".join(lines) + "\n")
+    write_csv(_out_dir(args) / "kl_trace.csv", "step,kl_raw,kl_gradnorm", rows)
     cut = 0.05 * args.steps
     avg_raw = float(np.mean([a for t, a, _ in rows if t > cut]))
     avg_gn = float(np.mean([b for t, _, b in rows if t > cut]))
@@ -264,11 +218,7 @@ def _cmd_ns_bench(args) -> int:
             err = frobenius_norm(grad_whitening(g, cfg) - grad_whitening(g, exact))
             worst = max(worst, err)
         rows.append((args.beta, args.k, kappa, worst))
-    out = _out_dir(args) / "ns_bench.csv"
-    lines = ["beta,k,kappa,max_whitening_error"] + [
-        f"{b},{k},{'%.17g' % ka},{'%.17g' % e}" for b, k, ka, e in rows
-    ]
-    out.write_text("\n".join(lines) + "\n")
+    write_csv(_out_dir(args) / "ns_bench.csv", "beta,k,kappa,max_whitening_error", rows)
     for b, k, ka, e in rows:
         _say(args, f"beta={b} k={k} kappa={ka:g}: max error vs exact {e:.3e}")
     return 0
@@ -301,16 +251,12 @@ def _cmd_theory(args) -> int:
         p = QuadraticProblem.seeded(20, 20, kappa, args.seed)
         qs.append((kappa, theory.robustness_q(p, np.eye(20))))
 
-    out = _out_dir(args) / "theory_reports.csv"
-    lines = ["check,context,predicted,measured"]
-    for r in reports:
-        lines.append(f"whitened_contraction,{r.context},{'%.17g' % r.predicted},{'%.17g' % r.measured}")
+    table = [("whitened_contraction", r.context, r.predicted, r.measured) for r in reports]
     for kappa, bound, loss_f, dist_f in bound_rows:
-        lines.append(f"gd_bound_distance,kappa={kappa:g},{'%.17g' % bound},{'%.17g' % dist_f}")
-        lines.append(f"gd_bound_loss,kappa={kappa:g},{'%.17g' % (bound * bound)},{'%.17g' % loss_f}")
-    for kappa, q in qs:
-        lines.append(f"robustness_q,kappa={kappa:g},,{'%.17g' % q}")
-    out.write_text("\n".join(lines) + "\n")
+        table.append(("gd_bound_distance", f"kappa={kappa:g}", bound, dist_f))
+        table.append(("gd_bound_loss", f"kappa={kappa:g}", bound * bound, loss_f))
+    table += [("robustness_q", f"kappa={kappa:g}", None, q) for kappa, q in qs]
+    write_csv(_out_dir(args) / "theory_reports.csv", "check,context,predicted,measured", table)
 
     _say(args, f"whitened contraction: max |predicted - measured| = {worst_gap:.3e}")
     _say(args, f"stiefel one-step: worst relative excess loss = {stiefel_worst:.3e}")
@@ -332,20 +278,11 @@ def _cmd_speedup(args) -> int:
     cand = analysis.PplCurve(steps=sc, values=vc)
     result = analysis.counterfactual_additive(base, cand)
     out = _out_dir(args) / "speedup.csv"
-    lines = ["threshold,steps_baseline,steps_candidate,ratio,ratio_additive"]
-    for p, (thr, ra) in zip(result.points, result.additive_ratio):
-        lines.append(
-            ",".join(
-                [
-                    "%.17g" % p.threshold,
-                    "" if p.steps_baseline is None else "%.17g" % p.steps_baseline,
-                    "" if p.steps_candidate is None else "%.17g" % p.steps_candidate,
-                    "" if p.ratio is None else "%.17g" % p.ratio,
-                    "" if ra is None else "%.17g" % ra,
-                ]
-            )
-        )
-    out.write_text("\n".join(lines) + "\n")
+    table = [
+        (p.threshold, p.steps_baseline, p.steps_candidate, p.ratio, ra)
+        for p, (_, ra) in zip(result.points, result.additive_ratio)
+    ]
+    write_csv(out, "threshold,steps_baseline,steps_candidate,ratio,ratio_additive", table)
     _say(args, f"delta = {result.delta:.4g} steps; table written to {out}")
     return 0
 

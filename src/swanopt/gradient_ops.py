@@ -21,6 +21,7 @@ __all__ = [
     "WhiteningConfig",
     "grad_norm",
     "grad_whitening",
+    "exact_polar",
     "newton_schulz_inverse_sqrt",
     "rescale_update",
     "orthogonalize",
@@ -117,7 +118,9 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     return (g - mean) / (std + cfg.epsilon)
 
 
-def _exact_polar(g: np.ndarray) -> np.ndarray:
+def exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal polar factor U V^T of ``g`` and its singular values (descending),
+    from one thin SVD. All-zero and rank-deficient input are rejected."""
     u, s, vt = np.linalg.svd(g, full_matrices=False)
     if s[0] == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
@@ -126,7 +129,7 @@ def _exact_polar(g: np.ndarray) -> np.ndarray:
             f"rank-deficient input in exact_eig mode: smallest singular value "
             f"{s[-1]:.3e} vs largest {s[0]:.3e}"
         )
-    return u @ vt
+    return u @ vt, s
 
 
 def newton_schulz_inverse_sqrt(
@@ -176,7 +179,7 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     if m > n:
         raise ValueError(f"grad_whitening needs rows <= cols, got {m}x{n}")
     if cfg.mode == "exact_eig":
-        return _exact_polar(g)
+        return exact_polar(g)[0]
     scale = frobenius_norm(g)
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")

@@ -6,8 +6,11 @@ from one shared seeded initialization, records a trajectory per optimizer,
 and (when an output directory is set) writes one CSV/JSON file per optimizer
 plus a JSON summary. Identical spec and seed produce byte-identical files.
 
+Every step comes from the one step table, :func:`swanopt.optimizers.make_step`.
+
 Specs can be built in code or parsed from a flat INI-style config file with
-one ``[optimizer:NAME]`` section per optimizer (see configs/ for the schema).
+one ``[optimizer:NAME]`` section per optimizer (see :func:`parse_config` for
+the schema).
 """
 
 from __future__ import annotations
@@ -15,25 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .gradient_ops import GradNormConfig, WhiteningConfig, orthogonalize
-from .matrixops import random_matrix, sym_eig
+from .matrixops import random_matrix
 from .optimizers import (
+    CURVATURE_KINDS,
     OptimizerConfig,
-    adam_step,
     init_state,
     linear_warmup_decay,
-    sgd_step,
-    signed_step,
-    swan_step,
-    whitened_optimal_learning_rate,
+    make_step,
 )
 from .problems import QuadraticProblem, RastriginProblem
-from .theory import predict_whitened_contraction
 
 __all__ = [
     "ConfigError",
@@ -49,7 +48,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = "step,loss,loss_minus_opt,grad_fro,update_fro,eta,diag1,diag2"
+CSV_HEADER = "step,loss,loss_minus_opt,grad_fro,update_fro,eta,diag1"
 
 _PROBLEM_KINDS = ("quadratic", "rastrigin")
 _SCHEDULES = ("constant", "linear_decay")
@@ -129,7 +128,6 @@ class TrajectoryRecord:
     update_fro: float
     eta: float
     diag1: float = float("nan")
-    diag2: float = float("nan")
     wall_time: float = 0.0
 
 
@@ -139,45 +137,27 @@ class ExperimentResult:
     summary: dict
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def write_csv(path: Path, records: list[TrajectoryRecord]) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [str(r.step)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        r.loss,
-                        r.loss_minus_opt,
-                        r.grad_fro,
-                        r.update_fro,
-                        r.eta,
-                        r.diag1,
-                        r.diag2,
-                    )
-                ]
-            )
-        )
+def write_csv(path: Path, header: str, rows) -> None:
+    """Write a CSV table: floats as ``%.17g`` (they round-trip exactly), ``None``
+    as an empty cell, anything else with ``str``."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
+def _trajectory_row(r: TrajectoryRecord) -> tuple:
+    return (r.step, r.loss, r.loss_minus_opt, r.grad_fro, r.update_fro, r.eta, r.diag1)
+
+
 def _write_json(path: Path, records: list[TrajectoryRecord]) -> None:
+    keys = CSV_HEADER.split(",")
     rows = [
-        {
-            "step": r.step,
-            "loss": r.loss,
-            "loss_minus_opt": r.loss_minus_opt,
-            "grad_fro": r.grad_fro,
-            "update_fro": r.update_fro,
-            "eta": r.eta,
-            "diag1": None if np.isnan(r.diag1) else r.diag1,
-            "diag2": None if np.isnan(r.diag2) else r.diag2,
-        }
+        {k: None if k == "diag1" and np.isnan(v) else v for k, v in zip(keys, _trajectory_row(r))}
         for r in records
     ]
     path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
@@ -214,68 +194,6 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _build_stepper(desc: OptimizerDescriptor, problem):
-    """Return (step_fn, needs_hessian) where step_fn(w, g, state, lr) ->
-    (w_next, state, effective_eta, diag1)."""
-    cfg = desc.config
-    kind = cfg.kind
-    quadratic = isinstance(problem, QuadraticProblem)
-    if kind in ("gd_optimal", "newton", "whitened_gd_optimal") and not quadratic:
-        raise ConfigError(f"optimizer {desc.name!r} ({kind}) needs a quadratic problem")
-
-    if kind == "gd_optimal":
-        vals = sym_eig(problem.h).eigenvalues
-        eta = 2.0 / (vals[0] + vals[-1])
-
-        def step(w, g, state, lr):
-            return w - eta * g, state, eta, float("nan")
-
-        return step
-    if kind == "newton":
-        dec = sym_eig(problem.h)
-        h_inv = dec.eigenvectors @ np.diag(1.0 / dec.eigenvalues) @ dec.eigenvectors.T
-
-        def step(w, g, state, lr):
-            return w - lr * (h_inv @ g), state, lr, float("nan")
-
-        return step
-    if kind == "whitened_gd_optimal":
-
-        def step(w, g, state, lr):
-            eta = whitened_optimal_learning_rate(problem.h, g)
-            delta = orthogonalize(g, WhiteningConfig(mode="exact_eig"))
-            pred = predict_whitened_contraction(problem, w) if not np.any(problem.c) else float("nan")
-            return w - eta * delta, state, eta, pred
-
-        return step
-    if kind == "adam":
-
-        def step(w, g, state, lr):
-            w2, state2 = adam_step(w, g, state, replace(cfg, learning_rate=lr))
-            return w2, state2, lr, float("nan")
-
-        return step
-    if kind == "swan":
-
-        def step(w, g, state, lr):
-            return swan_step(w, g, replace(cfg, learning_rate=lr)), state, lr, float("nan")
-
-        return step
-    if kind == "sgd":
-
-        def step(w, g, state, lr):
-            return sgd_step(w, g, replace(cfg, learning_rate=lr)), state, lr, float("nan")
-
-        return step
-    if kind == "signed_sgd":
-
-        def step(w, g, state, lr):
-            return signed_step(w, g, replace(cfg, learning_rate=lr)), state, lr, float("nan")
-
-        return step
-    raise ConfigError(f"unhandled optimizer kind {kind!r}")
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every optimizer in the spec from one shared initialization.
 
@@ -286,7 +204,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     problem = spec.problem.build()
     shape = problem.shape
     w0_shared = spec.problem.init_scale * random_matrix(shape[0], shape[1], spec.seed)
-    l_star = problem.l_star if isinstance(problem, QuadraticProblem) else 0.0
+    quadratic = isinstance(problem, QuadraticProblem)
+    l_star = problem.l_star if quadratic else 0.0
+    # the whitened step's contraction prediction holds for the C = 0 form only
+    predicts = quadratic and not np.any(problem.c)
 
     trajectories: dict[str, list[TrajectoryRecord]] = {}
     rows = {}
@@ -294,7 +215,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         w = w0_shared.copy()
         if desc.orthogonal_init:
             w = orthogonalize(w, WhiteningConfig(mode="exact_eig"))
-        stepper = _build_stepper(desc, problem)
+        if desc.config.kind in CURVATURE_KINDS and not quadratic:
+            raise ConfigError(
+                f"optimizer {desc.name!r} ({desc.config.kind}) needs a quadratic problem"
+            )
+        step = make_step(desc.config, problem.h if quadratic else None)
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []
         start = time.perf_counter()
@@ -309,7 +234,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 )
             else:
                 lr = desc.config.learning_rate
-            w_next, state, eta, diag1 = stepper(w, g, state, lr)
+            w_next, state, eta, info = step(w, g, state, lr)
             loss = problem.loss(w_next)
             if not np.isfinite(loss):
                 diverged_at = t
@@ -330,7 +255,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         grad_fro=float(np.linalg.norm(g)),
                         update_fro=float(np.linalg.norm(w_next - w)),
                         eta=eta,
-                        diag1=diag1,
+                        diag1=info if predicts else float("nan"),
                         wall_time=time.perf_counter() - start,
                     )
                 )
@@ -354,7 +279,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         out.mkdir(parents=True, exist_ok=True)
         for name, records in trajectories.items():
             if spec.file_format == "csv":
-                write_csv(out / f"{name}.csv", records)
+                write_csv(out / f"{name}.csv", CSV_HEADER, map(_trajectory_row, records))
             else:
                 _write_json(out / f"{name}.json", records)
         (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

@@ -122,16 +122,12 @@ def make_spd(size: int, condition_number: float, seed: int) -> np.ndarray:
     """Seeded symmetric positive definite matrix with a prescribed condition number.
 
     Built as ``Q diag(lam) Q.T`` with log-uniformly spaced eigenvalues spanning
-    ``[1, condition_number]`` and a random orthogonal Q.
+    ``[1, condition_number]`` and a random orthogonal Q from :func:`sample_stiefel`.
     """
     if condition_number < 1.0:
         raise ValueError(f"condition_number must be >= 1, got {condition_number}")
     lam = np.geomspace(1.0, condition_number, size)
-    g = random_matrix(size, size, seed)
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q = sample_stiefel(size, size, seed).T
     h = q @ np.diag(lam) @ q.T
     return 0.5 * (h + h.T)
 

@@ -4,20 +4,27 @@ Every step function is pure: it takes the current weight matrix (plus, for
 Adam, an explicit state value) and returns the updated weights. Only Adam
 carries state; the remaining kinds are stateless by construction, which is
 the point of the exercise.
+
+:func:`make_step` is the one step table: for every kind in :data:`KINDS` it
+returns ``step(w, g, state, lr) -> (w_next, state, eta, info)``, the form the
+harness runs. Per-problem constants of the curvature kinds (the GD-optimal
+rate, Newton's inverse Hessian, Tr H) are computed once, when the step is
+built. The public curvature steps are thin calls into the same entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
+    exact_polar,
     grad_norm,
     grad_whitening,
-    orthogonalize,
     rescale_update,
 )
 from .matrixops import as_matrix, schatten1_norm, sym_eig
@@ -25,11 +32,13 @@ from .matrixops import as_matrix, schatten1_norm, sym_eig
 __all__ = [
     "KINDS",
     "STATELESS_KINDS",
+    "CURVATURE_KINDS",
     "ABLATIONS",
     "OptimizerConfig",
     "OptimizerState",
     "init_state",
     "moment_buffer_count",
+    "make_step",
     "swan_step",
     "adam_step",
     "sgd_step",
@@ -51,6 +60,8 @@ KINDS = (
     "whitened_gd_optimal",
 )
 STATELESS_KINDS = tuple(k for k in KINDS if k != "adam")
+# Kinds whose step is built from the Hessian of a quadratic problem.
+CURVATURE_KINDS = ("gd_optimal", "newton", "whitened_gd_optimal")
 ABLATIONS = ("full", "norm_only", "whiten_only")
 
 
@@ -105,6 +116,15 @@ def moment_buffer_count(state: OptimizerState) -> int:
     return int(state.first_moment is not None) + int(state.second_moment is not None)
 
 
+def _pair(w, g) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a weight/gradient pair: both finite 2-D arrays of one shape."""
+    w = as_matrix(w, "w")
+    g = as_matrix(g, "g")
+    if w.shape != g.shape:
+        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
+    return w, g
+
+
 def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """One stateless SWAN step: normalize rows, whiten, optionally rescale.
 
@@ -114,10 +134,7 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """
     if cfg.kind != "swan":
         raise ValueError(f"swan_step called with kind={cfg.kind!r}")
-    w = as_matrix(w, "w")
-    g = as_matrix(g, "g")
-    if w.shape != g.shape:
-        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
+    w, g = _pair(w, g)
     if w.shape[0] > w.shape[1]:
         return swan_step(w.T, g.T, cfg).T
     g_tilde = g if cfg.ablation == "whiten_only" else grad_norm(g, cfg.grad_norm_cfg)
@@ -141,10 +158,7 @@ def adam_step(
     """
     if cfg.kind != "adam":
         raise ValueError(f"adam_step called with kind={cfg.kind!r}")
-    w = as_matrix(w, "w")
-    g = as_matrix(g, "g")
-    if w.shape != g.shape:
-        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
+    w, g = _pair(w, g)
     if state.step > 0 and (state.first_moment is None or state.second_moment is None):
         raise ValueError(f"uninitialized adam state at step {state.step}")
     m = state.first_moment if state.first_moment is not None else np.zeros_like(w)
@@ -166,59 +180,100 @@ def adam_step(
 
 
 def sgd_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
-    w = as_matrix(w, "w")
-    g = as_matrix(g, "g")
-    if w.shape != g.shape:
-        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
+    w, g = _pair(w, g)
     return w - cfg.learning_rate * g
 
 
 def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """Sign descent; sign(0) = 0 so exact zeros get no direction bias."""
-    w = as_matrix(w, "w")
-    g = as_matrix(g, "g")
-    if w.shape != g.shape:
-        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
+    w, g = _pair(w, g)
     return w - cfg.learning_rate * np.sign(g)
 
 
-def _spd_eigenvalues(h) -> np.ndarray:
+_NAN = float("nan")
+
+
+def make_step(cfg: OptimizerConfig, h=None) -> Callable:
+    """The step of ``cfg.kind``: ``step(w, g, state, lr) -> (w_next, state, eta, info)``.
+
+    ``lr`` is the rate of this step (it overrides ``cfg.learning_rate``) and
+    ``eta`` the rate actually applied: the GD-optimal and whitened kinds set
+    their own. The curvature kinds need the Hessian ``h`` of the quadratic
+    1/2 Tr(W^T h W) - Tr(C^T W), with ``g`` its gradient at ``w``. ``info`` is
+    NaN except for ``whitened_gd_optimal``, where it is the closed-form
+    one-step loss contraction 1 - ||g||_*^2 / (<w, g> Tr h), valid when C = 0.
+    The whitened step takes the polar factor and ||g||_* from one thin SVD.
+    """
+    kind = cfg.kind
+    if kind == "swan":
+        return lambda w, g, state, lr: (
+            swan_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
+        )
+    if kind == "sgd":
+        return lambda w, g, state, lr: (
+            sgd_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
+        )
+    if kind == "signed_sgd":
+        return lambda w, g, state, lr: (
+            signed_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
+        )
+    if kind == "adam":
+
+        def adam(w, g, state, lr):
+            w_next, state = adam_step(w, g, state, replace(cfg, learning_rate=lr))
+            return w_next, state, lr, _NAN
+
+        return adam
+    if h is None:
+        raise ValueError(f"{kind} steps need the Hessian h")
     h = as_matrix(h, "h")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got {h.shape[0]}x{h.shape[1]}")
-    vals = sym_eig(h).eigenvalues
-    if vals[-1] <= 0.0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {vals[-1]:.3e})")
-    return vals
-
-
-def gd_optimal_step(w, h) -> np.ndarray:
-    """Gradient descent on the quadratic 1/2 Tr(w^T h w) at the optimal
-    constant rate 2 / (lambda_max + lambda_min)."""
-    w = as_matrix(w, "w")
-    vals = _spd_eigenvalues(h)
-    eta = 2.0 / (vals[0] + vals[-1])
-    return w - eta * (h @ w)
-
-
-def newton_step(w, h, eta: float) -> np.ndarray:
-    """Damped Newton step on the quadratic: ``w - eta h^{-1} (h w)``."""
-    w = as_matrix(w, "w")
     dec = sym_eig(h)
     if dec.eigenvalues[-1] <= 0.0:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {dec.eigenvalues[-1]:.3e})"
         )
-    h_inv = dec.eigenvectors @ np.diag(1.0 / dec.eigenvalues) @ dec.eigenvectors.T
-    return w - eta * (h_inv @ (h @ w))
+    if kind == "gd_optimal":
+        eta = 2.0 / (dec.eigenvalues[0] + dec.eigenvalues[-1])
+        return lambda w, g, state, lr: (w - eta * g, state, eta, _NAN)
+    if kind == "newton":
+        h_inv = dec.eigenvectors @ np.diag(1.0 / dec.eigenvalues) @ dec.eigenvectors.T
+        return lambda w, g, state, lr: (w - lr * (h_inv @ g), state, lr, _NAN)
+    trace_h = float(np.trace(h))
+
+    def whitened(w, g, state, lr):
+        w, g = _pair(w, g)
+        polar, s = exact_polar(g)
+        nuclear = s.sum()
+        eta = float(nuclear) / trace_h
+        info = 1.0 - nuclear * nuclear / (np.vdot(w, g) * trace_h)
+        return w - eta * polar, state, eta, float(info)
+
+    return whitened
+
+
+def _quadratic_step(kind: str, w, h, lr: float = 1.0) -> np.ndarray:
+    """One ``kind`` step on the quadratic 1/2 Tr(w^T h w), whose gradient is h w."""
+    w = as_matrix(w, "w")
+    h = as_matrix(h, "h")
+    return make_step(OptimizerConfig(kind=kind), h)(w, h @ w, OptimizerState(), lr)[0]
+
+
+def gd_optimal_step(w, h) -> np.ndarray:
+    """Gradient descent on the quadratic 1/2 Tr(w^T h w) at the optimal
+    constant rate 2 / (lambda_max + lambda_min)."""
+    return _quadratic_step("gd_optimal", w, h)
+
+
+def newton_step(w, h, eta: float) -> np.ndarray:
+    """Damped Newton step on the quadratic: ``w - eta h^{-1} (h w)``."""
+    return _quadratic_step("newton", w, h, eta)
 
 
 def whitened_optimal_learning_rate(h, g) -> float:
     """Dynamic rate for whitened descent on the quadratic: ||h w||_* / Tr(h)."""
     return schatten1_norm(g) / float(np.trace(as_matrix(h, "h")))
-
-
-_EXACT = WhiteningConfig(mode="exact_eig")
 
 
 def whitened_gd_optimal_step(w, h) -> np.ndarray:
@@ -228,12 +283,7 @@ def whitened_gd_optimal_step(w, h) -> np.ndarray:
     ||h w||_* / Tr(h); from a row-orthonormal start this reaches the optimum in
     a single step.
     """
-    w = as_matrix(w, "w")
-    _spd_eigenvalues(h)
-    g = h @ w
-    delta = orthogonalize(g, _EXACT)
-    eta = whitened_optimal_learning_rate(h, g)
-    return w - eta * delta
+    return _quadratic_step("whitened_gd_optimal", w, h)
 
 
 def linear_warmup_decay(
@@ -259,10 +309,3 @@ def linear_warmup_decay(
     frac = min(max(frac, 0.0), 1.0)
     return base_lr * (1.0 - (1.0 - floor_fraction) * frac)
 
-
-def stateless_kind(kind: str) -> bool:
-    return kind in STATELESS_KINDS
-
-
-def with_learning_rate(cfg: OptimizerConfig, lr: float) -> OptimizerConfig:
-    return replace(cfg, learning_rate=lr)

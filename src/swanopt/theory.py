@@ -19,7 +19,9 @@ from .optimizers import (
     OptimizerConfig,
     OptimizerState,
     adam_step,
+    gd_optimal_step,
     whitened_gd_optimal_step,
+    whitened_optimal_learning_rate,
 )
 from .problems import QuadraticProblem
 
@@ -144,8 +146,7 @@ def gd_adversarial_factors(kappa: float, m: int = 50) -> tuple[float, float]:
     w0 = np.zeros((m, 1))
     w0[0, 0] = 1.0 / np.sqrt(2.0)
     w0[-1, 0] = 1.0 / np.sqrt(2.0)
-    eta = 2.0 / (lam[0] + lam[-1])
-    w1 = w0 - eta * (h @ w0)
+    w1 = gd_optimal_step(w0, h)
     loss = lambda w: 0.5 * float(np.trace(w.T @ h @ w))
     loss_factor = loss(w1) / loss(w0)
     dist_factor = float(np.linalg.norm(w1) / np.linalg.norm(w0))
@@ -227,11 +228,10 @@ def compare_blockwise(
     in eta). Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
-    etas = [
-        schatten1_norm(p.h @ as_matrix(w, "w")) / float(np.trace(p.h))
+    eta_global = min(
+        whitened_optimal_learning_rate(p.h, p.h @ as_matrix(w, "w"))
         for p, (_, w) in zip(problems, blocks)
-    ]
-    eta_global = min(etas)
+    )
     out = []
     for idx, (p, (_, w0)) in enumerate(zip(problems, blocks)):
         w0 = as_matrix(w0, "w0")

@@ -12,6 +12,7 @@ from swanopt.harness import (
     parse_config,
     read_curve_csv,
     run_experiment,
+    write_csv,
 )
 from swanopt.optimizers import OptimizerConfig
 
@@ -82,11 +83,17 @@ class TestRunExperiment:
         lines = (tmp_path / "gd.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
         first = lines[1].split(",")
-        assert len(first) == 8
+        assert len(first) == 7
         assert first[0] == "5"
         # floats are printed at 17 significant digits and round-trip exactly
         steps, losses = read_curve_csv(tmp_path / "gd.csv")
         assert steps[0] == 5.0 and np.isfinite(losses).all()
+
+    def test_write_csv_cells(self, tmp_path):
+        write_csv(tmp_path / "t.csv", "a,b,c,d", [(3, 0.1, None, "x=1"), (True, 1e300, 2.0, "")])
+        assert (tmp_path / "t.csv").read_text() == (
+            "a,b,c,d\n3,0.10000000000000001,,x=1\nTrue,1.0000000000000001e+300,2,\n"
+        )
 
     def test_divergence_flagged_without_crash(self):
         spec = quadratic_spec(

@@ -1,0 +1,94 @@
+"""The step table (``optimizers.make_step``) against the public step functions
+and the harness, for every optimizer kind on a small C = 0 quadratic."""
+
+import numpy as np
+import pytest
+
+from swanopt.harness import ExperimentSpec, OptimizerDescriptor, ProblemSpec, run_experiment
+from swanopt.matrixops import random_matrix
+from swanopt.optimizers import (
+    KINDS,
+    OptimizerConfig,
+    adam_step,
+    gd_optimal_step,
+    init_state,
+    make_step,
+    newton_step,
+    sgd_step,
+    signed_step,
+    swan_step,
+    whitened_gd_optimal_step,
+)
+from swanopt.theory import predict_whitened_contraction
+
+PROBLEM = ProblemSpec(kind="quadratic", seed=4, m=6, n=9, kappa=50.0)
+SEED = 7
+LR = 0.05
+
+
+def _config(kind):
+    return OptimizerConfig(kind=kind, learning_rate=LR)
+
+
+def _start():
+    problem = PROBLEM.build()
+    w = PROBLEM.init_scale * random_matrix(*problem.shape, SEED)
+    return problem, w, problem.grad(w)
+
+
+def _public_step(cfg, w, h):
+    g = h @ w
+    public = {
+        "swan": lambda: swan_step(w, g, cfg),
+        "sgd": lambda: sgd_step(w, g, cfg),
+        "signed_sgd": lambda: signed_step(w, g, cfg),
+        "adam": lambda: adam_step(w, g, init_state(cfg, w.shape), cfg)[0],
+        "gd_optimal": lambda: gd_optimal_step(w, h),
+        "newton": lambda: newton_step(w, h, LR),
+        "whitened_gd_optimal": lambda: whitened_gd_optimal_step(w, h),
+    }
+    assert set(public) == set(KINDS)
+    return public[cfg.kind]()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_step_equals_public_step(kind):
+    problem, w, g = _start()
+    cfg = _config(kind)
+    got, _, _, _ = make_step(cfg, problem.h)(w, g, init_state(cfg, w.shape), LR)
+    assert np.array_equal(got, _public_step(cfg, w, problem.h))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_first_record_equals_table_step(kind):
+    problem, w, g = _start()
+    cfg = _config(kind)
+    w_next, _, eta, info = make_step(cfg, problem.h)(w, g, init_state(cfg, w.shape), LR)
+    rec = _first_record(cfg)
+    assert rec.loss == problem.loss(w_next)
+    assert rec.update_fro == float(np.linalg.norm(w_next - w))
+    assert rec.eta == eta
+    np.testing.assert_equal(rec.diag1, info)
+
+
+def _first_record(cfg):
+    spec = ExperimentSpec(
+        problem=PROBLEM,
+        optimizers=(OptimizerDescriptor("x", cfg),),
+        steps=1,
+        record_every=1,
+        seed=SEED,
+    )
+    return run_experiment(spec).trajectories["x"][0]
+
+
+def test_whitened_diag1_is_the_contraction_prediction():
+    problem, w, _ = _start()
+    rec = _first_record(_config("whitened_gd_optimal"))
+    assert rec.diag1 == pytest.approx(predict_whitened_contraction(problem, w), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ("gd_optimal", "newton", "whitened_gd_optimal"))
+def test_curvature_kinds_need_the_hessian(kind):
+    with pytest.raises(ValueError, match="Hessian"):
+        make_step(OptimizerConfig(kind=kind))
