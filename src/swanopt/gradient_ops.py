@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import as_matrix, frobenius_norm
+from .matrixops import as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -59,7 +59,9 @@ class WhiteningConfig:
     divides the input by its Frobenius norm first, which places the spectrum
     of G G^T inside (0, 1] where the iteration is well behaved.
 
-    ``update_order`` selects how the coupled Y/Z recursions advance:
+    ``update_order`` selects how the coupled Y/Z recursions advance (both run
+    as 3 m x m products per iteration on Z and P = Z Y, see
+    :func:`newton_schulz_inverse_sqrt`):
 
     * ``"chained"``: Y is overwritten first and the Z update reads the new Y
       (the two assignments executed in order). At step_size 0.8 this contracts
@@ -99,23 +101,19 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     """
     g = as_matrix(g, "g")
     n = g.shape[1]
-    if cfg.subtract_mean:
-        if n < 2:
-            raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
-        mean = g.mean(axis=1, keepdims=True)
-        std = g.std(axis=1, keepdims=True)
-    else:
-        if n < 1:
-            raise ValueError("grad_norm needs at least one column")
-        mean = np.zeros((g.shape[0], 1))
-        std = np.sqrt(np.mean(g * g, axis=1, keepdims=True))
+    if cfg.subtract_mean and n < 2:
+        raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
+    if n < 1:
+        raise ValueError("grad_norm needs at least one column")
+    c = g - g.mean(axis=1, keepdims=True) if cfg.subtract_mean else g.copy()
+    std = np.sqrt(np.mean(c * c, axis=1, keepdims=True))
     if cfg.epsilon == 0.0:
         dead = np.flatnonzero(std.ravel() == 0.0)
         if dead.size:
             raise ValueError(
                 f"zero-variance row {int(dead[0])} with epsilon=0 (division by zero)"
             )
-    return (g - mean) / (std + cfg.epsilon)
+    return np.divide(c, std + cfg.epsilon, out=c)
 
 
 def exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,30 +135,41 @@ def newton_schulz_inverse_sqrt(
     iterations: int,
     step_size: float,
     update_order: str = "chained",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the coupled Newton-Schulz recursion from Y=a, Z=I; return (Y, Z).
+) -> np.ndarray:
+    """Run the coupled Newton-Schulz recursion from Y=a, Z=I; return Z.
 
     Each iteration applies ``Y <- b Y (3I - Z Y)`` and ``Z <- b (3I - Z Y) Z``
-    with b = ``step_size``; see :class:`WhiteningConfig` for the two possible
-    orderings. With ``step_size=0.5``, ``update_order="paired"`` and the
-    spectrum of ``a`` inside (0, 2), Z converges to ``a^{-1/2}``.
+    with b = ``step_size``, in either order of :class:`WhiteningConfig`. With
+    ``step_size=0.5``, ``update_order="paired"`` and the spectrum of ``a`` inside
+    (0, 2), Z converges to ``a^{-1/2}``. The iterates are polynomials in ``a`` and
+    commute, so the loop tracks P = Z Y for Y: with T = b (3I - P), ``paired``
+    sets Z <- T Z, P <- T (P T), and ``chained`` sets Z <- S Z, P <- S Q with
+    Q = P T and S = b (3I - Q). That is 3 m x m products per iteration (2 while
+    Z = I), in four reused m x m buffers; ``a`` is not copied.
     """
     a = as_matrix(a, "a")
     m = a.shape[0]
     if a.shape[1] != m:
         raise ValueError("newton_schulz_inverse_sqrt needs a square matrix")
-    eye3 = 3.0 * np.eye(m)
-    y = a.copy()
-    z = np.eye(m)
-    b = step_size
+
+    def shifted(x, out):
+        """b (3I - x), with 3b added on a diagonal slice (no identity matrix)."""
+        out = np.multiply(x, -step_size, out=out)
+        out.flat[:: m + 1] += 3.0 * step_size
+        return out
+
+    p, z, t, u = a, None, None, None
     for _ in range(iterations):
-        if update_order == "paired":
-            t = eye3 - z @ y
-            y, z = b * (y @ t), b * (t @ z)
-        else:
-            y = b * (y @ (eye3 - z @ y))
-            z = b * ((eye3 - z @ y) @ z)
-    return y, z
+        t = shifted(p, t)  # T
+        u = np.matmul(p, t, out=u)  # P T, which is Q = Z Y' when chained
+        if update_order == "chained":
+            shifted(u, t)  # S takes T's buffer
+        p = np.matmul(t, u, out=None if p is a else p)  # T (P T) or S Q
+        if z is None:  # Z = I: the new Z is T or S itself
+            z, t, u = t, u, None
+        else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
+            z, u = np.matmul(t, z, out=u), z
+    return np.eye(m) if z is None else z
 
 
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
@@ -171,8 +180,8 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     the input is optionally Frobenius-normalized, the coupled recursion is run
     for ``cfg.iterations`` steps, and ``Z @ g`` is returned *at the normalized
     scale*; downstream rescaling (see :func:`rescale_update`) restores
-    magnitude. Rank deficiency is tolerated here: the iteration contracts
-    toward the orthogonal factor on the row space.
+    magnitude. Rank deficiency is not rejected here, but it is unsafe: on square
+    GradNorm'd input the chained default turns non-finite from ~28 iterations.
     """
     g = as_matrix(g, "g")
     m, n = g.shape
@@ -180,11 +189,11 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
         raise ValueError(f"grad_whitening needs rows <= cols, got {m}x{n}")
     if cfg.mode == "exact_eig":
         return exact_polar(g)[0]
-    scale = frobenius_norm(g)
+    scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     gn = g / scale if cfg.pre_normalize else g
-    _, z = newton_schulz_inverse_sqrt(
+    z = newton_schulz_inverse_sqrt(
         gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order
     )
     return z @ gn
@@ -202,7 +211,7 @@ def rescale_update(delta, reference) -> np.ndarray:
     """Scale ``delta`` so its Frobenius norm matches that of ``reference``."""
     delta = as_matrix(delta, "delta")
     reference = as_matrix(reference, "reference")
-    norm = frobenius_norm(delta)
+    norm = float(np.linalg.norm(delta))
     if norm == 0.0:
         raise ValueError("rescale_update: zero-norm delta has no direction")
-    return delta * (frobenius_norm(reference) / norm)
+    return delta * (float(np.linalg.norm(reference)) / norm)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,30 @@ def conditioned_gradient(seed, m=16, n=32, kappa=100.0):
     sv = np.geomspace(1.0, np.sqrt(kappa), m)
     g = (u * sv) @ v
     return g / np.linalg.norm(g)
+
+
+# k=40 only where the iteration settles: chained beta <= 0.8, paired beta = 0.5.
+NS_CASES = [
+    (order, beta, k)
+    for order in ("chained", "paired")
+    for beta in (0.5, 0.8, 1.0)
+    for k in (1, 2, 10)
+] + [("chained", 0.5, 40), ("chained", 0.8, 40), ("paired", 0.5, 40)]
+
+
+def plain_ns_whitening(g, k, b, order):
+    """Reference: the coupled Y/Z recursion written out, returning Z @ g."""
+    g = g / np.linalg.norm(g)
+    eye3 = 3.0 * np.eye(g.shape[0])
+    y, z = g @ g.T, np.eye(g.shape[0])
+    for _ in range(k):
+        if order == "paired":
+            t = eye3 - z @ y
+            y, z = b * (y @ t), b * (t @ z)
+        else:
+            y = b * (y @ (eye3 - z @ y))
+            z = b * ((eye3 - z @ y) @ z)
+    return z @ g
 
 
 class TestGradNorm:
@@ -63,6 +89,9 @@ class TestGradNorm:
     def test_output_row_statistics(self, seed):
         g = random_matrix(5, 9, seed)
         out = grad_norm(g, NOEPS)
+        # bit-identical to the textbook form with numpy's own std
+        ref = (g - g.mean(axis=1, keepdims=True)) / g.std(axis=1, keepdims=True)
+        assert np.array_equal(out, ref)
         assert np.max(np.abs(out.mean(axis=1))) <= 1e-12
         assert np.max(np.abs(out.std(axis=1) - 1.0)) <= 1e-9
 
@@ -146,10 +175,35 @@ class TestGradWhitening:
         for seed in range(5):
             g = conditioned_gradient(seed, kappa=100.0)
             a = g @ g.T
-            _, z = newton_schulz_inverse_sqrt(a, 40, 0.5, "paired")
+            z = newton_schulz_inverse_sqrt(a, 40, 0.5, "paired")
             dec = sym_eig(a)
             target = dec.eigenvectors @ np.diag(dec.eigenvalues**-0.5) @ dec.eigenvectors.T
             assert np.linalg.norm(z - target) <= 1e-6
+
+    @pytest.mark.parametrize("order, beta, k", NS_CASES)
+    def test_newton_schulz_matches_plain_recursion(self, order, beta, k):
+        inputs = [conditioned_gradient(1, kappa=kappa) for kappa in (2.0, 1e2, 1e4)]
+        inputs.append(random_matrix(1, 9, 3))
+        if k < 40:  # square GradNorm'd input has rank m - 1
+            inputs.append(grad_norm(random_matrix(50, 50, 4)))
+        cfg = WhiteningConfig(iterations=k, step_size=beta, update_order=order)
+        for g in inputs:
+            ref = plain_ns_whitening(g, k, beta, order)
+            err = np.linalg.norm(grad_whitening(g, cfg) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-10
+
+    @pytest.mark.parametrize("order", ["chained", "paired"])
+    def test_newton_schulz_working_set(self, order):
+        m = 50
+        g = conditioned_gradient(2, m=m, n=2 * m)
+        a = g @ g.T
+        tracemalloc.start()
+        try:
+            newton_schulz_inverse_sqrt(a, 10, 0.8, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * m * m * 8 + 2048
 
     def test_chained_defaults_bounded_and_improving(self):
         for seed in range(5):
