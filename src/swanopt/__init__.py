@@ -12,9 +12,7 @@ from .gradient_ops import (
 )
 from .matrixops import (
     SymEigDecomp,
-    frobenius_norm,
     make_spd,
-    matmul,
     random_matrix,
     sample_stiefel,
     schatten1_norm,

@@ -123,12 +123,6 @@ class PplCurve:
     def final_step(self) -> float:
         return float(self.steps[-1])
 
-    def value_at(self, step: float) -> float:
-        """Linearly interpolated metric at a step inside the recorded range."""
-        if step < self.steps[0] or step > self.steps[-1]:
-            raise ValueError(f"step {step} outside recorded range")
-        return float(np.interp(step, self.steps, self.values))
-
 
 def step_to_reach(curve: PplCurve, threshold: float) -> float | None:
     """First step at which the metric is <= threshold, linearly interpolating

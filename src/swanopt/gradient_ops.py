@@ -55,9 +55,9 @@ class WhiteningConfig:
 
     ``mode="exact_eig"`` computes the orthogonal polar factor from a thin SVD
     and serves as the oracle for the ``"newton_schulz"`` mode. ``iterations``
-    and ``step_size`` parameterize the Newton-Schulz loop; ``pre_normalize``
-    divides the input by its Frobenius norm first, which places the spectrum
-    of G G^T inside (0, 1] where the iteration is well behaved.
+    and ``step_size`` parameterize the Newton-Schulz loop, which always runs on
+    the input divided by its Frobenius norm: that places the spectrum of
+    G G^T inside (0, 1], where the iteration is well behaved.
 
     ``update_order`` selects how the coupled Y/Z recursions advance (both run
     as 3 m x m products per iteration on Z and P = Z Y, see
@@ -76,7 +76,6 @@ class WhiteningConfig:
     iterations: int = 10
     step_size: float = 0.8
     mode: str = "newton_schulz"
-    pre_normalize: bool = True
     update_order: str = "chained"
 
     def __post_init__(self):
@@ -177,7 +176,7 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
 
     In ``exact_eig`` mode the orthogonal polar factor U V^T is returned from a
     thin SVD and rank-deficient input is rejected. In ``newton_schulz`` mode
-    the input is optionally Frobenius-normalized, the coupled recursion is run
+    the input is divided by its Frobenius norm, the coupled recursion is run
     for ``cfg.iterations`` steps, and ``Z @ g`` is returned *at the normalized
     scale*; downstream rescaling (see :func:`rescale_update`) restores
     magnitude. Rank deficiency is not rejected here, but it is unsafe: on square
@@ -192,7 +191,7 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
-    gn = g / scale if cfg.pre_normalize else g
+    gn = g / scale
     z = newton_schulz_inverse_sqrt(
         gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order
     )

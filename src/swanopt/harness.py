@@ -5,20 +5,22 @@ budget and output settings; :func:`run_experiment` executes every optimizer
 from one shared seeded initialization, records a trajectory per optimizer,
 and (when an output directory is set) writes one CSV/JSON file per optimizer
 plus a JSON summary. Identical spec and seed produce byte-identical files.
+An optimizer whose loss turns non-finite, or whose step or loss raises a
+``ValueError``, is stopped and flagged as diverged; the others run on.
 
 Every step comes from the one step table, :func:`swanopt.optimizers.make_step`.
 
 Specs can be built in code or parsed from a flat INI-style config file with
-one ``[optimizer:NAME]`` section per optimizer (see :func:`parse_config` for
-the schema).
+one ``[optimizer:NAME]`` section per optimizer. Its keys are the field names
+of the spec dataclasses, read from the dataclasses themselves (see
+:func:`parse_config`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +130,6 @@ class TrajectoryRecord:
     update_fro: float
     eta: float
     diag1: float = float("nan")
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,11 @@ def spec_hash(spec: ExperimentSpec) -> str:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every optimizer in the spec from one shared initialization.
 
-    A non-finite loss terminates that optimizer's run and flags it as
-    diverged in the summary; other optimizers continue. When ``out_dir`` is
-    set, one trajectory file per optimizer and a ``summary.json`` are written.
+    A non-finite loss, or a ``ValueError`` from the step or from the loss,
+    terminates that optimizer's run and flags it as diverged in the summary,
+    with ``diverged_cause`` "non-finite loss" or the error message; other
+    optimizers continue. When ``out_dir`` is set, one trajectory file per
+    optimizer and a ``summary.json`` are written.
     """
     problem = spec.problem.build()
     shape = problem.shape
@@ -222,9 +225,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         step = make_step(desc.config, problem.h if quadratic else None)
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []
-        start = time.perf_counter()
         initial_excess = problem.loss(w) - l_star
-        diverged_at = None
+        diverged_at = cause = None
         steps_to_threshold = None
         for t in range(1, spec.steps + 1):
             g = problem.grad(w)
@@ -234,9 +236,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 )
             else:
                 lr = desc.config.learning_rate
-            w_next, state, eta, info = step(w, g, state, lr)
-            loss = problem.loss(w_next)
-            if not np.isfinite(loss):
+            try:
+                w_next, state, eta, info = step(w, g, state, lr)
+                loss = problem.loss(w_next)
+            except ValueError as exc:
+                cause = str(exc)
+            else:
+                if not np.isfinite(loss):
+                    cause = "non-finite loss"
+            if cause is not None:
                 diverged_at = t
                 break
             excess = loss - l_star
@@ -256,7 +264,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         update_fro=float(np.linalg.norm(w_next - w)),
                         eta=eta,
                         diag1=info if predicts else float("nan"),
-                        wall_time=time.perf_counter() - start,
                     )
                 )
             w = w_next
@@ -267,6 +274,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             "steps_to_threshold": steps_to_threshold,
             "diverged": diverged_at is not None,
             "diverged_at": diverged_at,
+            "diverged_cause": cause,
         }
     summary = {
         "seed": spec.seed,
@@ -288,67 +296,65 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 # --- config file parsing -----------------------------------------------------
 
-_EXPERIMENT_FIELDS = {
-    "steps": int,
-    "record_every": int,
-    "seed": int,
-    "threshold": float,
-    "out_dir": str,
-    "format": str,
-}
-_PROBLEM_FIELDS = {
-    "kind": str,
-    "seed": int,
-    "m": int,
-    "n": int,
-    "kappa": float,
-    "c_scale": float,
-    "amplitude": float,
-    "init_scale": float,
-}
-_OPTIMIZER_FIELDS = {
-    "kind": str,
-    "learning_rate": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_epsilon": float,
-    "swan_rescale": bool,
-    "ablation": str,
-    "gradnorm_subtract_mean": bool,
-    "gradnorm_epsilon": float,
-    "whiten_mode": str,
-    "whiten_iterations": int,
-    "whiten_step_size": float,
-    "whiten_pre_normalize": bool,
-    "whiten_update_order": str,
-    "orthogonal_init": bool,
-    "schedule": str,
-    "warmup_fraction": float,
-}
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _convert(section: str, key: str, raw: str, fields: dict):
-    if key not in fields:
-        raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    typ = fields[key]
-    try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+_PARSERS = {"int": int, "float": float, "str": str, "str | None": str, "bool": _parse_bool}
+
+
+def _keys(cls, prefix: str = "") -> dict:
+    """Config key -> (owning dataclass, field, parser) for the scalar fields of ``cls``."""
+    return {
+        prefix + f.name: (cls, f.name, _PARSERS[f.type]) for f in fields(cls) if f.type in _PARSERS
+    }
+
+
+_EXPERIMENT_KEYS = _keys(ExperimentSpec)
+_EXPERIMENT_KEYS["format"] = _EXPERIMENT_KEYS.pop("file_format")
+_PROBLEM_KEYS = _keys(ProblemSpec)
+_OPTIMIZER_KEYS = {
+    **_keys(OptimizerConfig),
+    **_keys(GradNormConfig, "gradnorm_"),
+    **_keys(WhiteningConfig, "whiten_"),
+    **_keys(OptimizerDescriptor),
+}
+del _OPTIMIZER_KEYS["name"]  # the section title names the optimizer
+
+
+def _read_section(parser, section: str, keys: dict) -> dict:
+    """The section's values as field -> value, grouped by owning dataclass."""
+    groups: dict = {cls: {} for cls, _, _ in keys.values()}
+    for key, raw in parser.items(section):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        cls, name, parse = keys[key]
+        try:
+            groups[cls][name] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+    return groups
 
 
 def parse_config(path) -> ExperimentSpec:
     """Parse an INI experiment config into an :class:`ExperimentSpec`.
 
     Sections: ``[experiment]``, ``[problem]``, and one ``[optimizer:NAME]``
-    per optimizer. Unknown sections or keys are rejected by name.
+    per optimizer. Each key is the name of a field of a config dataclass:
+    ``[experiment]`` sets :class:`ExperimentSpec` (``format`` sets
+    ``file_format``), ``[problem]`` sets :class:`ProblemSpec`, and an
+    optimizer section sets :class:`OptimizerConfig` and
+    :class:`OptimizerDescriptor`, plus :class:`GradNormConfig` under the
+    prefix ``gradnorm_`` and :class:`WhiteningConfig` under ``whiten_``. A
+    field the file does not set keeps its dataclass default. ``[problem]``
+    and every optimizer section must set ``kind``. Unknown sections or keys
+    are rejected by name.
     """
     import configparser
 
@@ -362,53 +368,24 @@ def parse_config(path) -> ExperimentSpec:
     opt_descs: list[OptimizerDescriptor] = []
     for section in parser.sections():
         if section == "experiment":
-            for key, raw in parser.items(section):
-                val = _convert(section, key, raw, _EXPERIMENT_FIELDS)
-                exp_kwargs["file_format" if key == "format" else key] = val
+            exp_kwargs = _read_section(parser, section, _EXPERIMENT_KEYS)[ExperimentSpec]
         elif section == "problem":
-            for key, raw in parser.items(section):
-                prob_kwargs[key] = _convert(section, key, raw, _PROBLEM_FIELDS)
+            prob_kwargs = _read_section(parser, section, _PROBLEM_KEYS)[ProblemSpec]
         elif section.startswith("optimizer:"):
-            name = section.split(":", 1)[1]
-            vals = {
-                key: _convert(section, key, raw, _OPTIMIZER_FIELDS)
-                for key, raw in parser.items(section)
-            }
-            if "kind" not in vals:
+            vals = _read_section(parser, section, _OPTIMIZER_KEYS)
+            if "kind" not in vals[OptimizerConfig]:
                 raise ConfigError(f"section [{section}] is missing 'kind'")
-            gn = GradNormConfig(
-                subtract_mean=vals.pop("gradnorm_subtract_mean", True),
-                epsilon=vals.pop("gradnorm_epsilon", 1e-8),
-            )
-            wh = WhiteningConfig(
-                iterations=vals.pop("whiten_iterations", 10),
-                step_size=vals.pop("whiten_step_size", 0.8),
-                mode=vals.pop("whiten_mode", "newton_schulz"),
-                pre_normalize=vals.pop("whiten_pre_normalize", True),
-                update_order=vals.pop("whiten_update_order", "chained"),
-            )
-            ortho = vals.pop("orthogonal_init", False)
-            schedule = vals.pop("schedule", "constant")
-            warmup = vals.pop("warmup_fraction", 0.0)
+            gn = GradNormConfig(**vals[GradNormConfig])
+            wh = WhiteningConfig(**vals[WhiteningConfig])
             try:
-                cfg = OptimizerConfig(grad_norm_cfg=gn, whitening_cfg=wh, **vals)
+                cfg = OptimizerConfig(grad_norm_cfg=gn, whitening_cfg=wh, **vals[OptimizerConfig])
             except ValueError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
-            opt_descs.append(
-                OptimizerDescriptor(
-                    name=name,
-                    config=cfg,
-                    orthogonal_init=ortho,
-                    schedule=schedule,
-                    warmup_fraction=warmup,
-                )
-            )
+            name = section.split(":", 1)[1]
+            opt_descs.append(OptimizerDescriptor(name, cfg, **vals[OptimizerDescriptor]))
         else:
             raise ConfigError(f"unknown section [{section}]")
     if "kind" not in prob_kwargs:
         raise ConfigError("config needs a [problem] section with 'kind'")
-    try:
-        problem = ProblemSpec(**prob_kwargs)
-        return ExperimentSpec(problem=problem, optimizers=tuple(opt_descs), **exp_kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = ProblemSpec(**prob_kwargs)
+    return ExperimentSpec(problem=problem, optimizers=tuple(opt_descs), **exp_kwargs)

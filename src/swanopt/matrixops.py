@@ -1,12 +1,12 @@
-"""Dense float64 matrix primitives: products, decompositions, norms, sampling.
+"""Dense float64 matrix primitives: validation, decompositions, norms, sampling.
 
 All matrices are 2-D ``numpy.ndarray`` of float64. Every operation here is a
 pure function; sampling operations take an explicit integer seed and are
 bit-reproducible within a fixed numpy/BLAS build.
 
 The library-wide shape convention is "wide": operators that care about
-orientation expect ``rows <= cols``. :func:`to_wide` / callers transpose
-tall inputs and transpose back.
+orientation expect ``rows <= cols``; their callers transpose tall inputs and
+transpose back.
 """
 
 from __future__ import annotations
@@ -17,38 +17,25 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "matmul",
     "SymEigDecomp",
     "sym_eig",
     "schatten1_norm",
-    "frobenius_norm",
     "sample_stiefel",
     "make_spd",
     "random_matrix",
-    "to_wide",
 ]
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a finite 2-D float64 array."""
+def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Validate and convert input to a finite 2-D float64 array (of ``shape``, if given)."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"{name} must be {shape}, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"shape mismatch for matmul: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -77,11 +64,6 @@ def sym_eig(a) -> SymEigDecomp:
     sym = 0.5 * (a + a.T)
     vals, vecs = np.linalg.eigh(sym)
     return SymEigDecomp(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
-
-
-def frobenius_norm(a) -> float:
-    a = as_matrix(a, "a")
-    return float(np.linalg.norm(a))
 
 
 def schatten1_norm(a) -> float:
@@ -131,10 +113,3 @@ def make_spd(size: int, condition_number: float, seed: int) -> np.ndarray:
     h = q @ np.diag(lam) @ q.T
     return 0.5 * (h + h.T)
 
-
-def to_wide(a) -> tuple[np.ndarray, bool]:
-    """Return ``(a, False)`` if rows <= cols, else ``(a.T, True)``."""
-    a = as_matrix(a, "a")
-    if a.shape[0] <= a.shape[1]:
-        return a, False
-    return a.T, True

@@ -116,15 +116,6 @@ def moment_buffer_count(state: OptimizerState) -> int:
     return int(state.first_moment is not None) + int(state.second_moment is not None)
 
 
-def _pair(w, g) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a weight/gradient pair: both finite 2-D arrays of one shape."""
-    w = as_matrix(w, "w")
-    g = as_matrix(g, "g")
-    if w.shape != g.shape:
-        raise ValueError(f"shape mismatch: w is {w.shape}, g is {g.shape}")
-    return w, g
-
-
 def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """One stateless SWAN step: normalize rows, whiten, optionally rescale.
 
@@ -134,7 +125,8 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """
     if cfg.kind != "swan":
         raise ValueError(f"swan_step called with kind={cfg.kind!r}")
-    w, g = _pair(w, g)
+    g = as_matrix(g, "g")
+    w = as_matrix(w, "w", g.shape)
     if w.shape[0] > w.shape[1]:
         return swan_step(w.T, g.T, cfg).T
     g_tilde = g if cfg.ablation == "whiten_only" else grad_norm(g, cfg.grad_norm_cfg)
@@ -158,7 +150,8 @@ def adam_step(
     """
     if cfg.kind != "adam":
         raise ValueError(f"adam_step called with kind={cfg.kind!r}")
-    w, g = _pair(w, g)
+    g = as_matrix(g, "g")
+    w = as_matrix(w, "w", g.shape)
     if state.step > 0 and (state.first_moment is None or state.second_moment is None):
         raise ValueError(f"uninitialized adam state at step {state.step}")
     m = state.first_moment if state.first_moment is not None else np.zeros_like(w)
@@ -180,13 +173,15 @@ def adam_step(
 
 
 def sgd_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
-    w, g = _pair(w, g)
+    g = as_matrix(g, "g")
+    w = as_matrix(w, "w", g.shape)
     return w - cfg.learning_rate * g
 
 
 def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """Sign descent; sign(0) = 0 so exact zeros get no direction bias."""
-    w, g = _pair(w, g)
+    g = as_matrix(g, "g")
+    w = as_matrix(w, "w", g.shape)
     return w - cfg.learning_rate * np.sign(g)
 
 
@@ -226,10 +221,7 @@ def make_step(cfg: OptimizerConfig, h=None) -> Callable:
         return adam
     if h is None:
         raise ValueError(f"{kind} steps need the Hessian h")
-    h = as_matrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got {h.shape[0]}x{h.shape[1]}")
-    dec = sym_eig(h)
+    dec = sym_eig(h)  # checks that h is finite and square
     if dec.eigenvalues[-1] <= 0.0:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {dec.eigenvalues[-1]:.3e})"
@@ -243,7 +235,8 @@ def make_step(cfg: OptimizerConfig, h=None) -> Callable:
     trace_h = float(np.trace(h))
 
     def whitened(w, g, state, lr):
-        w, g = _pair(w, g)
+        g = as_matrix(g, "g")
+        w = as_matrix(w, "w", g.shape)
         polar, s = exact_polar(g)
         nuclear = s.sum()
         eta = float(nuclear) / trace_h
@@ -287,13 +280,9 @@ def whitened_gd_optimal_step(w, h) -> np.ndarray:
 
 
 def linear_warmup_decay(
-    step: int,
-    total_steps: int,
-    base_lr: float,
-    warmup_fraction: float = 0.0,
-    floor_fraction: float = 0.1,
+    step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.0
 ) -> float:
-    """Linear warmup to ``base_lr`` then linear decay to ``floor_fraction * base_lr``.
+    """Linear warmup to ``base_lr`` then linear decay to ``0.1 * base_lr``.
 
     ``step`` is 0-based. With ``warmup_fraction=0`` this is plain linear decay
     to the floor, the schedule shape used when comparing against warmup runs.
@@ -307,5 +296,5 @@ def linear_warmup_decay(
         return base_lr
     frac = (step - warm) / (total_steps - warm)
     frac = min(max(frac, 0.0), 1.0)
-    return base_lr * (1.0 - (1.0 - floor_fraction) * frac)
+    return base_lr * (1.0 - 0.9 * frac)
 

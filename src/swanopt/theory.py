@@ -52,18 +52,10 @@ class ContractionReport:
         return abs(self.predicted - self.measured)
 
 
-def _shifted(problem: QuadraticProblem, w) -> np.ndarray:
-    """Coordinates z = w - W*, in which the quadratic has its optimum at 0."""
-    w = as_matrix(w, "w")
-    if w.shape != problem.shape:
-        raise ValueError(f"w must be {problem.shape}, got {w.shape}")
-    return w - problem.w_star
-
-
 def predict_whitened_contraction(problem: QuadraticProblem, w) -> float:
     """Closed-form one-step loss contraction of whitened descent at its
     optimal dynamic rate: 1 - ||H z||_*^2 / (Tr(z^T H z) Tr(H)), z = w - W*."""
-    z = _shifted(problem, w)
+    z = as_matrix(w, "w", problem.shape) - problem.w_star
     q = float(np.trace(z.T @ problem.h @ z))
     if q == 0.0:
         raise ValueError("w equals the optimum; contraction is 0/0")
@@ -101,7 +93,7 @@ def predict_adam_bound(problem: QuadraticProblem, w0) -> float:
     assembled per column as diag(d)^{1/2} H diag(d)^{1/2} (similar, hence the
     same spectrum, but symmetric).
     """
-    z0 = _shifted(problem, w0)
+    z0 = as_matrix(w0, "w", problem.shape) - problem.w_star
     g0 = problem.h @ z0
     if np.any(g0 == 0.0):
         idx = np.argwhere(g0 == 0.0)[0]
@@ -121,7 +113,7 @@ def predict_adam_bound(problem: QuadraticProblem, w0) -> float:
 
 def robustness_q(problem: QuadraticProblem, w) -> float:
     """Q = Tr(H z)^2 / (Tr(z^T H z) Tr(H)) with z = w - W*; square z only."""
-    z = _shifted(problem, w)
+    z = as_matrix(w, "w", problem.shape) - problem.w_star
     if z.shape[0] != z.shape[1]:
         raise ValueError("robustness_q needs a square parameter matrix")
     q = float(np.trace(z.T @ problem.h @ z))
@@ -181,17 +173,16 @@ def tune_learning_rate(
     lo: float = 1e-4,
     hi: float = 1.0,
     grid_points: int = 10,
-    refine_tol: float | None = None,
 ) -> tuple[float, float]:
     """Grid scan on a geometric grid, then golden-section between the
-    neighbors of the best point. Returns (eta, objective value)."""
+    neighbors of the best point, to 5% of that bracket. Returns (eta,
+    objective value)."""
     grid = np.geomspace(lo, hi, grid_points)
     values = [objective(float(e)) for e in grid]
     i = int(np.argmin(values))
     a = float(grid[max(i - 1, 0)])
     b = float(grid[min(i + 1, grid_points - 1)])
-    tol = refine_tol if refine_tol is not None else 0.05 * (b - a)
-    eta = golden_section(objective, a, b, tol=tol)
+    eta = golden_section(objective, a, b, tol=0.05 * (b - a))
     val = objective(eta)
     if values[i] < val:
         return float(grid[i]), values[i]

@@ -154,3 +154,15 @@ class TestSubcommands:
         lines = (tmp_path / "kl_trace.csv").read_text().splitlines()
         assert lines[0] == "step,kl_raw,kl_gradnorm"
         assert len(lines) == 3
+
+    def test_rastrigin_flags_a_failing_optimizer_and_finishes(self, tmp_path):
+        # exact whitening rejects SWAN's square GradNorm'd gradient (rank <= m - 1);
+        # that optimizer is flagged and the comparison still completes
+        args = ["--out-dir", str(tmp_path), "--quiet", "rastrigin"]
+        assert run(args + ["--m", "8", "--steps", "40", "--grid-points", "3"]) == 0
+        rows = json.loads((tmp_path / "summary.json").read_text())["optimizers"]
+        assert rows["swan"]["diverged"] and rows["swan"]["diverged_at"] == 1
+        assert rows["swan"]["diverged_cause"].startswith("rank-deficient input")
+        for name in ("sgd", "adam", "whitened", "whitened_ortho"):
+            assert not rows[name]["diverged"] and rows[name]["diverged_cause"] is None
+            assert np.isfinite(rows[name]["final_loss"])

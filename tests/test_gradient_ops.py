@@ -216,11 +216,12 @@ class TestGradWhitening:
             err = lambda w: np.linalg.norm(w @ w.T - np.eye(m))
             assert err(w10) < err(w2)
 
-    def test_pre_normalize_noop_on_unit_norm_input(self):
-        g = conditioned_gradient(4)  # already Frobenius-normalized
-        a = grad_whitening(g, WhiteningConfig(pre_normalize=True))
-        b = grad_whitening(g, WhiteningConfig(pre_normalize=False))
-        assert np.allclose(a, b, atol=1e-12)
+    def test_output_is_invariant_to_input_scale(self):
+        # the Newton-Schulz loop always runs on the Frobenius-normalized input
+        g = conditioned_gradient(4)
+        ref = grad_whitening(g, WhiteningConfig())
+        for scale in (1e-3, 3.7, 1e3):
+            assert np.allclose(grad_whitening(scale * g, WhiteningConfig()), ref, atol=1e-12)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):

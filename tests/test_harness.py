@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from swanopt.gradient_ops import WhiteningConfig
 from swanopt.harness import (
     CSV_HEADER,
     ConfigError,
@@ -108,6 +110,26 @@ class TestRunExperiment:
         assert result.summary["optimizers"]["bad"]["diverged_at"] is not None
         assert not result.summary["optimizers"]["gd"]["diverged"]
 
+    def test_divergence_causes(self):
+        exact = WhiteningConfig(mode="exact_eig")
+        spec = quadratic_spec(
+            optimizers=(
+                OptimizerDescriptor("bad", OptimizerConfig(kind="sgd", learning_rate=1e3)),
+                # a square GradNorm'd gradient has rank <= m - 1; exact whitening rejects it
+                OptimizerDescriptor("swan", OptimizerConfig(kind="swan", whitening_cfg=exact)),
+                OptimizerDescriptor("gd", OptimizerConfig(kind="gd_optimal")),
+            ),
+            steps=200,
+        )
+        result = run_experiment(spec)
+        rows = result.summary["optimizers"]
+        assert rows["bad"]["diverged"] and rows["bad"]["diverged_cause"] == "non-finite loss"
+        assert rows["swan"]["diverged"] and rows["swan"]["diverged_at"] == 1
+        assert rows["swan"]["diverged_cause"].startswith("rank-deficient input")
+        assert result.trajectories["swan"] == []
+        assert not rows["gd"]["diverged"] and rows["gd"]["diverged_cause"] is None
+        assert result.trajectories["gd"][-1].step == spec.steps
+
     def test_shared_initialization(self):
         spec = quadratic_spec(record_every=1, steps=1)
         result = run_experiment(spec)
@@ -210,4 +232,52 @@ class TestConfigParsing:
         path = tmp_path / "exp.cfg"
         path.write_text("[problem]\nm = 4\n[optimizer:a]\nkind = sgd\n")
         with pytest.raises(ConfigError, match="kind"):
+            parse_config(path)
+
+    def test_every_scalar_field_round_trips(self, tmp_path):
+        # every value differs from its dataclass default
+        path = tmp_path / "all.cfg"
+        path.write_text(
+            "[experiment]\nsteps = 7\nrecord_every = 2\nseed = 3\nthreshold = 0.001\n"
+            "out_dir = some/dir\nformat = json\n"
+            "[problem]\nkind = rastrigin\nseed = 4\nm = 6\nn = 7\nkappa = 20\n"
+            "c_scale = 0.5\namplitude = 3.0\ninit_scale = 0.25\n"
+            "[optimizer:a]\nkind = adam\nlearning_rate = 0.02\nadam_beta1 = 0.8\n"
+            "adam_beta2 = 0.99\nadam_epsilon = 1e-6\nswan_rescale = false\n"
+            "ablation = norm_only\ngradnorm_subtract_mean = no\ngradnorm_epsilon = 1e-6\n"
+            "whiten_iterations = 12\nwhiten_step_size = 0.5\nwhiten_mode = exact_eig\n"
+            "whiten_update_order = paired\northogonal_init = yes\nschedule = linear_decay\n"
+            "warmup_fraction = 0.2\n"
+        )
+        spec = parse_config(path)
+        desc = spec.optimizers[0]
+        cfg = desc.config
+        expected = [
+            (spec, dict(steps=7, record_every=2, seed=3, threshold=1e-3, out_dir="some/dir")),
+            (spec, dict(file_format="json")),
+            (spec.problem, dict(kind="rastrigin", seed=4, m=6, n=7, kappa=20.0, c_scale=0.5)),
+            (spec.problem, dict(amplitude=3.0, init_scale=0.25)),
+            (cfg, dict(kind="adam", learning_rate=0.02, adam_beta1=0.8, adam_beta2=0.99)),
+            (cfg, dict(adam_epsilon=1e-6, swan_rescale=False, ablation="norm_only")),
+            (cfg.grad_norm_cfg, dict(subtract_mean=False, epsilon=1e-6)),
+            (cfg.whitening_cfg, dict(iterations=12, step_size=0.5, mode="exact_eig")),
+            (cfg.whitening_cfg, dict(update_order="paired")),
+            (desc, dict(name="a", orthogonal_init=True, schedule="linear_decay")),
+            (desc, dict(warmup_fraction=0.2)),
+        ]
+        nested = {"problem", "optimizers", "config", "grad_norm_cfg", "whitening_cfg"}
+        covered: dict = {}
+        for obj, values in expected:
+            by_name = {f.name: f for f in fields(obj)}
+            for name, value in values.items():
+                assert value != by_name[name].default, name
+                assert getattr(obj, name) == value and type(getattr(obj, name)) is type(value), name
+                covered.setdefault(type(obj), set()).add(name)
+        for cls, names in covered.items():
+            assert names == {f.name for f in fields(cls)} - nested, cls.__name__
+
+    def test_removed_pre_normalize_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(GOOD_CONFIG + "whiten_pre_normalize = true\n")
+        with pytest.raises(ConfigError, match="whiten_pre_normalize"):
             parse_config(path)
