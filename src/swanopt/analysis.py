@@ -193,21 +193,17 @@ class CounterfactualResult:
 def counterfactual_additive(
     baseline: PplCurve,
     candidate: PplCurve,
-    early_fraction: tuple[float, float] = (0.10, 0.20),
     thresholds: Sequence[float] | None = None,
 ) -> CounterfactualResult:
     """Fixed-head-start model of the candidate's advantage.
 
     Delta averages S_baseline(P) - S_candidate(P) over thresholds whose
-    baseline crossing falls inside the early window (fractions of the
-    baseline's final step). The additive ratio is
+    baseline crossing falls inside the early window, 10% to 20% of the
+    baseline's final step. The additive ratio is
     S_baseline / (S_baseline - Delta), undefined (None) where
     S_baseline <= Delta; the additive curve evaluates the baseline metric at
     step + Delta wherever that stays inside the recorded range.
     """
-    f_lo, f_hi = early_fraction
-    if not 0.0 <= f_lo < f_hi <= 1.0:
-        raise ValueError(f"bad early_fraction window {early_fraction}")
     if thresholds is None:
         thresholds = default_thresholds(baseline, candidate)
     points = speedup_ratio(baseline, candidate, thresholds)
@@ -217,7 +213,7 @@ def counterfactual_additive(
         for p in points
         if p.steps_baseline is not None
         and p.steps_candidate is not None
-        and f_lo * t_final <= p.steps_baseline <= f_hi * t_final
+        and 0.10 * t_final <= p.steps_baseline <= 0.20 * t_final
     ]
     if not window:
         raise ValueError("no thresholds fall inside the early window")

@@ -43,6 +43,11 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
+def _num(value, spec: str) -> str:
+    """A summary number, or "none" for an optimizer stopped before its first record."""
+    return "none" if value is None else format(value, spec)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,7 +60,8 @@ def _cmd_run(args) -> int:
         spec = replace(spec, out_dir=str(_out_dir(args)), file_format=args.format)
     result = run_experiment(spec)
     for name, row in result.summary["optimizers"].items():
-        _say(args, f"{name}: final_loss={row['final_loss']:.6g} diverged={row['diverged']}")
+        loss = _num(row["final_loss"], ".6g")
+        _say(args, f"{name}: final_loss={loss} diverged={row['diverged']}")
     return 0
 
 
@@ -110,7 +116,7 @@ def _cmd_quadratic(args) -> int:
     for name, row in rows.items():
         _say(
             args,
-            f"  {name}: final excess {row['final_loss_minus_opt']:.3e} "
+            f"  {name}: final excess {_num(row['final_loss_minus_opt'], '.3e')} "
             f"steps_to_threshold={row['steps_to_threshold']}",
         )
     return 0
@@ -135,7 +141,7 @@ def _cmd_rastrigin(args) -> int:
     descs = [OptimizerDescriptor(name, cfg) for name, cfg in tuned.items()]
     descs.append(OptimizerDescriptor("whitened_ortho", tuned["whitened"], orthogonal_init=True))
     for name, row in _run(args, problem, descs).items():
-        _say(args, f"  {name}: final loss {row['final_loss']:.4f}")
+        _say(args, f"  {name}: final loss {_num(row['final_loss'], '.4f')}")
     return 0
 
 

@@ -201,8 +201,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     A non-finite loss, or a ``ValueError`` from the step or from the loss,
     terminates that optimizer's run and flags it as diverged in the summary,
     with ``diverged_cause`` "non-finite loss" or the error message; other
-    optimizers continue. When ``out_dir`` is set, one trajectory file per
-    optimizer and a ``summary.json`` are written.
+    optimizers continue; its final losses are None if it has no record. When
+    ``out_dir`` is set, one trajectory file per optimizer and a strict-JSON
+    ``summary.json`` are written.
     """
     problem = spec.problem.build()
     shape = problem.shape
@@ -222,7 +223,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             raise ConfigError(
                 f"optimizer {desc.name!r} ({desc.config.kind}) needs a quadratic problem"
             )
-        step = make_step(desc.config, problem.h if quadratic else None)
+        step = make_step(desc.config, problem if quadratic else None)
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []
         initial_excess = problem.loss(w) - l_star
@@ -269,8 +270,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             w = w_next
         trajectories[desc.name] = records
         rows[desc.name] = {
-            "final_loss": records[-1].loss if records else float("nan"),
-            "final_loss_minus_opt": records[-1].loss_minus_opt if records else float("nan"),
+            "final_loss": records[-1].loss if records else None,
+            "final_loss_minus_opt": records[-1].loss_minus_opt if records else None,
             "steps_to_threshold": steps_to_threshold,
             "diverged": diverged_at is not None,
             "diverged_at": diverged_at,
@@ -290,7 +291,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 write_csv(out / f"{name}.csv", CSV_HEADER, map(_trajectory_row, records))
             else:
                 _write_json(out / f"{name}.json", records)
-        (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(summary, indent=1, sort_keys=True, allow_nan=False)
+        (out / "summary.json").write_text(text + "\n")
     return ExperimentResult(trajectories=trajectories, summary=summary)
 
 
@@ -375,9 +377,9 @@ def parse_config(path) -> ExperimentSpec:
             vals = _read_section(parser, section, _OPTIMIZER_KEYS)
             if "kind" not in vals[OptimizerConfig]:
                 raise ConfigError(f"section [{section}] is missing 'kind'")
-            gn = GradNormConfig(**vals[GradNormConfig])
-            wh = WhiteningConfig(**vals[WhiteningConfig])
             try:
+                gn = GradNormConfig(**vals[GradNormConfig])
+                wh = WhiteningConfig(**vals[WhiteningConfig])
                 cfg = OptimizerConfig(grad_norm_cfg=gn, whitening_cfg=wh, **vals[OptimizerConfig])
             except ValueError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc

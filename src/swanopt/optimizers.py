@@ -7,9 +7,9 @@ the point of the exercise.
 
 :func:`make_step` is the one step table: for every kind in :data:`KINDS` it
 returns ``step(w, g, state, lr) -> (w_next, state, eta, info)``, the form the
-harness runs. Per-problem constants of the curvature kinds (the GD-optimal
-rate, Newton's inverse Hessian, Tr H) are computed once, when the step is
-built. The public curvature steps are thin calls into the same entries.
+harness runs. The curvature kinds read their constants (the spectrum, W*,
+Tr H) from the :class:`~swanopt.problems.QuadraticProblem` they are built
+for. The public curvature steps are thin calls into the same entries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .gradient_ops import (
     grad_whitening,
     rescale_update,
 )
-from .matrixops import as_matrix, schatten1_norm, sym_eig
+from .matrixops import as_matrix, schatten1_norm
+from .problems import QuadraticProblem
 
 __all__ = [
     "KINDS",
@@ -188,16 +189,18 @@ def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
 _NAN = float("nan")
 
 
-def make_step(cfg: OptimizerConfig, h=None) -> Callable:
+def make_step(cfg: OptimizerConfig, problem: QuadraticProblem | None = None) -> Callable:
     """The step of ``cfg.kind``: ``step(w, g, state, lr) -> (w_next, state, eta, info)``.
 
     ``lr`` is the rate of this step (it overrides ``cfg.learning_rate``) and
     ``eta`` the rate actually applied: the GD-optimal and whitened kinds set
-    their own. The curvature kinds need the Hessian ``h`` of the quadratic
-    1/2 Tr(W^T h W) - Tr(C^T W), with ``g`` its gradient at ``w``. ``info`` is
-    NaN except for ``whitened_gd_optimal``, where it is the closed-form
-    one-step loss contraction 1 - ||g||_*^2 / (<w, g> Tr h), valid when C = 0.
-    The whitened step takes the polar factor and ||g||_* from one thin SVD.
+    their own. For the curvature kinds ``g`` is the gradient of the quadratic
+    ``problem`` at ``w``, whose closed forms they read: ``gd_optimal`` its
+    spectrum, ``newton`` W* (it steps w - lr (w - W*) in a form where lr = 1
+    lands on W* exactly), ``whitened_gd_optimal`` Tr H. ``info`` is NaN except
+    for ``whitened_gd_optimal``, where it is the closed-form one-step loss
+    contraction 1 - ||g||_*^2 / (<w, g> Tr H), valid when C = 0. The whitened
+    step takes the polar factor and ||g||_* from one thin SVD.
     """
     kind = cfg.kind
     if kind == "swan":
@@ -219,20 +222,15 @@ def make_step(cfg: OptimizerConfig, h=None) -> Callable:
             return w_next, state, lr, _NAN
 
         return adam
-    if h is None:
-        raise ValueError(f"{kind} steps need the Hessian h")
-    dec = sym_eig(h)  # checks that h is finite and square
-    if dec.eigenvalues[-1] <= 0.0:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {dec.eigenvalues[-1]:.3e})"
-        )
+    if problem is None:
+        raise ValueError(f"{kind} steps need the quadratic problem and its Hessian")
     if kind == "gd_optimal":
-        eta = 2.0 / (dec.eigenvalues[0] + dec.eigenvalues[-1])
+        eta = 2.0 / (problem.eigenvalues[0] + problem.eigenvalues[-1])
         return lambda w, g, state, lr: (w - eta * g, state, eta, _NAN)
     if kind == "newton":
-        h_inv = dec.eigenvectors @ np.diag(1.0 / dec.eigenvalues) @ dec.eigenvectors.T
-        return lambda w, g, state, lr: (w - lr * (h_inv @ g), state, lr, _NAN)
-    trace_h = float(np.trace(h))
+        w_star = problem.w_star
+        return lambda w, g, state, lr: (w_star + (1.0 - lr) * (w - w_star), state, lr, _NAN)
+    trace_h = float(np.trace(problem.h))
 
     def whitened(w, g, state, lr):
         g = as_matrix(g, "g")
@@ -249,8 +247,9 @@ def make_step(cfg: OptimizerConfig, h=None) -> Callable:
 def _quadratic_step(kind: str, w, h, lr: float = 1.0) -> np.ndarray:
     """One ``kind`` step on the quadratic 1/2 Tr(w^T h w), whose gradient is h w."""
     w = as_matrix(w, "w")
-    h = as_matrix(h, "h")
-    return make_step(OptimizerConfig(kind=kind), h)(w, h @ w, OptimizerState(), lr)[0]
+    problem = QuadraticProblem(h, n=w.shape[1])
+    step = make_step(OptimizerConfig(kind=kind), problem)
+    return step(w, problem.grad(w), OptimizerState(), lr)[0]
 
 
 def gd_optimal_step(w, h) -> np.ndarray:
@@ -260,7 +259,7 @@ def gd_optimal_step(w, h) -> np.ndarray:
 
 
 def newton_step(w, h, eta: float) -> np.ndarray:
-    """Damped Newton step on the quadratic: ``w - eta h^{-1} (h w)``."""
+    """Damped Newton step on the quadratic: ``w - eta h^{-1} (h w) = (1 - eta) w``."""
     return _quadratic_step("newton", w, h, eta)
 
 

@@ -39,17 +39,19 @@ __all__ = [
 class QuadraticProblem:
     """1/2 Tr(W^T H W) - Tr(C^T W) with H symmetric positive definite.
 
-    The optimum W* = H^{-1} C and its loss value are computed at construction.
+    H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and
+    L* = -1/2 <C, W*> are computed; the curvature steps read them from here.
+    The loss is <W, 1/2 H W - C>, one matrix product.
     """
 
     def __init__(self, h, c=None, n: int | None = None):
         h = as_matrix(h, "h")
         if h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
-        vals = np.linalg.eigvalsh(0.5 * (h + h.T))
+        self.h = 0.5 * (h + h.T)
+        vals = np.linalg.eigvalsh(self.h)
         if vals[0] <= 0.0:
             raise ValueError(f"h is not positive definite (min eigenvalue {vals[0]:.3e})")
-        self.h = 0.5 * (h + h.T)
         m = h.shape[0]
         if c is None:
             c = np.zeros((m, n if n is not None else m))
@@ -58,10 +60,7 @@ class QuadraticProblem:
             raise ValueError(f"c must have {m} rows, got {c.shape[0]}")
         self.c = c
         self.w_star = np.linalg.solve(self.h, self.c)
-        self.l_star = float(
-            0.5 * np.trace(self.w_star.T @ self.h @ self.w_star)
-            - np.trace(self.c.T @ self.w_star)
-        )
+        self.l_star = float(-0.5 * np.vdot(self.c, self.w_star))
         self.eigenvalues = vals[::-1].copy()
 
     @classmethod
@@ -81,15 +80,11 @@ class QuadraticProblem:
     def shape(self) -> tuple[int, int]:
         return (self.h.shape[0], self.c.shape[1])
 
-    @property
-    def condition_number(self) -> float:
-        return float(self.eigenvalues[0] / self.eigenvalues[-1])
-
     def loss(self, w) -> float:
         w = as_matrix(w, "w", self.shape)
-        # overflow to +inf on runaway iterates is the divergence signal
+        # a non-finite loss from overflow on runaway iterates is the divergence signal
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(0.5 * np.trace(w.T @ self.h @ w) - np.trace(self.c.T @ w))
+            return float(np.vdot(w, 0.5 * (self.h @ w) - self.c))
 
     def grad(self, w) -> np.ndarray:
         w = as_matrix(w, "w", self.shape)
@@ -135,7 +130,7 @@ class MlpProblem:
     """Seeded teacher-student regression with tanh hidden layers.
 
     Synthetic data comes from a fixed teacher network of the same
-    architecture: x ~ N(0, I), y = teacher(x) (+ optional label noise). The
+    architecture: x ~ N(0, I), y = teacher(x), without label noise. The
     student starts at ``student_scale`` times the teacher's initialization
     scale; small values put training in the feature-learning regime where
     gradient magnitudes grow substantially before converging, the regime in
@@ -152,7 +147,6 @@ class MlpProblem:
         layer_dims: tuple[int, ...] = (16, 64, 64, 8),
         batch_size: int = 64,
         teacher_seed: int = 0,
-        label_noise: float = 0.0,
         student_scale: float = 0.1,
     ):
         if len(layer_dims) < 2:
@@ -162,7 +156,6 @@ class MlpProblem:
         self.layer_dims = tuple(int(d) for d in layer_dims)
         self.batch_size = int(batch_size)
         self.teacher_seed = int(teacher_seed)
-        self.label_noise = float(label_noise)
         self.student_scale = float(student_scale)
         self.teacher = self._init_weights(np.random.default_rng(teacher_seed), 1.0)
 
@@ -183,10 +176,7 @@ class MlpProblem:
     def sample_batch(self, batch_seed: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(batch_seed)
         x = rng.normal(size=(self.batch_size, self.layer_dims[0]))
-        y = self._forward(self.teacher, x)[0]
-        if self.label_noise:
-            y = y + self.label_noise * rng.normal(size=y.shape)
-        return x, y
+        return x, self._forward(self.teacher, x)[0]
 
     @staticmethod
     def _forward(weights, x):
@@ -231,11 +221,11 @@ class StbSystem:
     """Reduced transformer-block gradient flow in V-space.
 
     ``mu`` holds the stationary backpropagated gradient statistics (entry
-    [l, j] pairs input activation l with hidden unit j); ``c_offset`` shifts
-    the exponent; ``noise_std`` perturbs mu with fresh seeded Gaussian noise
-    at every integration step. The velocity of entry (l, j) is
-    ``exp(z_l + c_offset) * mu[l, j]`` with z_l = 1/2 sum_s V[l, s]^2, so each
-    row of V moves along its own mu row with a growing scalar rate.
+    [l, j] pairs input activation l with hidden unit j); ``noise_std`` perturbs
+    mu with fresh seeded Gaussian noise at every integration step. The
+    velocity of entry (l, j) is ``exp(z_l) * mu[l, j]`` with
+    z_l = 1/2 sum_s V[l, s]^2 (the exponent carries no constant offset), so
+    each row of V moves along its own mu row with a growing scalar rate.
 
     The un-reparameterized construction from transformer quantities (context
     embedding U_C in R^{d x M_C}, feedforward weights W in R^{d x n}, per-unit
@@ -246,7 +236,6 @@ class StbSystem:
 
     mu: np.ndarray
     v0: np.ndarray
-    c_offset: float = 0.0
     dt: float = 1e-3
     noise_std: float = 0.0
 
@@ -270,26 +259,24 @@ class StbSystem:
         seed: int = 0,
         dt: float = 1e-3,
         noise_std: float = 0.0,
-        c_offset: float = 0.0,
     ) -> "StbSystem":
         mu = random_matrix(context_len, width, seed)
         return cls(
             mu=mu,
             v0=np.zeros((context_len, width)),
-            c_offset=c_offset,
             dt=dt,
             noise_std=noise_std,
         )
 
     @classmethod
     def from_transformer_parts(
-        cls, u_c, w, mu, dt: float = 1e-3, noise_std: float = 0.0, c_offset: float = 0.0
+        cls, u_c, w, mu, dt: float = 1e-3, noise_std: float = 0.0
     ) -> "StbSystem":
         """Build the V-space system from embedding and feedforward matrices."""
         u_c = as_matrix(u_c, "u_c")
         w = as_matrix(w, "w")
         v0 = u_c.T @ w
-        return cls(mu=mu, v0=v0, c_offset=c_offset, dt=dt, noise_std=noise_std)
+        return cls(mu=mu, v0=v0, dt=dt, noise_std=noise_std)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -297,7 +284,7 @@ class StbSystem:
 
     def row_exponents(self, v) -> np.ndarray:
         v = as_matrix(v, "v")
-        return 0.5 * np.sum(v * v, axis=1) + self.c_offset
+        return 0.5 * np.sum(v * v, axis=1)
 
     def velocity(self, v, mu=None) -> np.ndarray:
         """Time derivative of V at state v (optionally with a perturbed mu)."""

@@ -17,9 +17,9 @@ from .gradient_ops import WhiteningConfig, orthogonalize
 from .matrixops import as_matrix, sample_stiefel, schatten1_norm, sym_eig
 from .optimizers import (
     OptimizerConfig,
-    OptimizerState,
     adam_step,
     gd_optimal_step,
+    init_state,
     whitened_gd_optimal_step,
     whitened_optimal_learning_rate,
 )
@@ -56,10 +56,11 @@ def predict_whitened_contraction(problem: QuadraticProblem, w) -> float:
     """Closed-form one-step loss contraction of whitened descent at its
     optimal dynamic rate: 1 - ||H z||_*^2 / (Tr(z^T H z) Tr(H)), z = w - W*."""
     z = as_matrix(w, "w", problem.shape) - problem.w_star
-    q = float(np.trace(z.T @ problem.h @ z))
+    hz = problem.h @ z
+    q = float(np.vdot(z, hz))
     if q == 0.0:
         raise ValueError("w equals the optimum; contraction is 0/0")
-    s = schatten1_norm(problem.h @ z)
+    s = schatten1_norm(hz)
     return 1.0 - s * s / (q * float(np.trace(problem.h)))
 
 
@@ -116,10 +117,11 @@ def robustness_q(problem: QuadraticProblem, w) -> float:
     z = as_matrix(w, "w", problem.shape) - problem.w_star
     if z.shape[0] != z.shape[1]:
         raise ValueError("robustness_q needs a square parameter matrix")
-    q = float(np.trace(z.T @ problem.h @ z))
+    hz = problem.h @ z
+    q = float(np.vdot(z, hz))
     if q == 0.0:
         raise ValueError("w equals the optimum; Q is undefined")
-    tr_hz = float(np.trace(problem.h @ z))
+    tr_hz = float(np.trace(hz))
     return tr_hz**2 / (q * float(np.trace(problem.h)))
 
 
@@ -134,13 +136,12 @@ def gd_adversarial_factors(kappa: float, m: int = 50) -> tuple[float, float]:
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     lam = np.geomspace(1.0, kappa, m)
-    h = np.diag(lam)
+    problem = QuadraticProblem(np.diag(lam), n=1)
     w0 = np.zeros((m, 1))
     w0[0, 0] = 1.0 / np.sqrt(2.0)
     w0[-1, 0] = 1.0 / np.sqrt(2.0)
-    w1 = gd_optimal_step(w0, h)
-    loss = lambda w: 0.5 * float(np.trace(w.T @ h @ w))
-    loss_factor = loss(w1) / loss(w0)
+    w1 = gd_optimal_step(w0, problem.h)
+    loss_factor = problem.loss(w1) / problem.loss(w0)
     dist_factor = float(np.linalg.norm(w1) / np.linalg.norm(w0))
     return loss_factor, dist_factor
 
@@ -197,26 +198,20 @@ def _adam_one_step_factor(problem: QuadraticProblem, w0, eta: float) -> float:
         adam_beta2=1.0,
         adam_epsilon=1e-300,
     )
-    state = OptimizerState(
-        step=0,
-        first_moment=np.zeros(problem.shape),
-        second_moment=np.zeros(problem.shape),
-    )
-    w1, _ = adam_step(w0, problem.grad(w0), state, cfg)
+    w1, _ = adam_step(w0, problem.grad(w0), init_state(cfg, problem.shape), cfg)
     return problem.excess_loss(w1) / problem.excess_loss(w0)
 
 
 def compare_blockwise(
     blocks: Sequence[tuple[np.ndarray, np.ndarray]],
-    eta_tol: float = 1e-6,
 ) -> list[tuple[ContractionReport, ContractionReport]]:
     """Per-block one-step contraction: whitened descent with one shared rate
     vs Adam (beta1=0, beta2=1) with a per-block tuned rate.
 
     ``blocks`` holds (H_l, W0_l) pairs, each H_l SPD. The shared whitened rate
     is min_l ||H_l W_l||_* / Tr(H_l); Adam's per-block rate minimizes its own
-    measured one-step ratio by golden-section search (tolerance ``eta_tol``
-    in eta). Returns one (whitened, adam) report pair per block.
+    measured one-step ratio by golden-section search (to 1e-6 in eta).
+    Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
     eta_global = min(
@@ -236,12 +231,12 @@ def compare_blockwise(
         )
         # the measured ratio is an exact parabola in eta; bracket its vertex
         direction = g / np.abs(g)
-        vertex = float(np.sum(np.abs(g)) / np.trace(direction.T @ p.h @ direction))
+        vertex = float(np.sum(np.abs(g)) / np.vdot(direction, p.h @ direction))
         eta_adam = golden_section(
             lambda e: _adam_one_step_factor(p, w0, e),
             vertex / 100.0,
             vertex * 100.0,
-            tol=eta_tol,
+            tol=1e-6,
         )
         adam = ContractionReport(
             predicted=predict_adam_bound(p, w0),

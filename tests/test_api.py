@@ -15,9 +15,12 @@ from swanopt.optimizers import (
     OptimizerConfig,
     OptimizerState,
     adam_step,
+    gd_optimal_step,
+    newton_step,
     sgd_step,
     signed_step,
     swan_step,
+    whitened_gd_optimal_step,
 )
 from swanopt.problems import QuadraticProblem, RastriginProblem
 
@@ -33,6 +36,14 @@ ENTRY_POINTS = {
     "adam_step": (lambda w: adam_step(w, G, OptimizerState(), OptimizerConfig(kind="adam")), SHAPE),
     "sgd_step": (lambda w: sgd_step(w, G, OptimizerConfig(kind="sgd")), SHAPE),
     "signed_step": (lambda w: signed_step(w, G, OptimizerConfig(kind="signed_sgd")), SHAPE),
+    "gd_optimal_step": (lambda w: gd_optimal_step(w, QUADRATIC.h), SHAPE),
+    "newton_step": (lambda w: newton_step(w, QUADRATIC.h, 0.5), SHAPE),
+    # shifted by the identity so that the constant w the test accepts gives a
+    # full-rank gradient, which the polar factor needs
+    "whitened_gd_optimal_step": (
+        lambda w: whitened_gd_optimal_step(w + np.eye(*np.shape(w)), QUADRATIC.h),
+        SHAPE,
+    ),
     "QuadraticProblem.loss": (QUADRATIC.loss, SHAPE),
     "QuadraticProblem.grad": (QUADRATIC.grad, SHAPE),
     "RastriginProblem.loss": (RASTRIGIN.loss, (3, 3)),

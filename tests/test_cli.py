@@ -11,6 +11,10 @@ def run(args):
     return main(args)
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["bogus"]) == 1
@@ -24,6 +28,16 @@ class TestExitCodes:
         cfg.write_text("[problem]\nkind = quadratic\n[optimizer:a]\nkind = sgd\nmomentum = 1\n")
         assert run(["--out-dir", str(tmp_path), "run", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
+
+    def test_bad_whitening_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "[problem]\nkind = quadratic\nm = 4\nn = 4\n"
+            "[optimizer:a]\nkind = swan\nwhiten_iterations = 0\n"
+        )
+        assert run(["--out-dir", str(tmp_path), "run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [optimizer:a]: iterations must be >= 1, got 0" in err
 
     def test_runtime_failure(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "speedup", "/no/such.csv", "/none.csv"]) == 2
@@ -160,9 +174,11 @@ class TestSubcommands:
         # that optimizer is flagged and the comparison still completes
         args = ["--out-dir", str(tmp_path), "--quiet", "rastrigin"]
         assert run(args + ["--m", "8", "--steps", "40", "--grid-points", "3"]) == 0
-        rows = json.loads((tmp_path / "summary.json").read_text())["optimizers"]
+        text = (tmp_path / "summary.json").read_text()
+        rows = json.loads(text, parse_constant=_reject)["optimizers"]
         assert rows["swan"]["diverged"] and rows["swan"]["diverged_at"] == 1
         assert rows["swan"]["diverged_cause"].startswith("rank-deficient input")
+        assert rows["swan"]["final_loss"] is None and rows["swan"]["final_loss_minus_opt"] is None
         for name in ("sgd", "adam", "whitened", "whitened_ortho"):
             assert not rows[name]["diverged"] and rows[name]["diverged_cause"] is None
             assert np.isfinite(rows[name]["final_loss"])

@@ -130,6 +130,20 @@ class TestRunExperiment:
         assert not rows["gd"]["diverged"] and rows["gd"]["diverged_cause"] is None
         assert result.trajectories["gd"][-1].step == spec.steps
 
+    def test_newton_records_are_exactly_zero(self):
+        # swanopt quadratic's defaults: C = 0, so Newton at rate 1 lands on W* = 0
+        newton = OptimizerDescriptor("newton", OptimizerConfig(kind="newton", learning_rate=1.0))
+        spec = ExperimentSpec(
+            problem=ProblemSpec(kind="quadratic", seed=0, m=50, n=50, kappa=1e4),
+            optimizers=(newton,),
+            steps=500,
+            record_every=10,
+        )
+        records = run_experiment(spec).trajectories["newton"]
+        assert len(records) == 50
+        for r in records:
+            assert (r.loss, r.loss_minus_opt, r.grad_fro, r.update_fro) == (0.0, 0.0, 0.0, 0.0)
+
     def test_shared_initialization(self):
         spec = quadratic_spec(record_every=1, steps=1)
         result = run_experiment(spec)

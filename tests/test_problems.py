@@ -66,6 +66,15 @@ class TestQuadratic:
             w = p.w_star + 0.1 * random_matrix(5, 5, seed)
             assert p.loss(w) >= p.l_star
 
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
+    def test_loss_and_l_star_match_the_trace_form(self, shape):
+        p = QuadraticProblem.seeded(*shape, 1e3, 5, c_scale=0.8)
+        trace_form = lambda w: 0.5 * np.trace(w.T @ p.h @ w) - np.trace(p.c.T @ w)
+        for seed in range(5):
+            w = random_matrix(*shape, seed)
+            assert p.loss(w) == pytest.approx(trace_form(w), rel=1e-12)
+        assert p.l_star == pytest.approx(trace_form(p.w_star), rel=1e-12)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticProblem(np.diag([1.0, -2.0]))

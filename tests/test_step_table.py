@@ -9,6 +9,7 @@ from swanopt.matrixops import random_matrix
 from swanopt.optimizers import (
     KINDS,
     OptimizerConfig,
+    OptimizerState,
     adam_step,
     gd_optimal_step,
     init_state,
@@ -55,7 +56,7 @@ def _public_step(cfg, w, h):
 def test_table_step_equals_public_step(kind):
     problem, w, g = _start()
     cfg = _config(kind)
-    got, _, _, _ = make_step(cfg, problem.h)(w, g, init_state(cfg, w.shape), LR)
+    got, _, _, _ = make_step(cfg, problem)(w, g, init_state(cfg, w.shape), LR)
     assert np.array_equal(got, _public_step(cfg, w, problem.h))
 
 
@@ -63,7 +64,7 @@ def test_table_step_equals_public_step(kind):
 def test_first_record_equals_table_step(kind):
     problem, w, g = _start()
     cfg = _config(kind)
-    w_next, _, eta, info = make_step(cfg, problem.h)(w, g, init_state(cfg, w.shape), LR)
+    w_next, _, eta, info = make_step(cfg, problem)(w, g, init_state(cfg, w.shape), LR)
     rec = _first_record(cfg)
     assert rec.loss == problem.loss(w_next)
     assert rec.update_fro == float(np.linalg.norm(w_next - w))
@@ -92,3 +93,24 @@ def test_whitened_diag1_is_the_contraction_prediction():
 def test_curvature_kinds_need_the_hessian(kind):
     with pytest.raises(ValueError, match="Hessian"):
         make_step(OptimizerConfig(kind=kind))
+
+
+def test_newton_at_rate_one_lands_on_the_optimum():
+    problem = ProblemSpec(kind="quadratic", seed=4, m=6, n=9, kappa=50.0, c_scale=1.0).build()
+    w = random_matrix(*problem.shape, SEED)
+    step = make_step(_config("newton"), problem)
+    w_next, _, _, _ = step(w, problem.grad(w), OptimizerState(), 1.0)
+    assert np.array_equal(w_next, problem.w_star)
+    again, _, _, _ = step(w_next, problem.grad(w_next), OptimizerState(), 1.0)
+    assert np.array_equal(again, problem.w_star)
+
+
+def test_newton_iterates_stay_normal():
+    # swanopt quadratic's problem and start; subnormal iterates make every step slow
+    spec = ProblemSpec(kind="quadratic", seed=0, m=50, n=50, kappa=1e4)
+    problem = spec.build()
+    w = spec.init_scale * random_matrix(*problem.shape, 0)
+    step = make_step(_config("newton"), problem)
+    for _ in range(30):
+        w, _, _, _ = step(w, problem.grad(w), OptimizerState(), 1.0)
+        assert not np.any((w != 0.0) & (np.abs(w) < np.finfo(np.float64).tiny))
