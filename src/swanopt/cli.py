@@ -38,6 +38,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= ``lo``."""
+
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
+def _kappas(raw: str) -> list[float]:
+    """An argparse type: comma-separated condition numbers, each finite and >= 1."""
+    try:
+        kappas = [float(k) for k in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {raw!r}") from None
+    if not all(1.0 <= k < np.inf for k in kappas):
+        raise argparse.ArgumentTypeError(f"each kappa must be finite and >= 1, got {raw!r}")
+    return kappas
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -146,6 +169,8 @@ def _cmd_rastrigin(args) -> int:
 
 
 def _cmd_mlp_kl(args) -> int:
+    if args.snapshot_every > args.steps:
+        raise ConfigError(f"--snapshot-every {args.snapshot_every} exceeds --steps {args.steps}")
     problem = MlpProblem(teacher_seed=args.seed)
     weights = problem.initial_weights(args.seed + 1)
     ref = {
@@ -205,10 +230,9 @@ def _cmd_stb(args) -> int:
 
 
 def _cmd_ns_bench(args) -> int:
-    kappas = [float(k) for k in args.kappas.split(",")]
     exact = WhiteningConfig(mode="exact_eig")
     rows = []
-    for kappa in kappas:
+    for kappa in args.kappas:
         worst = 0.0
         for s in range(args.seeds):
             u = sample_stiefel(args.m, args.m, 3 * s + 1).T
@@ -295,7 +319,7 @@ def _cmd_speedup(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="swanopt", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--out-dir", default="runs")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--quiet", action="store_true")
@@ -317,12 +341,12 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--record-every", type=int, default=10)
-    p.add_argument("--grid-points", type=int, default=8)
+    p.add_argument("--grid-points", type=_int_at_least(2), default=8)
     p.set_defaults(fn=_cmd_rastrigin)
 
     p = sub.add_parser("mlp-kl", help="gradient-distribution KL trace on the toy MLP")
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--snapshot-every", type=int, default=50)
+    p.add_argument("--snapshot-every", type=_int_at_least(1), default=50)
     p.add_argument("--n-batches", type=int, default=16)
     p.add_argument("--block", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.05)
@@ -339,7 +363,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ns-bench", help="Newton-Schulz accuracy sweep vs the exact factor")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--k", type=int, default=40)
-    p.add_argument("--kappas", default="2,10,100")
+    p.add_argument("--kappas", type=_kappas, default="2,10,100")
     p.add_argument("--m", type=int, default=16)
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--seeds", type=int, default=20)

@@ -45,8 +45,8 @@ class GradNormConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

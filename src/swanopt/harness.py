@@ -20,20 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .gradient_ops import GradNormConfig, WhiteningConfig, orthogonalize
 from .matrixops import random_matrix
-from .optimizers import (
-    CURVATURE_KINDS,
-    OptimizerConfig,
-    init_state,
-    linear_warmup_decay,
-    make_step,
-)
+from .optimizers import OptimizerConfig, init_state, linear_warmup_decay, make_step
 from .problems import QuadraticProblem, RastriginProblem
 
 __all__ = [
@@ -49,8 +43,6 @@ __all__ = [
     "read_curve_csv",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = "step,loss,loss_minus_opt,grad_fro,update_fro,eta,diag1"
 
 _PROBLEM_KINDS = ("quadratic", "rastrigin")
 _SCHEDULES = ("constant", "linear_decay")
@@ -74,6 +66,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in _PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {_PROBLEM_KINDS}, got {self.kind!r}")
+        if self.m < 1 or self.n < 1:
+            raise ConfigError(f"problem m and n must be >= 1, got m={self.m} n={self.n}")
+        if not np.isfinite(self.init_scale):
+            raise ConfigError(f"problem.init_scale must be finite, got {self.init_scale}")
 
     def build(self):
         if self.kind == "quadratic":
@@ -94,6 +90,8 @@ class OptimizerDescriptor:
             raise ConfigError("optimizer name must be non-empty")
         if self.schedule not in _SCHEDULES:
             raise ConfigError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,10 @@ class ExperimentSpec:
             raise ConfigError("steps must be >= 1")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.threshold < np.inf:
+            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
         names = [d.name for d in self.optimizers]
         if len(names) != len(set(names)):
             raise ConfigError(f"optimizer names must be unique, got {names}")
@@ -130,6 +132,9 @@ class TrajectoryRecord:
     update_fro: float
     eta: float
     diag1: float = float("nan")
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrajectoryRecord))
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,9 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _trajectory_row(r: TrajectoryRecord) -> tuple:
-    return (r.step, r.loss, r.loss_minus_opt, r.grad_fro, r.update_fro, r.eta, r.diag1)
-
-
 def _write_json(path: Path, records: list[TrajectoryRecord]) -> None:
-    keys = CSV_HEADER.split(",")
     rows = [
-        {k: None if k == "diag1" and np.isnan(v) else v for k, v in zip(keys, _trajectory_row(r))}
+        {k: None if k == "diag1" and np.isnan(v) else v for k, v in asdict(r).items()}
         for r in records
     ]
     path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
@@ -198,14 +198,26 @@ def spec_hash(spec: ExperimentSpec) -> str:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every optimizer in the spec from one shared initialization.
 
-    A non-finite loss, or a ``ValueError`` from the step or from the loss,
-    terminates that optimizer's run and flags it as diverged in the summary,
-    with ``diverged_cause`` "non-finite loss" or the error message; other
+    A problem the spec cannot build, or an optimizer whose step the problem
+    cannot take (a curvature kind on a non-quadratic problem), is a
+    :class:`ConfigError` raised before any optimizer runs. A non-finite loss,
+    or a ``ValueError`` from the step or from the loss, terminates that
+    optimizer's run and flags it as diverged in the summary, with
+    ``diverged_cause`` "non-finite loss" or the error message; other
     optimizers continue; its final losses are None if it has no record. When
     ``out_dir`` is set, one trajectory file per optimizer and a strict-JSON
     ``summary.json`` are written.
     """
-    problem = spec.problem.build()
+    try:
+        problem = spec.problem.build()
+    except ValueError as exc:
+        raise ConfigError(f"[problem]: {exc}") from exc
+    steps = {}
+    for desc in spec.optimizers:
+        try:
+            steps[desc.name] = make_step(desc.config, problem)
+        except ValueError as exc:
+            raise ConfigError(f"optimizer {desc.name!r}: {exc}") from exc
     shape = problem.shape
     w0_shared = spec.problem.init_scale * random_matrix(shape[0], shape[1], spec.seed)
     quadratic = isinstance(problem, QuadraticProblem)
@@ -219,11 +231,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         w = w0_shared.copy()
         if desc.orthogonal_init:
             w = orthogonalize(w, WhiteningConfig(mode="exact_eig"))
-        if desc.config.kind in CURVATURE_KINDS and not quadratic:
-            raise ConfigError(
-                f"optimizer {desc.name!r} ({desc.config.kind}) needs a quadratic problem"
-            )
-        step = make_step(desc.config, problem if quadratic else None)
+        step = steps[desc.name]
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []
         initial_excess = problem.loss(w) - l_star
@@ -288,7 +296,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         out.mkdir(parents=True, exist_ok=True)
         for name, records in trajectories.items():
             if spec.file_format == "csv":
-                write_csv(out / f"{name}.csv", CSV_HEADER, map(_trajectory_row, records))
+                write_csv(out / f"{name}.csv", CSV_HEADER, map(astuple, records))
             else:
                 _write_json(out / f"{name}.json", records)
         text = json.dumps(summary, indent=1, sort_keys=True, allow_nan=False)
@@ -381,10 +389,10 @@ def parse_config(path) -> ExperimentSpec:
                 gn = GradNormConfig(**vals[GradNormConfig])
                 wh = WhiteningConfig(**vals[WhiteningConfig])
                 cfg = OptimizerConfig(grad_norm_cfg=gn, whitening_cfg=wh, **vals[OptimizerConfig])
+                name = section.split(":", 1)[1]
+                opt_descs.append(OptimizerDescriptor(name, cfg, **vals[OptimizerDescriptor]))
             except ValueError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
-            name = section.split(":", 1)[1]
-            opt_descs.append(OptimizerDescriptor(name, cfg, **vals[OptimizerDescriptor]))
         else:
             raise ConfigError(f"unknown section [{section}]")
     if "kind" not in prob_kwargs:

@@ -106,8 +106,8 @@ def make_spd(size: int, condition_number: float, seed: int) -> np.ndarray:
     Built as ``Q diag(lam) Q.T`` with log-uniformly spaced eigenvalues spanning
     ``[1, condition_number]`` and a random orthogonal Q from :func:`sample_stiefel`.
     """
-    if condition_number < 1.0:
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
+    if not 1.0 <= condition_number < np.inf:
+        raise ValueError(f"condition_number must be finite and >= 1, got {condition_number}")
     lam = np.geomspace(1.0, condition_number, size)
     q = sample_stiefel(size, size, seed).T
     h = q @ np.diag(lam) @ q.T

@@ -9,7 +9,8 @@ the point of the exercise.
 returns ``step(w, g, state, lr) -> (w_next, state, eta, info)``, the form the
 harness runs. The curvature kinds read their constants (the spectrum, W*,
 Tr H) from the :class:`~swanopt.problems.QuadraticProblem` they are built
-for. The public curvature steps are thin calls into the same entries.
+for. The public curvature steps take that problem too and are thin calls
+into the same entries.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .problems import QuadraticProblem
 __all__ = [
     "KINDS",
     "STATELESS_KINDS",
-    "CURVATURE_KINDS",
     "ABLATIONS",
     "OptimizerConfig",
     "OptimizerState",
@@ -61,8 +61,6 @@ KINDS = (
     "whitened_gd_optimal",
 )
 STATELESS_KINDS = tuple(k for k in KINDS if k != "adam")
-# Kinds whose step is built from the Hessian of a quadratic problem.
-CURVATURE_KINDS = ("gd_optimal", "newton", "whitened_gd_optimal")
 ABLATIONS = ("full", "norm_only", "whiten_only")
 
 
@@ -81,14 +79,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.adam_beta1 < 1.0:
             raise ValueError(f"adam_beta1 must be in [0, 1), got {self.adam_beta1}")
         if not 0.0 <= self.adam_beta2 <= 1.0:
             raise ValueError(f"adam_beta2 must be in [0, 1], got {self.adam_beta2}")
-        if self.adam_epsilon <= 0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        if not 0.0 < self.adam_epsilon < np.inf:
+            raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 
@@ -189,16 +187,17 @@ def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
 _NAN = float("nan")
 
 
-def make_step(cfg: OptimizerConfig, problem: QuadraticProblem | None = None) -> Callable:
+def make_step(cfg: OptimizerConfig, problem) -> Callable:
     """The step of ``cfg.kind``: ``step(w, g, state, lr) -> (w_next, state, eta, info)``.
 
     ``lr`` is the rate of this step (it overrides ``cfg.learning_rate``) and
     ``eta`` the rate actually applied: the GD-optimal and whitened kinds set
-    their own. For the curvature kinds ``g`` is the gradient of the quadratic
-    ``problem`` at ``w``, whose closed forms they read: ``gd_optimal`` its
-    spectrum, ``newton`` W* (it steps w - lr (w - W*) in a form where lr = 1
-    lands on W* exactly), ``whitened_gd_optimal`` Tr H. ``info`` is NaN except
-    for ``whitened_gd_optimal``, where it is the closed-form one-step loss
+    their own. The curvature kinds need a quadratic ``problem`` (this is the
+    one place that rejects any other) and ``g`` its gradient at ``w``; they
+    read its closed forms: ``gd_optimal`` its spectrum, ``newton`` W* (it
+    steps to W* + (1 - lr)(w - W*), so lr = 1 lands on W* exactly),
+    ``whitened_gd_optimal`` Tr H. ``info`` is NaN except for
+    ``whitened_gd_optimal``, where it is the closed-form one-step loss
     contraction 1 - ||g||_*^2 / (<w, g> Tr H), valid when C = 0. The whitened
     step takes the polar factor and ||g||_* from one thin SVD.
     """
@@ -222,8 +221,8 @@ def make_step(cfg: OptimizerConfig, problem: QuadraticProblem | None = None) -> 
             return w_next, state, lr, _NAN
 
         return adam
-    if problem is None:
-        raise ValueError(f"{kind} steps need the quadratic problem and its Hessian")
+    if not isinstance(problem, QuadraticProblem):
+        raise ValueError(f"{kind} steps need a quadratic problem and its Hessian")
     if kind == "gd_optimal":
         eta = 2.0 / (problem.eigenvalues[0] + problem.eigenvalues[-1])
         return lambda w, g, state, lr: (w - eta * g, state, eta, _NAN)
@@ -244,38 +243,36 @@ def make_step(cfg: OptimizerConfig, problem: QuadraticProblem | None = None) -> 
     return whitened
 
 
-def _quadratic_step(kind: str, w, h, lr: float = 1.0) -> np.ndarray:
-    """One ``kind`` step on the quadratic 1/2 Tr(w^T h w), whose gradient is h w."""
-    w = as_matrix(w, "w")
-    problem = QuadraticProblem(h, n=w.shape[1])
+def _quadratic_step(kind: str, w, problem: QuadraticProblem, lr: float = 1.0) -> np.ndarray:
+    """One ``kind`` step at ``w`` on ``problem``; its ``grad`` checks ``w``."""
     step = make_step(OptimizerConfig(kind=kind), problem)
     return step(w, problem.grad(w), OptimizerState(), lr)[0]
 
 
-def gd_optimal_step(w, h) -> np.ndarray:
-    """Gradient descent on the quadratic 1/2 Tr(w^T h w) at the optimal
-    constant rate 2 / (lambda_max + lambda_min)."""
-    return _quadratic_step("gd_optimal", w, h)
+def gd_optimal_step(w, problem: QuadraticProblem) -> np.ndarray:
+    """Gradient descent on ``problem`` at the optimal constant rate
+    2 / (lambda_max + lambda_min) of its Hessian."""
+    return _quadratic_step("gd_optimal", w, problem)
 
 
-def newton_step(w, h, eta: float) -> np.ndarray:
-    """Damped Newton step on the quadratic: ``w - eta h^{-1} (h w) = (1 - eta) w``."""
-    return _quadratic_step("newton", w, h, eta)
+def newton_step(w, problem: QuadraticProblem, eta: float) -> np.ndarray:
+    """Damped Newton step on ``problem``: W* + (1 - eta)(w - W*)."""
+    return _quadratic_step("newton", w, problem, eta)
 
 
-def whitened_optimal_learning_rate(h, g) -> float:
-    """Dynamic rate for whitened descent on the quadratic: ||h w||_* / Tr(h)."""
-    return schatten1_norm(g) / float(np.trace(as_matrix(h, "h")))
+def whitened_optimal_learning_rate(problem: QuadraticProblem, g) -> float:
+    """Dynamic rate ||g||_* / Tr(H) of whitened descent on ``problem``."""
+    return schatten1_norm(g) / float(np.trace(problem.h))
 
 
-def whitened_gd_optimal_step(w, h) -> np.ndarray:
-    """Whitened gradient descent on the quadratic with its optimal dynamic rate.
+def whitened_gd_optimal_step(w, problem: QuadraticProblem) -> np.ndarray:
+    """Whitened gradient descent on ``problem`` with its optimal dynamic rate.
 
-    The gradient h w is replaced by its orthogonal polar factor and scaled by
-    ||h w||_* / Tr(h); from a row-orthonormal start this reaches the optimum in
-    a single step.
+    The gradient g = H w - C is replaced by its orthogonal polar factor and
+    scaled by ||g||_* / Tr(H); when C = 0 this reaches the optimum in a single
+    step from a row-orthonormal start.
     """
-    return _quadratic_step("whitened_gd_optimal", w, h)
+    return _quadratic_step("whitened_gd_optimal", w, problem)
 
 
 def linear_warmup_decay(

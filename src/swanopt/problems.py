@@ -40,11 +40,12 @@ class QuadraticProblem:
     """1/2 Tr(W^T H W) - Tr(C^T W) with H symmetric positive definite.
 
     H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and
-    L* = -1/2 <C, W*> are computed; the curvature steps read them from here.
-    The loss is <W, 1/2 H W - C>, one matrix product.
+    L* = -1/2 <C, W*> are computed; the curvature steps take the problem and
+    read them from it. C defaults to the square zero matrix. The loss is
+    <W, 1/2 H W - C>, one matrix product.
     """
 
-    def __init__(self, h, c=None, n: int | None = None):
+    def __init__(self, h, c=None):
         h = as_matrix(h, "h")
         if h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
@@ -54,7 +55,7 @@ class QuadraticProblem:
             raise ValueError(f"h is not positive definite (min eigenvalue {vals[0]:.3e})")
         m = h.shape[0]
         if c is None:
-            c = np.zeros((m, n if n is not None else m))
+            c = np.zeros((m, m))
         c = as_matrix(c, "c")
         if c.shape[0] != m:
             raise ValueError(f"c must have {m} rows, got {c.shape[0]}")
@@ -106,8 +107,8 @@ class RastriginProblem:
     size: int = 50
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be > 0")
+        if not 0.0 < self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
 
     @property
     def shape(self) -> tuple[int, int]:

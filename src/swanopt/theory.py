@@ -72,7 +72,7 @@ def measure_whitened_contraction(
         raise ValueError("measurement assumes the C = 0 form")
     predicted = predict_whitened_contraction(problem, w)
     before = problem.excess_loss(w)
-    w_next = whitened_gd_optimal_step(w, problem.h)
+    w_next = whitened_gd_optimal_step(w, problem)
     measured = problem.excess_loss(w_next) / before
     return ContractionReport(predicted=predicted, measured=measured, context=context)
 
@@ -136,11 +136,11 @@ def gd_adversarial_factors(kappa: float, m: int = 50) -> tuple[float, float]:
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     lam = np.geomspace(1.0, kappa, m)
-    problem = QuadraticProblem(np.diag(lam), n=1)
+    problem = QuadraticProblem(np.diag(lam), np.zeros((m, 1)))
     w0 = np.zeros((m, 1))
     w0[0, 0] = 1.0 / np.sqrt(2.0)
     w0[-1, 0] = 1.0 / np.sqrt(2.0)
-    w1 = gd_optimal_step(w0, problem.h)
+    w1 = gd_optimal_step(w0, problem)
     loss_factor = problem.loss(w1) / problem.loss(w0)
     dist_factor = float(np.linalg.norm(w1) / np.linalg.norm(w0))
     return loss_factor, dist_factor
@@ -214,14 +214,11 @@ def compare_blockwise(
     Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
-    eta_global = min(
-        whitened_optimal_learning_rate(p.h, p.h @ as_matrix(w, "w"))
-        for p, (_, w) in zip(problems, blocks)
-    )
+    grads = [p.grad(w) for p, (_, w) in zip(problems, blocks)]
+    eta_global = min(whitened_optimal_learning_rate(p, g) for p, g in zip(problems, grads))
     out = []
-    for idx, (p, (_, w0)) in enumerate(zip(problems, blocks)):
+    for idx, (p, (_, w0), g) in enumerate(zip(problems, blocks, grads)):
         w0 = as_matrix(w0, "w0")
-        g = p.grad(w0)
         delta = orthogonalize(g, WhiteningConfig(mode="exact_eig"))
         w1 = w0 - eta_global * delta
         white = ContractionReport(
@@ -253,5 +250,5 @@ def stiefel_one_step_relative_loss(
     """Relative excess loss after one whitened step from a Stiefel start."""
     problem = QuadraticProblem.seeded(m, m, condition_number, h_seed)
     w0 = sample_stiefel(m, m, w_seed)
-    w1 = whitened_gd_optimal_step(w0, problem.h)
+    w1 = whitened_gd_optimal_step(w0, problem)
     return problem.excess_loss(w1) / problem.excess_loss(w0)

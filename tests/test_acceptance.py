@@ -143,8 +143,10 @@ def test_criterion_04_gd_lower_bound_tightness():
     reason=(
         "Dynamic-rate whitened descent loses its early contraction once the "
         "iterate concentrates in the small-eigenvalue subspace: measured "
-        "~1.0e4 steps to 1e-6 relative loss vs ~3.1e4 for tuned GD (a 3x "
-        "ratio, not the required 10x). Kept as specified; see the quadratic "
+        "3.06e-6 relative excess loss at the 5000-step budget, not 1e-6. Run "
+        "past the budget, the step raises on a rank-deficient gradient at "
+        "step 6731, at 1.87e-6. Tuned GD needs 30583 steps, so the required "
+        "10x (<= 3058 steps) is not met. Kept as specified; see the quadratic "
         "benchmark for the qualitative advantage that does hold."
     ),
 )
@@ -157,7 +159,7 @@ def test_criterion_05_ill_conditioned_advantage():
     w = w0.copy()
     whitened_steps = None
     for t in range(1, budget + 1):
-        w = whitened_gd_optimal_step(w, p.h)
+        w = whitened_gd_optimal_step(w, p)
         if p.excess_loss(w) / l0 <= 1e-6:
             whitened_steps = t
             break

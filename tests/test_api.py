@@ -36,12 +36,12 @@ ENTRY_POINTS = {
     "adam_step": (lambda w: adam_step(w, G, OptimizerState(), OptimizerConfig(kind="adam")), SHAPE),
     "sgd_step": (lambda w: sgd_step(w, G, OptimizerConfig(kind="sgd")), SHAPE),
     "signed_step": (lambda w: signed_step(w, G, OptimizerConfig(kind="signed_sgd")), SHAPE),
-    "gd_optimal_step": (lambda w: gd_optimal_step(w, QUADRATIC.h), SHAPE),
-    "newton_step": (lambda w: newton_step(w, QUADRATIC.h, 0.5), SHAPE),
+    "gd_optimal_step": (lambda w: gd_optimal_step(w, QUADRATIC), SHAPE),
+    "newton_step": (lambda w: newton_step(w, QUADRATIC, 0.5), SHAPE),
     # shifted by the identity so that the constant w the test accepts gives a
     # full-rank gradient, which the polar factor needs
     "whitened_gd_optimal_step": (
-        lambda w: whitened_gd_optimal_step(w + np.eye(*np.shape(w)), QUADRATIC.h),
+        lambda w: whitened_gd_optimal_step(w + np.eye(*np.shape(w)), QUADRATIC),
         SHAPE,
     ),
     "QuadraticProblem.loss": (QUADRATIC.loss, SHAPE),

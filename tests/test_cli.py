@@ -39,6 +39,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: [optimizer:a]: iterations must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("optimizer:a", {"learning_rate": "nan"}),
+            ("optimizer:a", {"learning_rate": "inf"}),
+            ("optimizer:a", {"gradnorm_epsilon": "nan"}),
+            ("optimizer:a", {"adam_epsilon": "nan"}),
+            ("optimizer:a", {"warmup_fraction": "nan"}),
+            ("optimizer:a", {"warmup_fraction": "1.0"}),
+            ("experiment", {"threshold": "nan"}),
+            ("experiment", {"seed": "-1"}),
+            ("problem", {"kappa": "0.5"}),
+            ("problem", {"m": "0"}),
+            ("problem", {"seed": "-1"}),
+            ("problem", {"init_scale": "nan"}),
+            ("problem", {"kind": "rastrigin", "amplitude": "-1"}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
+    )
+    def test_bad_config_value_fails_before_anything_runs(self, tmp_path, capsys, section, values):
+        sections = {
+            "experiment": {"steps": "3"},
+            "problem": {"kind": "quadratic", "m": "4", "n": "4"},
+            "optimizer:a": {"kind": "swan", "learning_rate": "0.01"},
+        }
+        sections[section].update(values)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                for name, body in sections.items()
+            )
+        )
+        out = tmp_path / "out"
+        assert run(["--out-dir", str(out), "run", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(out.glob("*"))  # no optimizer ran
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rastrigin", "--grid-points", "1"],
+            ["mlp-kl", "--snapshot-every", "0"],
+            ["mlp-kl", "--snapshot-every", "20", "--steps", "10"],
+            ["ns-bench", "--kappas", "2,x"],
+            ["ns-bench", "--kappas", "2,0.5"],
+            ["--seed", "-1", "theory"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_argument_is_a_config_error(self, tmp_path, capsys, argv):
+        assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "speedup", "/no/such.csv", "/none.csv"]) == 2
 

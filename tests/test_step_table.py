@@ -19,7 +19,9 @@ from swanopt.optimizers import (
     signed_step,
     swan_step,
     whitened_gd_optimal_step,
+    whitened_optimal_learning_rate,
 )
+from swanopt.problems import QuadraticProblem, RastriginProblem
 from swanopt.theory import predict_whitened_contraction
 
 PROBLEM = ProblemSpec(kind="quadratic", seed=4, m=6, n=9, kappa=50.0)
@@ -37,16 +39,16 @@ def _start():
     return problem, w, problem.grad(w)
 
 
-def _public_step(cfg, w, h):
-    g = h @ w
+def _public_step(cfg, w, problem):
+    g = problem.h @ w
     public = {
         "swan": lambda: swan_step(w, g, cfg),
         "sgd": lambda: sgd_step(w, g, cfg),
         "signed_sgd": lambda: signed_step(w, g, cfg),
         "adam": lambda: adam_step(w, g, init_state(cfg, w.shape), cfg)[0],
-        "gd_optimal": lambda: gd_optimal_step(w, h),
-        "newton": lambda: newton_step(w, h, LR),
-        "whitened_gd_optimal": lambda: whitened_gd_optimal_step(w, h),
+        "gd_optimal": lambda: gd_optimal_step(w, problem),
+        "newton": lambda: newton_step(w, problem, LR),
+        "whitened_gd_optimal": lambda: whitened_gd_optimal_step(w, problem),
     }
     assert set(public) == set(KINDS)
     return public[cfg.kind]()
@@ -57,7 +59,7 @@ def test_table_step_equals_public_step(kind):
     problem, w, g = _start()
     cfg = _config(kind)
     got, _, _, _ = make_step(cfg, problem)(w, g, init_state(cfg, w.shape), LR)
-    assert np.array_equal(got, _public_step(cfg, w, problem.h))
+    assert np.array_equal(got, _public_step(cfg, w, problem))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -89,10 +91,36 @@ def test_whitened_diag1_is_the_contraction_prediction():
     assert rec.diag1 == pytest.approx(predict_whitened_contraction(problem, w), rel=1e-10)
 
 
+CURVATURE_CALLS = {
+    "gd_optimal_step": lambda problem, w, g: gd_optimal_step(w, problem),
+    "newton_step": lambda problem, w, g: newton_step(w, problem, LR),
+    "whitened_gd_optimal_step": lambda problem, w, g: whitened_gd_optimal_step(w, problem),
+    "whitened_optimal_learning_rate": lambda problem, w, g: whitened_optimal_learning_rate(
+        problem, g
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_CALLS))
+def test_curvature_step_builds_no_problem(name, monkeypatch):
+    problem, w, g = _start()
+    built = []
+    init = QuadraticProblem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticProblem, "__init__", counting_init)
+    CURVATURE_CALLS[name](problem, w, g)
+    assert len(built) == 0
+
+
 @pytest.mark.parametrize("kind", ("gd_optimal", "newton", "whitened_gd_optimal"))
 def test_curvature_kinds_need_the_hessian(kind):
-    with pytest.raises(ValueError, match="Hessian"):
-        make_step(OptimizerConfig(kind=kind))
+    for problem in (None, RastriginProblem(size=3)):
+        with pytest.raises(ValueError, match="quadratic problem and its Hessian"):
+            make_step(OptimizerConfig(kind=kind), problem)
 
 
 def test_newton_at_rate_one_lands_on_the_optimum():
