@@ -38,16 +38,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer >= ``lo``."""
+def _int_at_least(lo: int, below: int | None = None):
+    """An argparse type: an integer >= ``lo`` (and < ``below``, if given)."""
 
     def integer(raw: str) -> int:
         value = int(raw)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
 
     return integer
+
+
+def _positive_float(raw: str) -> float:
+    """An argparse type: a finite number > 0."""
+    value = float(raw)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {raw}")
+    return value
 
 
 def _kappas(raw: str) -> list[float]:
@@ -347,26 +357,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mlp-kl", help="gradient-distribution KL trace on the toy MLP")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--snapshot-every", type=_int_at_least(1), default=50)
-    p.add_argument("--n-batches", type=int, default=16)
-    p.add_argument("--block", type=int, default=1)
+    p.add_argument("--n-batches", type=_int_at_least(2), default=16)
+    p.add_argument("--block", type=_int_at_least(0, MlpProblem().n_blocks), default=1)
     p.add_argument("--lr", type=float, default=0.05)
     p.set_defaults(fn=_cmd_mlp_kl)
 
     p = sub.add_parser("stb", help="integrate the reduced transformer-block flow")
     p.add_argument("--context-len", type=int, default=10)
     p.add_argument("--width", type=int, default=12)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--steps", type=int, default=100000)
     p.add_argument("--record-every", type=int, default=100)
     p.set_defaults(fn=_cmd_stb)
 
     p = sub.add_parser("ns-bench", help="Newton-Schulz accuracy sweep vs the exact factor")
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=40)
+    p.add_argument("--k", type=_int_at_least(1), default=40)
     p.add_argument("--kappas", type=_kappas, default="2,10,100")
     p.add_argument("--m", type=int, default=16)
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
     p.add_argument("--update-order", choices=("chained", "paired"), default="paired")
     p.set_defaults(fn=_cmd_ns_bench)
 

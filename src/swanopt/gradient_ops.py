@@ -171,6 +171,25 @@ def newton_schulz_inverse_sqrt(
     return np.eye(m) if z is None else z
 
 
+def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
+    """Newton-Schulz whitening of a wide ``g``: ``(Z @ (g / s), s)`` with s = ||g||_F.
+
+    The one Newton-Schulz path of :func:`grad_whitening` and
+    :func:`~swanopt.optimizers.swan_step`. With ``overwrite`` the division
+    happens in ``g`` itself (same bits as ``g / s``), for a caller that owns
+    ``g``. The Gram matrix and the loop's buffers are freed before ``Z @ g``
+    is formed, so beside ``g`` the product needs one fresh m x n buffer and Z.
+    """
+    scale = float(np.linalg.norm(g))
+    if scale == 0.0:
+        raise ValueError("cannot whiten an all-zero matrix")
+    gn = np.divide(g, scale, out=g if overwrite else None)
+    z = newton_schulz_inverse_sqrt(
+        gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order
+    )
+    return z @ gn, scale
+
+
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     """Map ``g`` (rows <= cols) to (an approximation of) ``(g g^T)^{-1/2} g``.
 
@@ -179,8 +198,10 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     the input is divided by its Frobenius norm, the coupled recursion is run
     for ``cfg.iterations`` steps, and ``Z @ g`` is returned *at the normalized
     scale*; downstream rescaling (see :func:`rescale_update`) restores
-    magnitude. Rank deficiency is not rejected here, but it is unsafe: on square
-    GradNorm'd input the chained default turns non-finite from ~28 iterations.
+    magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the
+    same Newton-Schulz code, so their outputs agree bit for bit. Rank
+    deficiency is not rejected here, but it is unsafe: on square GradNorm'd
+    input the chained default turns non-finite from ~28 iterations.
     """
     g = as_matrix(g, "g")
     m, n = g.shape
@@ -188,14 +209,7 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
         raise ValueError(f"grad_whitening needs rows <= cols, got {m}x{n}")
     if cfg.mode == "exact_eig":
         return exact_polar(g)[0]
-    scale = float(np.linalg.norm(g))
-    if scale == 0.0:
-        raise ValueError("cannot whiten an all-zero matrix")
-    gn = g / scale
-    z = newton_schulz_inverse_sqrt(
-        gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order
-    )
-    return z @ gn
+    return _ns_whiten(g, cfg)[0]
 
 
 def orthogonalize(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
@@ -206,11 +220,16 @@ def orthogonalize(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     return grad_whitening(g, cfg)
 
 
+def _rescale(delta: np.ndarray, target_norm: float, out=None) -> np.ndarray:
+    """``delta`` scaled to Frobenius norm ``target_norm``, into ``out`` if given."""
+    norm = float(np.linalg.norm(delta))
+    if norm == 0.0:
+        raise ValueError("rescale_update: zero-norm delta has no direction")
+    return np.multiply(delta, target_norm / norm, out=out)
+
+
 def rescale_update(delta, reference) -> np.ndarray:
     """Scale ``delta`` so its Frobenius norm matches that of ``reference``."""
     delta = as_matrix(delta, "delta")
     reference = as_matrix(reference, "reference")
-    norm = float(np.linalg.norm(delta))
-    if norm == 0.0:
-        raise ValueError("rescale_update: zero-norm delta has no direction")
-    return delta * (float(np.linalg.norm(reference)) / norm)
+    return _rescale(delta, float(np.linalg.norm(reference)))

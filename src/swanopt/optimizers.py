@@ -23,10 +23,10 @@ import numpy as np
 from .gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
+    _ns_whiten,
+    _rescale,
     exact_polar,
     grad_norm,
-    grad_whitening,
-    rescale_update,
 )
 from .matrixops import as_matrix, schatten1_norm
 from .problems import QuadraticProblem
@@ -119,8 +119,18 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """One stateless SWAN step: normalize rows, whiten, optionally rescale.
 
     Inputs with more rows than columns are handled by transposing the whole
-    step. Ablations: ``norm_only`` skips whitening, ``whiten_only`` skips the
-    row normalization.
+    step (through views, not copies). Ablations: ``norm_only`` skips
+    whitening, ``whiten_only`` skips the row normalization. ``w`` and ``g``
+    are never written.
+
+    Working set beyond its inputs, for an m x n block at the Newton-Schulz
+    default: 2 m x n + min(m, n)^2, against SGD's 2 m x n. The step owns two
+    m x n buffers. G~ is divided by its norm in place in the first (under
+    ``whiten_only``, that buffer is the step's own copy of ``g``). Z G~ goes
+    into the second, where the rescale, the rate and the subtraction from
+    ``w`` are applied in place. The min(m, n)^2 is Z; while the loop runs,
+    the Gram matrix and the loop's buffers take five such squares beside G~.
+    Exact mode keeps its SVD and its buffers.
     """
     if cfg.kind != "swan":
         raise ValueError(f"swan_step called with kind={cfg.kind!r}")
@@ -132,10 +142,14 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     if cfg.ablation == "norm_only":
         delta = g_tilde
     else:
-        delta = grad_whitening(g_tilde, cfg.whitening_cfg)
+        if cfg.whitening_cfg.mode == "exact_eig":
+            delta, scale = exact_polar(g_tilde)[0], float(np.linalg.norm(g_tilde))
+        else:
+            delta, scale = _ns_whiten(g_tilde, cfg.whitening_cfg, overwrite=g_tilde is not g)
         if cfg.swan_rescale:
-            delta = rescale_update(delta, g_tilde)
-    return w - cfg.learning_rate * delta
+            _rescale(delta, scale, out=delta)
+    np.multiply(delta, cfg.learning_rate, out=delta)
+    return np.subtract(w, delta, out=delta)
 
 
 def adam_step(

@@ -86,6 +86,11 @@ class TestExitCodes:
             ["ns-bench", "--kappas", "2,x"],
             ["ns-bench", "--kappas", "2,0.5"],
             ["--seed", "-1", "theory"],
+            ["ns-bench", "--k", "0"],
+            ["ns-bench", "--seeds", "0"],
+            ["mlp-kl", "--n-batches", "1"],
+            ["mlp-kl", "--block", "9"],
+            ["stb", "--dt", "0"],
         ],
         ids=" ".join,
     )

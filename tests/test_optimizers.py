@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from swanopt.gradient_ops import GradNormConfig, WhiteningConfig
+from swanopt.gradient_ops import (
+    GradNormConfig,
+    WhiteningConfig,
+    grad_norm,
+    grad_whitening,
+    rescale_update,
+)
 from swanopt.matrixops import make_spd, random_matrix, sample_stiefel, schatten1_norm
 from swanopt.optimizers import (
+    ABLATIONS,
     STATELESS_KINDS,
     OptimizerConfig,
     OptimizerState,
@@ -97,6 +106,79 @@ class TestSwanStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             swan_step(random_matrix(2, 4, 0), random_matrix(2, 5, 1), SWAN_EXACT)
+
+
+def _swan_oracle(w, g, cfg):
+    """SWAN's step composed from the public kernels: w - lr * rescale(whiten(G~), G~)."""
+    if w.shape[0] > w.shape[1]:
+        return _swan_oracle(w.T, g.T, cfg).T
+    g_tilde = g if cfg.ablation == "whiten_only" else grad_norm(g, cfg.grad_norm_cfg)
+    if cfg.ablation == "norm_only":
+        return w - cfg.learning_rate * g_tilde
+    delta = rescale_update(grad_whitening(g_tilde, cfg.whitening_cfg), g_tilde)
+    return w - cfg.learning_rate * delta
+
+
+def _outcome(step, w, g, cfg):
+    """The step's result, or the message of the ValueError it raises."""
+    try:
+        return step(w, g, cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _swan_inputs(case):
+    if case == "square_gradnormed":  # rank <= m - 1: every row sums to zero
+        return random_matrix(9, 9, 0), grad_norm(random_matrix(9, 9, 1))
+    shape = (6, 17) if case == "wide" else (17, 6)
+    return random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1)
+
+
+@pytest.mark.parametrize("case", ["wide", "tall", "square_gradnormed"])
+@pytest.mark.parametrize("mode", ["newton_schulz", "exact_eig"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
+    w, g = _swan_inputs(case)
+    w0, g0 = w.copy(), g.copy()
+    cfg = OptimizerConfig(
+        kind="swan",
+        learning_rate=0.037,
+        ablation=ablation,
+        whitening_cfg=WhiteningConfig(mode=mode),
+    )
+    got = _outcome(swan_step, w, g, cfg)
+    want = _outcome(_swan_oracle, w, g, cfg)
+    if isinstance(want, str):  # exact mode rejects the rank-deficient square block
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, w) and not np.shares_memory(got, g)
+    assert w.tobytes() == w0.tobytes() and g.tobytes() == g0.tobytes()
+
+
+def _warm_peak_bytes(step, w, g, cfg) -> int:
+    """Peak bytes one step allocates above what is live at its start, after a warm-up step."""
+    step(w, g, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(w, g, cfg)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(64, 512), (512, 64)], ids=["wide", "tall"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape):
+    # SWAN's working set is SGD's two m x n buffers plus the min(m, n)^2 Gram
+    # and Newton-Schulz buffers (five at most), with 4 KB for small temporaries
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    sgd = _warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
+    swan = _warm_peak_bytes(swan_step, w, g, cfg)
+    k = min(shape)
+    assert swan <= sgd + 5 * k * k * 8 + 4096
 
 
 class TestAdamStep:
