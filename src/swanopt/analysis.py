@@ -69,6 +69,8 @@ def snapshot_gradients(
         raise ValueError(f"preprocess must be one of {_PREPROCESS}, got {preprocess!r}")
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
+    if not 0 <= block < problem.n_blocks:
+        raise ValueError(f"block must be in [0, {problem.n_blocks}), got {block}")
     rng = np.random.default_rng(seed)
     batch_seeds = rng.integers(0, 2**63 - 1, size=n_batches)
     grads = []

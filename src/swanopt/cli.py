@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``run`` (config-file experiment), ``quadratic``, ``rastrigin``,
-``mlp-kl``, ``stb``, ``ns-bench``, ``theory``, ``speedup``. Exit codes:
-0 success, 1 configuration error, 2 runtime failure.
+``mlp-kl``, ``stb``, ``ns-bench``, ``theory``, ``speedup``. Exit codes: 0
+success; 1 when the library refuses a value from an argument, a config or an
+input file, a run the arguments drive non-finite included ("config error:
+..."); 2 for any other failure, such as a missing file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import analysis, theory
 from .gradient_ops import WhiteningConfig, grad_whitening
 from .matrixops import random_matrix, sample_stiefel
-from .optimizers import OptimizerConfig
+from .optimizers import OptimizerConfig, sgd_step
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -38,26 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_at_least(lo: int, below: int | None = None):
-    """An argparse type: an integer >= ``lo`` (and < ``below``, if given)."""
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= ``lo``."""
 
     def integer(raw: str) -> int:
         value = int(raw)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if below is not None and value >= below:
-            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
 
     return integer
-
-
-def _positive_float(raw: str) -> float:
-    """An argparse type: a finite number > 0."""
-    value = float(raw)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {raw}")
-    return value
 
 
 def _kappas(raw: str) -> list[float]:
@@ -90,7 +82,7 @@ def _out_dir(args) -> Path:
 def _cmd_run(args) -> int:
     spec = parse_config(args.config)
     if spec.out_dir is None:
-        spec = replace(spec, out_dir=str(_out_dir(args)), file_format=args.format)
+        spec = replace(spec, out_dir=args.out_dir, file_format=args.format)
     result = run_experiment(spec)
     for name, row in result.summary["optimizers"].items():
         loss = _num(row["final_loss"], ".6g")
@@ -98,44 +90,42 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _tune(args, problem: ProblemSpec, cfg: OptimizerConfig, lo: float, grid_points: int):
-    """Tune cfg's rate in [lo, 1] for the lowest final loss after ``args.steps``
-    steps (a diverged run scores inf); returns (rate, final loss)."""
-
-    def final_loss(eta: float) -> float:
-        spec = ExperimentSpec(
-            problem=problem,
-            optimizers=(OptimizerDescriptor("x", replace(cfg, learning_rate=eta)),),
-            steps=args.steps,
-            record_every=args.steps,
-            seed=args.seed,
-        )
-        row = run_experiment(spec).summary["optimizers"]["x"]
-        return row["final_loss"] if not row["diverged"] else float("inf")
-
-    return theory.tune_learning_rate(final_loss, lo, 1.0, grid_points=grid_points)
-
-
-def _run(args, problem: ProblemSpec, descs) -> dict:
-    """Run the final comparison, write its files, and return the summary rows."""
-    spec = ExperimentSpec(
+def _spec(args, problem: ProblemSpec, descs) -> ExperimentSpec:
+    """The comparison a subcommand runs and writes, before any rate is tuned."""
+    return ExperimentSpec(
         problem=problem,
         optimizers=tuple(descs),
         steps=args.steps,
         record_every=args.record_every,
         seed=args.seed,
-        out_dir=str(_out_dir(args)),
+        out_dir=args.out_dir,
         file_format=args.format,
     )
-    return run_experiment(spec).summary["optimizers"]
 
 
-def _quadratic_descriptors(adam_lr: float, newton_lr: float, swan_lr: float):
-    whitened = OptimizerConfig(kind="whitened_gd_optimal", learning_rate=swan_lr)
+def _tune(spec: ExperimentSpec, desc: OptimizerDescriptor, lo: float, grid_points: int):
+    """Tune desc's rate in [lo, 1] for the lowest final loss of ``spec`` run
+    with desc alone (a diverged run scores inf); returns (rate, final loss)."""
+
+    def final_loss(eta: float) -> float:
+        trial = _with_rate(desc, eta)
+        run = replace(spec, optimizers=(trial,), record_every=spec.steps, out_dir=None)
+        row = run_experiment(run).summary["optimizers"][desc.name]
+        return row["final_loss"] if not row["diverged"] else float("inf")
+
+    return theory.tune_learning_rate(final_loss, lo, 1.0, grid_points=grid_points)
+
+
+def _with_rate(desc: OptimizerDescriptor, eta: float) -> OptimizerDescriptor:
+    return replace(desc, config=replace(desc.config, learning_rate=eta))
+
+
+def _quadratic_descriptors(adam_lr: float):
+    whitened = OptimizerConfig(kind="whitened_gd_optimal", learning_rate=1.0)
     return (
         OptimizerDescriptor("gd_optimal", OptimizerConfig(kind="gd_optimal")),
         OptimizerDescriptor("adam", OptimizerConfig(kind="adam", learning_rate=adam_lr)),
-        OptimizerDescriptor("newton", OptimizerConfig(kind="newton", learning_rate=newton_lr)),
+        OptimizerDescriptor("newton", OptimizerConfig(kind="newton", learning_rate=1.0)),
         OptimizerDescriptor("whitened", whitened),
         OptimizerDescriptor("whitened_ortho", whitened, orthogonal_init=True),
     )
@@ -143,8 +133,10 @@ def _quadratic_descriptors(adam_lr: float, newton_lr: float, swan_lr: float):
 
 def _cmd_quadratic(args) -> int:
     problem = ProblemSpec(kind="quadratic", seed=args.seed, m=args.m, n=args.n, kappa=args.kappa)
-    adam_lr, _ = _tune(args, problem, OptimizerConfig(kind="adam"), 1e-3, 8)
-    rows = _run(args, problem, _quadratic_descriptors(adam_lr, 1.0, 1.0))
+    spec = _spec(args, problem, _quadratic_descriptors(1e-3))  # adam's rate is tuned next
+    adam_lr, _ = _tune(spec, spec.optimizers[1], 1e-3, 8)
+    tuned = replace(spec, optimizers=_quadratic_descriptors(adam_lr))
+    rows = run_experiment(tuned).summary["optimizers"]
     _say(args, f"quadratic m={args.m} kappa={args.kappa:g}, adam lr {adam_lr:.4g}")
     for name, row in rows.items():
         _say(
@@ -157,23 +149,24 @@ def _cmd_quadratic(args) -> int:
 
 def _cmd_rastrigin(args) -> int:
     exact = WhiteningConfig(mode="exact_eig")
-    problem = ProblemSpec(kind="rastrigin", m=args.m, seed=args.seed)
-    candidates = {
-        "sgd": OptimizerConfig(kind="sgd"),
-        "adam": OptimizerConfig(kind="adam"),
-        "whitened": OptimizerConfig(
-            kind="swan", ablation="whiten_only", swan_rescale=False, whitening_cfg=exact
-        ),
-        "swan": OptimizerConfig(kind="swan", whitening_cfg=exact),
-    }
-    tuned = {}
-    for name, cfg in candidates.items():
-        eta, val = _tune(args, problem, cfg, 1e-4, args.grid_points)
-        _say(args, f"tuned {name}: eta={eta:.4g} final={val:.4f}")
-        tuned[name] = replace(cfg, learning_rate=eta)
-    descs = [OptimizerDescriptor(name, cfg) for name, cfg in tuned.items()]
-    descs.append(OptimizerDescriptor("whitened_ortho", tuned["whitened"], orthogonal_init=True))
-    for name, row in _run(args, problem, descs).items():
+    whitened = OptimizerConfig(
+        kind="swan", ablation="whiten_only", swan_rescale=False, whitening_cfg=exact
+    )
+    candidates = (
+        OptimizerDescriptor("sgd", OptimizerConfig(kind="sgd")),
+        OptimizerDescriptor("adam", OptimizerConfig(kind="adam")),
+        OptimizerDescriptor("whitened", whitened),
+        OptimizerDescriptor("swan", OptimizerConfig(kind="swan", whitening_cfg=exact)),
+    )
+    spec = _spec(args, ProblemSpec(kind="rastrigin", m=args.m, seed=args.seed), candidates)
+    tuned = []
+    for desc in candidates:
+        eta, val = _tune(spec, desc, 1e-4, args.grid_points)
+        _say(args, f"tuned {desc.name}: eta={eta:.4g} final={val:.4f}")
+        tuned.append(_with_rate(desc, eta))
+    tuned.append(replace(tuned[2], name="whitened_ortho", orthogonal_init=True))
+    rows = run_experiment(replace(spec, optimizers=tuple(tuned))).summary["optimizers"]
+    for name, row in rows.items():
         _say(args, f"  {name}: final loss {_num(row['final_loss'], '.4f')}")
     return 0
 
@@ -181,6 +174,7 @@ def _cmd_rastrigin(args) -> int:
 def _cmd_mlp_kl(args) -> int:
     if args.snapshot_every > args.steps:
         raise ConfigError(f"--snapshot-every {args.snapshot_every} exceeds --steps {args.steps}")
+    sgd = OptimizerConfig(kind="sgd", learning_rate=args.lr)
     problem = MlpProblem(teacher_seed=args.seed)
     weights = problem.initial_weights(args.seed + 1)
     ref = {
@@ -191,10 +185,9 @@ def _cmd_mlp_kl(args) -> int:
     }
     rng = np.random.default_rng(args.seed + 3)
     rows = []
-    lr = args.lr
     for t in range(1, args.steps + 1):
         _, grads = problem.loss_and_grads(weights, int(rng.integers(0, 2**63 - 1)))
-        weights = [w - lr * g for w, g in zip(weights, grads)]
+        weights = [sgd_step(w, g, sgd) for w, g in zip(weights, grads)]
         if t % args.snapshot_every == 0:
             kls = {}
             for pre in ("raw", "gradnorm"):
@@ -241,6 +234,7 @@ def _cmd_stb(args) -> int:
 
 def _cmd_ns_bench(args) -> int:
     exact = WhiteningConfig(mode="exact_eig")
+    cfg = WhiteningConfig(iterations=args.k, step_size=args.beta, update_order=args.update_order)
     rows = []
     for kappa in args.kappas:
         worst = 0.0
@@ -250,11 +244,6 @@ def _cmd_ns_bench(args) -> int:
             sv = np.geomspace(1.0, np.sqrt(kappa), args.m)
             g = (u * sv) @ v
             g = g / np.linalg.norm(g)
-            cfg = WhiteningConfig(
-                iterations=args.k,
-                step_size=args.beta,
-                update_order=args.update_order,
-            )
             err = float(np.linalg.norm(grad_whitening(g, cfg) - grad_whitening(g, exact)))
             worst = max(worst, err)
         rows.append((args.beta, args.k, kappa, worst))
@@ -351,28 +340,28 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--record-every", type=int, default=10)
-    p.add_argument("--grid-points", type=_int_at_least(2), default=8)
+    p.add_argument("--grid-points", type=int, default=8)
     p.set_defaults(fn=_cmd_rastrigin)
 
     p = sub.add_parser("mlp-kl", help="gradient-distribution KL trace on the toy MLP")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--snapshot-every", type=_int_at_least(1), default=50)
-    p.add_argument("--n-batches", type=_int_at_least(2), default=16)
-    p.add_argument("--block", type=_int_at_least(0, MlpProblem().n_blocks), default=1)
+    p.add_argument("--n-batches", type=int, default=16)
+    p.add_argument("--block", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.05)
     p.set_defaults(fn=_cmd_mlp_kl)
 
     p = sub.add_parser("stb", help="integrate the reduced transformer-block flow")
     p.add_argument("--context-len", type=int, default=10)
     p.add_argument("--width", type=int, default=12)
-    p.add_argument("--dt", type=_positive_float, default=1e-3)
+    p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=100000)
     p.add_argument("--record-every", type=int, default=100)
     p.set_defaults(fn=_cmd_stb)
 
     p = sub.add_parser("ns-bench", help="Newton-Schulz accuracy sweep vs the exact factor")
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--k", type=_int_at_least(1), default=40)
+    p.add_argument("--k", type=int, default=40)
     p.add_argument("--kappas", type=_kappas, default="2,10,100")
     p.add_argument("--m", type=int, default=16)
     p.add_argument("--n", type=int, default=32)
@@ -395,7 +384,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every library check
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -220,10 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             raise ConfigError(f"optimizer {desc.name!r}: {exc}") from exc
     shape = problem.shape
     w0_shared = spec.problem.init_scale * random_matrix(shape[0], shape[1], spec.seed)
-    quadratic = isinstance(problem, QuadraticProblem)
-    l_star = problem.l_star if quadratic else 0.0
-    # the whitened step's contraction prediction holds for the C = 0 form only
-    predicts = quadratic and not np.any(problem.c)
+    l_star = problem.l_star
 
     trajectories: dict[str, list[TrajectoryRecord]] = {}
     rows = {}
@@ -272,7 +269,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         grad_fro=float(np.linalg.norm(g)),
                         update_fro=float(np.linalg.norm(w_next - w)),
                         eta=eta,
-                        diag1=info if predicts else float("nan"),
+                        diag1=info,
                     )
                 )
             w = w_next

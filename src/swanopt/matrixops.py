@@ -86,13 +86,13 @@ def random_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> np.nda
 
 
 def sample_stiefel(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Seeded matrix with orthonormal rows (``W W.T = I``), rows <= cols.
+    """Seeded matrix with orthonormal rows (``W W.T = I``), 1 <= rows <= cols.
 
     A Gaussian draw is orthogonalized by QR; the sign of each R diagonal is
     folded into Q so the result is unique and reproducible per seed.
     """
-    if rows > cols:
-        raise ValueError(f"sample_stiefel needs rows <= cols, got {rows}x{cols}")
+    if not 1 <= rows <= cols:
+        raise ValueError(f"sample_stiefel needs 1 <= rows <= cols, got {rows}x{cols}")
     g = random_matrix(cols, rows, seed)
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))

@@ -211,9 +211,10 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
     read its closed forms: ``gd_optimal`` its spectrum, ``newton`` W* (it
     steps to W* + (1 - lr)(w - W*), so lr = 1 lands on W* exactly),
     ``whitened_gd_optimal`` Tr H. ``info`` is NaN except for
-    ``whitened_gd_optimal``, where it is the closed-form one-step loss
-    contraction 1 - ||g||_*^2 / (<w, g> Tr H), valid when C = 0. The whitened
-    step takes the polar factor and ||g||_* from one thin SVD.
+    ``whitened_gd_optimal`` on a problem with C = 0, the only form for which
+    it holds: there it is the closed-form one-step loss contraction
+    1 - ||g||_*^2 / (<w, g> Tr H). The whitened step takes the polar factor
+    and ||g||_* from one thin SVD.
     """
     kind = cfg.kind
     if kind == "swan":
@@ -244,6 +245,7 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
         w_star = problem.w_star
         return lambda w, g, state, lr: (w_star + (1.0 - lr) * (w - w_star), state, lr, _NAN)
     trace_h = float(np.trace(problem.h))
+    predicts = not np.any(problem.c)
 
     def whitened(w, g, state, lr):
         g = as_matrix(g, "g")
@@ -251,8 +253,8 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
         polar, s = exact_polar(g)
         nuclear = s.sum()
         eta = float(nuclear) / trace_h
-        info = 1.0 - nuclear * nuclear / (np.vdot(w, g) * trace_h)
-        return w - eta * polar, state, eta, float(info)
+        info = float(1.0 - nuclear * nuclear / (np.vdot(w, g) * trace_h)) if predicts else _NAN
+        return w - eta * polar, state, eta, info
 
     return whitened
 

@@ -105,6 +105,7 @@ class RastriginProblem:
 
     amplitude: float = 10.0
     size: int = 50
+    l_star = 0.0  # loss(0), the global minimum
 
     def __post_init__(self):
         if not 0.0 < self.amplitude < np.inf:
@@ -245,8 +246,10 @@ class StbSystem:
         v0 = as_matrix(self.v0, "v0")
         if mu.shape != v0.shape:
             raise ValueError(f"mu {mu.shape} and v0 {v0.shape} must match")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if mu.size == 0:
+            raise ValueError(f"mu must be non-empty, got shape {mu.shape}")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         object.__setattr__(self, "mu", mu)

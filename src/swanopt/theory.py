@@ -177,7 +177,9 @@ def tune_learning_rate(
 ) -> tuple[float, float]:
     """Grid scan on a geometric grid, then golden-section between the
     neighbors of the best point, to 5% of that bracket. Returns (eta,
-    objective value)."""
+    objective value). ``grid_points`` must be >= 2."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.geomspace(lo, hi, grid_points)
     values = [objective(float(e)) for e in grid]
     i = int(np.argmin(values))

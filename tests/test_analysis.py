@@ -53,6 +53,13 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="preprocess"):
             snapshot_gradients(p, p.teacher, "whitened", n_batches=4, seed=0)
 
+    @pytest.mark.parametrize("block", (-1, 2))
+    def test_block_validated(self, block):
+        p = MlpProblem(layer_dims=(4, 8, 3))
+        assert p.n_blocks == 2
+        with pytest.raises(ValueError, match=r"block must be in \[0, 2\)"):
+            snapshot_gradients(p, p.teacher, "raw", n_batches=4, seed=0, block=block)
+
     def test_snapshot_validation(self):
         with pytest.raises(ValueError, match="2 batches"):
             GradientDistSnapshot(mean=np.zeros((2, 2)), std=np.zeros((2, 2)), n_batches=1)

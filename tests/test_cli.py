@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swanopt import cli
 from swanopt.cli import main
 from swanopt.harness import read_curve_csv
 
@@ -91,12 +92,37 @@ class TestExitCodes:
             ["mlp-kl", "--n-batches", "1"],
             ["mlp-kl", "--block", "9"],
             ["stb", "--dt", "0"],
+            ["ns-bench", "--beta", "0"],
+            ["ns-bench", "--m", "0"],
+            ["ns-bench", "--m", "40", "--n", "32"],
+            ["mlp-kl", "--lr", "nan"],
+            ["stb", "--width", "0"],
+            ["stb", "--steps", "0"],
+            ["stb", "--record-every", "0"],
+            ["stb", "--dt", "nan"],
+            ["mlp-kl", "--block", "-1"],
         ],
         ids=" ".join,
     )
     def test_bad_argument_is_a_config_error(self, tmp_path, capsys, argv):
         assert run(["--out-dir", str(tmp_path / "out"), *argv]) == 1
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ("quadratic", "rastrigin"))
+    def test_bad_record_every_fails_before_tuning(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        real = cli.run_experiment
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        argv = ["--out-dir", str(tmp_path / "out"), command, "--record-every", "0"]
+        assert run(argv) == 1
+        assert "config error: record_every must be >= 1" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure(self, tmp_path):

@@ -109,6 +109,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="rows <= cols"):
             sample_stiefel(5, 3, 0)
 
+    @pytest.mark.parametrize("rows, cols", ((0, 4), (0, 0)))
+    def test_stiefel_rejects_empty(self, rows, cols):
+        with pytest.raises(ValueError, match="1 <= rows <= cols"):
+            sample_stiefel(rows, cols, 0)
+
     def test_stiefel_deterministic(self):
         assert np.array_equal(sample_stiefel(3, 5, 42), sample_stiefel(3, 5, 42))
 

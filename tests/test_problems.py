@@ -92,6 +92,10 @@ class TestRastrigin:
         assert p.loss(w) == 0.0
         assert np.array_equal(p.grad(w), np.zeros((6, 6)))
 
+    def test_l_star_is_the_loss_at_zero(self):
+        p = RastriginProblem(size=7)
+        assert p.l_star == p.loss(np.zeros((7, 7))) == 0.0
+
     def test_all_ones(self):
         p = RastriginProblem(amplitude=10.0, size=5)
         w = np.ones((5, 5))
@@ -175,6 +179,16 @@ class TestStb:
         a = stb_integrate(system, steps=200, seed=9)
         b = stb_integrate(system, steps=200, seed=9)
         assert all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
+
+    @pytest.mark.parametrize("dt", (0.0, -1e-3, float("nan"), float("inf")))
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            StbSystem(mu=np.ones((2, 3)), v0=np.zeros((2, 3)), dt=dt)
+
+    @pytest.mark.parametrize("shape", ((0, 3), (3, 0)))
+    def test_rejects_empty_mu(self, shape):
+        with pytest.raises(ValueError, match="mu must be non-empty"):
+            StbSystem(mu=np.ones(shape), v0=np.zeros(shape))
 
     def test_blowup_guard_reports_step(self):
         system = StbSystem.seeded(10, 12, seed=0, dt=1e-3)

@@ -91,6 +91,15 @@ def test_whitened_diag1_is_the_contraction_prediction():
     assert rec.diag1 == pytest.approx(predict_whitened_contraction(problem, w), rel=1e-10)
 
 
+@pytest.mark.parametrize("c_scale", (0.0, 1.0))
+def test_whitened_info_is_nan_unless_c_is_zero(c_scale):
+    problem = ProblemSpec(kind="quadratic", seed=4, m=6, n=9, kappa=50.0, c_scale=c_scale).build()
+    w = random_matrix(*problem.shape, SEED)
+    step = make_step(_config("whitened_gd_optimal"), problem)
+    _, _, _, info = step(w, problem.grad(w), OptimizerState(), 1.0)
+    assert np.isfinite(info) == (c_scale == 0.0)
+
+
 CURVATURE_CALLS = {
     "gd_optimal_step": lambda problem, w, g: gd_optimal_step(w, problem),
     "newton_step": lambda problem, w, g: newton_step(w, problem, LR),

@@ -168,6 +168,12 @@ class TestSearchHelpers:
         assert 0.05 <= eta <= 0.1
         assert val <= 1e-2
 
+    def test_tune_learning_rate_needs_two_grid_points(self):
+        calls = []
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            tune_learning_rate(calls.append, 1e-4, 1.0, grid_points=1)
+        assert calls == []
+
 
 class TestStiefelOneStep:
     @pytest.mark.parametrize("kappa", [10.0, 1e4])
