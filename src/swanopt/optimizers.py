@@ -128,9 +128,13 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     m x n buffers. G~ is divided by its norm in place in the first (under
     ``whiten_only``, that buffer is the step's own copy of ``g``). Z G~ goes
     into the second, where the rescale, the rate and the subtraction from
-    ``w`` are applied in place. The min(m, n)^2 is Z; while the loop runs,
-    the Gram matrix and the loop's buffers take five such squares beside G~.
-    Exact mode keeps its SVD and its buffers.
+    ``w`` are applied in place. The min(m, n)^2 is Z. While Newton-Schulz
+    runs, more such squares sit beside G~: below 128 rows, the Gram matrix
+    and the loop's four buffers; from 128 rows, the Gram matrix, ``eigh``'s
+    eigenvectors, their scaled copy and Z, plus about 2 min(m, n)^2 doubles of
+    LAPACK workspace inside ``eigh``, which numpy allocates outside its
+    array memory (tracemalloc does not count it). Exact mode keeps its SVD
+    and its buffers.
     """
     if cfg.kind != "swan":
         raise ValueError(f"swan_step called with kind={cfg.kind!r}")

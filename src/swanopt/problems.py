@@ -196,15 +196,18 @@ class MlpProblem:
     ) -> tuple[float, list[np.ndarray]]:
         self._check_weights(weights)
         x, y = self.sample_batch(batch_seed)
-        out, acts = self._forward(weights, x)
-        diff = out - y
-        loss = 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
-        grads: list[np.ndarray] = [np.empty(0)] * len(weights)
-        delta = diff / x.shape[0]
-        for i in reversed(range(len(weights))):
-            grads[i] = acts[i].T @ delta
-            if i > 0:
-                delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
+        # non-finite values from overflow on runaway weights reach the step,
+        # whose check on g reports the divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, acts = self._forward(weights, x)
+            diff = out - y
+            loss = 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+            grads: list[np.ndarray] = [np.empty(0)] * len(weights)
+            delta = diff / x.shape[0]
+            for i in reversed(range(len(weights))):
+                grads[i] = acts[i].T @ delta
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
         return loss, grads
 
     def _check_weights(self, weights):

@@ -125,6 +125,13 @@ class TestExitCodes:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_mlp_kl_divergence_is_reported_by_the_step(self, tmp_path, capsys):
+        # overflow in the MLP's forward and backward passes raises no
+        # RuntimeWarning; the SGD step rejects the non-finite gradient
+        argv = ["--out-dir", str(tmp_path), "mlp-kl", "--lr", "1e3", "--steps", "200"]
+        assert run(argv) == 1
+        assert "config error: g contains non-finite entries" in capsys.readouterr().err
+
     def test_runtime_failure(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "speedup", "/no/such.csv", "/none.csv"]) == 2
 
@@ -158,6 +165,15 @@ class TestSubcommands:
         assert lines[0] == "beta,k,kappa,max_whitening_error"
         errors = [float(line.split(",")[-1]) for line in lines[1:]]
         assert all(e <= 1e-6 for e in errors)
+
+    def test_ns_bench_on_the_gram_spectrum(self, tmp_path):
+        # m = 128 runs Newton-Schulz on the Gram spectrum
+        argv = ["--out-dir", str(tmp_path), "ns-bench", "--m", "128", "--n", "256", "--k", "40",
+                "--beta", "0.5", "--update-order", "paired", "--seeds", "2"]
+        assert run(argv) == 0
+        lines = (tmp_path / "ns_bench.csv").read_text().splitlines()
+        errors = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert len(errors) == 3 and all(e <= 1e-6 for e in errors)  # one row per kappa
 
     def test_run_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -171,9 +171,11 @@ class TestGradWhitening:
             assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_classical_z_converges_to_inverse_sqrt(self):
-        # beta = 0.5 paired is the classical coupling: Z_k -> (g g^T)^{-1/2}
-        for seed in range(5):
-            g = conditioned_gradient(seed, kappa=100.0)
+        # beta = 0.5 paired is the classical coupling: Z_k -> (g g^T)^{-1/2};
+        # the m = 128 case runs on the Gram spectrum
+        cases = [(seed, 16) for seed in range(5)] + [(0, 128)]
+        for seed, m in cases:
+            g = conditioned_gradient(seed, m=m, n=2 * m, kappa=100.0)
             a = g @ g.T
             z = newton_schulz_inverse_sqrt(a, 40, 0.5, "paired")
             dec = sym_eig(a)
@@ -182,15 +184,29 @@ class TestGradWhitening:
 
     @pytest.mark.parametrize("order, beta, k", NS_CASES)
     def test_newton_schulz_matches_plain_recursion(self, order, beta, k):
-        inputs = [conditioned_gradient(1, kappa=kappa) for kappa in (2.0, 1e2, 1e4)]
+        # m = 128 runs on the Gram spectrum, the smaller inputs on matrices
+        inputs = [
+            conditioned_gradient(1, m=m, n=2 * m, kappa=kappa)
+            for m in (16, 128)
+            for kappa in (2.0, 1e2, 1e4)
+        ]
         inputs.append(random_matrix(1, 9, 3))
         if k < 40:  # square GradNorm'd input has rank m - 1
-            inputs.append(grad_norm(random_matrix(50, 50, 4)))
+            inputs += [grad_norm(random_matrix(m, m, 4)) for m in (50, 128)]
         cfg = WhiteningConfig(iterations=k, step_size=beta, update_order=order)
         for g in inputs:
             ref = plain_ns_whitening(g, k, beta, order)
             err = np.linalg.norm(grad_whitening(g, cfg) - ref) / np.linalg.norm(ref)
             assert err <= 1e-10
+
+    def test_chained_default_finite_on_rank_deficient_input_at_k40(self):
+        # square GradNorm'd input has rank m - 1; at 128 rows the recursion runs
+        # on the spectrum clamped at 0, so round-off on the null direction
+        # cannot grow (the matrix loop overflows on seeds 1, 3 and 5 of these)
+        cfg = WhiteningConfig(iterations=40)
+        for seed in range(6):
+            out = grad_whitening(grad_norm(random_matrix(128, 128, seed)), cfg)
+            assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
     def test_newton_schulz_working_set(self, order):

@@ -130,11 +130,12 @@ def _outcome(step, w, g, cfg):
 def _swan_inputs(case):
     if case == "square_gradnormed":  # rank <= m - 1: every row sums to zero
         return random_matrix(9, 9, 0), grad_norm(random_matrix(9, 9, 1))
-    shape = (6, 17) if case == "wide" else (17, 6)
+    # 128 rows take Newton-Schulz's spectral path
+    shape = {"wide": (6, 17), "tall": (17, 6), "wide_spectral": (128, 300)}[case]
     return random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1)
 
 
-@pytest.mark.parametrize("case", ["wide", "tall", "square_gradnormed"])
+@pytest.mark.parametrize("case", ["wide", "tall", "square_gradnormed", "wide_spectral"])
 @pytest.mark.parametrize("mode", ["newton_schulz", "exact_eig"])
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
@@ -168,11 +169,16 @@ def _warm_peak_bytes(step, w, g, cfg) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("shape", [(64, 512), (512, 64)], ids=["wide", "tall"])
+@pytest.mark.parametrize(
+    "shape",
+    [(64, 512), (512, 64), (128, 1024), (1024, 128)],
+    ids=["wide", "tall", "wide_spectral", "tall_spectral"],
+)
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape):
     # SWAN's working set is SGD's two m x n buffers plus the min(m, n)^2 Gram
-    # and Newton-Schulz buffers (five at most), with 4 KB for small temporaries
+    # and Newton-Schulz buffers (five at most), with 4 KB for small temporaries;
+    # from 128 rows, the Gram matrix, eigh's eigenvectors, their scaled copy and Z
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     sgd = _warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
