@@ -9,6 +9,11 @@ An optimizer whose loss turns non-finite, or whose step or loss raises a
 ``ValueError``, is stopped and flagged as diverged; the others run on.
 
 Every step comes from the one step table, :func:`swanopt.optimizers.make_step`.
+Inputs are checked where they enter: the spec dataclasses check their
+fields, the problem's ``loss_and_grad`` checks each iterate, and the step
+entries trust the arrays the harness hands them. One ``loss_and_grad`` call
+per step gives the loss at the new iterate and the gradient the next step
+takes.
 
 Specs can be built in code or parsed from a flat INI-style config file with
 one ``[optimizer:NAME]`` section per optimizer. Its keys are the field names
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .gradient_ops import GradNormConfig, WhiteningConfig, orthogonalize
-from .matrixops import random_matrix
+from .matrixops import as_matrix, random_matrix
 from .optimizers import OptimizerConfig, init_state, linear_warmup_decay, make_step
 from .problems import QuadraticProblem, RastriginProblem
 
@@ -207,6 +212,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     optimizers continue; its final losses are None if it has no record. When
     ``out_dir`` is set, one trajectory file per optimizer and a strict-JSON
     ``summary.json`` are written.
+
+    The problem's ``loss_and_grad`` runs once at W0 and once per step, at the
+    new iterate; the step after takes that gradient. It checks every iterate
+    (a non-finite one is a ``ValueError``, so a diverged run). A finite loss
+    implies a finite gradient, so the step entries take their arrays
+    unchecked; only W0's gradient, which no finite loss vouches for yet, is
+    checked inside the first step.
     """
     try:
         problem = spec.problem.build()
@@ -231,11 +243,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         step = steps[desc.name]
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []
-        initial_excess = problem.loss(w) - l_star
+        loss, g = problem.loss_and_grad(w)
+        initial_excess = loss - l_star
         diverged_at = cause = None
         steps_to_threshold = None
         for t in range(1, spec.steps + 1):
-            g = problem.grad(w)
             if desc.schedule == "linear_decay":
                 lr = linear_warmup_decay(
                     t - 1, spec.steps, desc.config.learning_rate, desc.warmup_fraction
@@ -243,8 +255,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             else:
                 lr = desc.config.learning_rate
             try:
+                if t == 1:  # no finite loss vouches for W0's gradient
+                    as_matrix(g, "g")
                 w_next, state, eta, info = step(w, g, state, lr)
-                loss = problem.loss(w_next)
+                loss, g_next = problem.loss_and_grad(w_next)
             except ValueError as exc:
                 cause = str(exc)
             else:
@@ -272,7 +286,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         diag1=info,
                     )
                 )
-            w = w_next
+            w, g = w_next, g_next
         trajectories[desc.name] = records
         rows[desc.name] = {
             "final_loss": records[-1].loss if records else None,

@@ -33,7 +33,7 @@ def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> 
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if shape is not None and m.shape != shape:
         raise ValueError(f"{name} must be {shape}, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

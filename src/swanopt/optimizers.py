@@ -7,15 +7,19 @@ the point of the exercise.
 
 :func:`make_step` is the one step table: for every kind in :data:`KINDS` it
 returns ``step(w, g, state, lr) -> (w_next, state, eta, info)``, the form the
-harness runs. The curvature kinds read their constants (the spectrum, W*,
-Tr H) from the :class:`~swanopt.problems.QuadraticProblem` they are built
-for. The public curvature steps take that problem too and are thin calls
-into the same entries.
+harness runs. Its SWAN, SGD, sign and Adam entries take the rate as ``lr``
+and trust their arrays, which the harness owns and has checked; the public
+:func:`swan_step`, :func:`adam_step`, :func:`sgd_step` and
+:func:`signed_step` check their inputs, then call the same bodies. The
+curvature kinds read their constants (the spectrum, W*, Tr H) from the
+:class:`~swanopt.problems.QuadraticProblem` they are built for. The public
+curvature steps take that problem too and are thin calls into the same
+entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -142,6 +146,14 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     w = as_matrix(w, "w", g.shape)
     if w.shape[0] > w.shape[1]:
         return swan_step(w.T, g.T, cfg).T
+    return _swan(w, g, cfg, cfg.learning_rate)
+
+
+def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.ndarray:
+    """:func:`swan_step` at rate ``lr`` on checked arrays; a tall block is
+    stepped transposed."""
+    if w.shape[0] > w.shape[1]:
+        return _swan(w.T, g.T, cfg, lr).T
     g_tilde = g if cfg.ablation == "whiten_only" else grad_norm(g, cfg.grad_norm_cfg)
     if cfg.ablation == "norm_only":
         delta = g_tilde
@@ -152,7 +164,7 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
             delta, scale = _ns_whiten(g_tilde, cfg.whitening_cfg, overwrite=g_tilde is not g)
         if cfg.swan_rescale:
             _rescale(delta, scale, out=delta)
-    np.multiply(delta, cfg.learning_rate, out=delta)
+    np.multiply(delta, lr, out=delta)
     return np.subtract(w, delta, out=delta)
 
 
@@ -175,31 +187,51 @@ def adam_step(
     nu = state.second_moment if state.second_moment is not None else np.zeros_like(w)
     if m.shape != w.shape or nu.shape != w.shape:
         raise ValueError("adam state buffers do not match the parameter shape")
+    return _adam(w, g, state.step, m, nu, cfg, cfg.learning_rate)
 
-    t = state.step + 1
+
+def _adam(
+    w: np.ndarray,
+    g: np.ndarray,
+    step: int,
+    m: np.ndarray,
+    nu: np.ndarray,
+    cfg: OptimizerConfig,
+    lr: float,
+) -> tuple[np.ndarray, OptimizerState]:
+    """:func:`adam_step` at rate ``lr`` on checked arrays and moment buffers."""
+    t = step + 1
     m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
     if cfg.adam_beta2 == 1.0:
-        nu = g * g if state.step == 0 else nu
+        nu = g * g if step == 0 else nu
         nu_hat = nu
     else:
         nu = cfg.adam_beta2 * nu + (1.0 - cfg.adam_beta2) * g * g
         nu_hat = nu / (1.0 - cfg.adam_beta2**t)
     m_hat = m / (1.0 - cfg.adam_beta1**t)
-    w_new = w - cfg.learning_rate * m_hat / (np.sqrt(nu_hat) + cfg.adam_epsilon)
+    w_new = w - lr * m_hat / (np.sqrt(nu_hat) + cfg.adam_epsilon)
     return w_new, OptimizerState(step=t, first_moment=m, second_moment=nu)
 
 
 def sgd_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     g = as_matrix(g, "g")
     w = as_matrix(w, "w", g.shape)
-    return w - cfg.learning_rate * g
+    return _sgd(w, g, cfg.learning_rate)
+
+
+def _sgd(w: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    return w - lr * g
 
 
 def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """Sign descent; sign(0) = 0 so exact zeros get no direction bias."""
     g = as_matrix(g, "g")
     w = as_matrix(w, "w", g.shape)
-    return w - cfg.learning_rate * np.sign(g)
+    return _signed(w, g, cfg.learning_rate)
+
+
+def _signed(w: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    return w - lr * np.sign(g)
 
 
 _NAN = float("nan")
@@ -210,7 +242,11 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
 
     ``lr`` is the rate of this step (it overrides ``cfg.learning_rate``) and
     ``eta`` the rate actually applied: the GD-optimal and whitened kinds set
-    their own. The curvature kinds need a quadratic ``problem`` (this is the
+    their own. The SWAN, SGD, sign and Adam entries pass ``lr`` straight to
+    the bodies of the public steps and check nothing: ``w`` and ``g`` must be
+    finite float64 arrays of one shape, and ``state`` must come from
+    :func:`init_state` or an earlier step, as in the harness, which owns them.
+    The curvature kinds need a quadratic ``problem`` (this is the
     one place that rejects any other) and ``g`` its gradient at ``w``; they
     read its closed forms: ``gd_optimal`` its spectrum, ``newton`` W* (it
     steps to W* + (1 - lr)(w - W*), so lr = 1 lands on W* exactly),
@@ -222,21 +258,17 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
     """
     kind = cfg.kind
     if kind == "swan":
-        return lambda w, g, state, lr: (
-            swan_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
-        )
+        return lambda w, g, state, lr: (_swan(w, g, cfg, lr), state, lr, _NAN)
     if kind == "sgd":
-        return lambda w, g, state, lr: (
-            sgd_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
-        )
+        return lambda w, g, state, lr: (_sgd(w, g, lr), state, lr, _NAN)
     if kind == "signed_sgd":
-        return lambda w, g, state, lr: (
-            signed_step(w, g, replace(cfg, learning_rate=lr)), state, lr, _NAN
-        )
+        return lambda w, g, state, lr: (_signed(w, g, lr), state, lr, _NAN)
     if kind == "adam":
 
         def adam(w, g, state, lr):
-            w_next, state = adam_step(w, g, state, replace(cfg, learning_rate=lr))
+            w_next, state = _adam(
+                w, g, state.step, state.first_moment, state.second_moment, cfg, lr
+            )
             return w_next, state, lr, _NAN
 
         return adam

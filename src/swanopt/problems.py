@@ -42,7 +42,8 @@ class QuadraticProblem:
     H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and
     L* = -1/2 <C, W*> are computed; the curvature steps take the problem and
     read them from it. C defaults to the square zero matrix. The loss is
-    <W, 1/2 H W - C>, one matrix product.
+    <W, 1/2 H W - C>, one matrix product; :meth:`loss_and_grad` shares that
+    product with the gradient H W - C.
     """
 
     def __init__(self, h, c=None):
@@ -85,11 +86,22 @@ class QuadraticProblem:
         w = as_matrix(w, "w", self.shape)
         # a non-finite loss from overflow on runaway iterates is the divergence signal
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.vdot(w, 0.5 * (self.h @ w) - self.c))
+            return self._loss(w, self.h @ w)
 
     def grad(self, w) -> np.ndarray:
         w = as_matrix(w, "w", self.shape)
         return self.h @ w - self.c
+
+    def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
+        """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one
+        product H w. Where the loss is finite, so is the gradient."""
+        w = as_matrix(w, "w", self.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hw = self.h @ w
+            return self._loss(w, hw), hw - self.c
+
+    def _loss(self, w, hw) -> float:
+        return float(np.vdot(w, 0.5 * hw - self.c))
 
     def excess_loss(self, w) -> float:
         return self.loss(w) - self.l_star
@@ -100,7 +112,8 @@ class RastriginProblem:
     """m x m matrix Rastrigin surface.
 
     loss(W) = m^2 A + 1/2 Tr(W^T W) - A sum_ij cos(2 pi W_ij); the constant
-    term makes loss(0) = 0 the global minimum.
+    term makes loss(0) = 0 the global minimum. Overflow on runaway iterates
+    gives a non-finite loss, the divergence signal, and no warning.
     """
 
     amplitude: float = 10.0
@@ -117,15 +130,31 @@ class RastriginProblem:
 
     def loss(self, w) -> float:
         w = as_matrix(w, "w", self.shape)
-        return float(
-            self.size**2 * self.amplitude
-            + 0.5 * np.sum(w * w)
-            - self.amplitude * np.sum(np.cos(2.0 * np.pi * w))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._loss(w, 2.0 * np.pi * w)
 
     def grad(self, w) -> np.ndarray:
         w = as_matrix(w, "w", self.shape)
-        return w + 2.0 * np.pi * self.amplitude * np.sin(2.0 * np.pi * w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grad(w, 2.0 * np.pi * w)
+
+    def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
+        """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one
+        2 pi W. Where the loss is finite, so is the gradient."""
+        w = as_matrix(w, "w", self.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_pi_w = 2.0 * np.pi * w
+            return self._loss(w, two_pi_w), self._grad(w, two_pi_w)
+
+    def _loss(self, w, two_pi_w) -> float:
+        return float(
+            self.size**2 * self.amplitude
+            + 0.5 * np.sum(w * w)
+            - self.amplitude * np.sum(np.cos(two_pi_w))
+        )
+
+    def _grad(self, w, two_pi_w) -> np.ndarray:
+        return w + 2.0 * np.pi * self.amplitude * np.sin(two_pi_w)
 
 
 class MlpProblem:

@@ -16,7 +16,8 @@ from swanopt.harness import (
     run_experiment,
     write_csv,
 )
-from swanopt.optimizers import OptimizerConfig
+from swanopt.optimizers import KINDS, OptimizerConfig
+from swanopt.problems import QuadraticProblem
 
 
 def quadratic_spec(**kwargs):
@@ -129,6 +130,45 @@ class TestRunExperiment:
         assert result.trajectories["swan"] == []
         assert not rows["gd"]["diverged"] and rows["gd"]["diverged_cause"] is None
         assert result.trajectories["gd"][-1].step == spec.steps
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rastrigin_divergence_is_a_non_finite_loss(self):
+        bad = OptimizerDescriptor("bad", OptimizerConfig(kind="sgd", learning_rate=1e3))
+        spec = ExperimentSpec(problem=ProblemSpec(kind="rastrigin", m=6, seed=1), optimizers=(bad,))
+        row = run_experiment(spec).summary["optimizers"]["bad"]
+        assert row["diverged"] and row["diverged_cause"] == "non-finite loss"
+        assert 1 < row["diverged_at"] < spec.steps
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_non_finite_start_gradient_fails_the_first_step(self):
+        # W0 is finite, but 2 pi W0 overflows: neither the loss nor the gradient
+        # at the start is finite, and the first step rejects that gradient
+        sgd = OptimizerDescriptor("sgd", OptimizerConfig(kind="sgd"))
+        problem = ProblemSpec(kind="rastrigin", m=3, init_scale=1e308)
+        row = run_experiment(ExperimentSpec(problem=problem, optimizers=(sgd,))).summary
+        row = row["optimizers"]["sgd"]
+        assert row["diverged_at"] == 1 and row["diverged_cause"] == "g contains non-finite entries"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_loss_and_grad_per_step(self, kind, monkeypatch):
+        calls = []
+        loss_and_grad = QuadraticProblem.loss_and_grad
+
+        def counting(self, w):
+            calls.append(w)
+            return loss_and_grad(self, w)
+
+        def forbidden(self, w):
+            raise AssertionError("the harness evaluates the problem through loss_and_grad")
+
+        monkeypatch.setattr(QuadraticProblem, "loss_and_grad", counting)
+        monkeypatch.setattr(QuadraticProblem, "loss", forbidden)
+        monkeypatch.setattr(QuadraticProblem, "grad", forbidden)
+        desc = OptimizerDescriptor("x", OptimizerConfig(kind=kind))
+        spec = quadratic_spec(optimizers=(desc,), steps=20)
+        result = run_experiment(spec)
+        assert not result.summary["optimizers"]["x"]["diverged"]
+        assert len(calls) == spec.steps + 1
 
     def test_newton_records_are_exactly_zero(self):
         # swanopt quadratic's defaults: C = 0, so Newton at rate 1 lands on W* = 0

@@ -110,6 +110,47 @@ class TestRastrigin:
         assert rel_err(p.grad(w), fd) <= 1e-6
 
 
+LOSS_AND_GRAD_PROBLEMS = {
+    "quadratic": QuadraticProblem.seeded(6, 9, 50.0, 4),
+    "quadratic_c": QuadraticProblem.seeded(6, 9, 50.0, 4, c_scale=1.0),
+    "rastrigin": RastriginProblem(size=6),
+}
+
+
+class TestLossAndGrad:
+    @pytest.mark.parametrize("name", LOSS_AND_GRAD_PROBLEMS)
+    @pytest.mark.parametrize("scale", (1e-3, 1.0, 1e3))
+    def test_equals_loss_and_grad_bit_for_bit(self, name, scale):
+        p = LOSS_AND_GRAD_PROBLEMS[name]
+        for seed in range(5):
+            w = random_matrix(*p.shape, seed, scale=scale)
+            loss, g = p.loss_and_grad(w)
+            assert loss == p.loss(w)
+            assert np.array_equal(g, p.grad(w))
+
+    @pytest.mark.parametrize("name", LOSS_AND_GRAD_PROBLEMS)
+    def test_rejects_what_loss_and_grad_reject(self, name):
+        p = LOSS_AND_GRAD_PROBLEMS[name]
+        bad = random_matrix(*p.shape, 0)
+        bad[1, 2] = np.nan
+        for w in (bad, np.inf * bad, random_matrix(p.shape[1], p.shape[0] + 1, 0), np.ones(3)):
+            messages = set()
+            for call in (p.loss, p.grad, p.loss_and_grad):
+                with pytest.raises(ValueError) as info:
+                    call(w)
+                messages.add(str(info.value))
+            assert len(messages) == 1, messages
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rastrigin_overflow_is_a_non_finite_loss_without_warnings(self):
+        p = RastriginProblem(size=3)
+        w = random_matrix(3, 3, 0, scale=1e200)
+        assert not np.isfinite(p.loss(w))
+        loss, g = p.loss_and_grad(w)
+        assert not np.isfinite(loss)
+        np.testing.assert_equal(g, p.grad(w))
+
+
 class TestMlp:
     def test_student_equals_teacher(self):
         p = MlpProblem(layer_dims=(4, 8, 3), teacher_seed=0)

@@ -1,12 +1,16 @@
 """The step table (``optimizers.make_step``) against the public step functions
 and the harness, for every optimizer kind on a small C = 0 quadratic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from swanopt.gradient_ops import WhiteningConfig
 from swanopt.harness import ExperimentSpec, OptimizerDescriptor, ProblemSpec, run_experiment
 from swanopt.matrixops import random_matrix
 from swanopt.optimizers import (
+    ABLATIONS,
     KINDS,
     OptimizerConfig,
     OptimizerState,
@@ -39,27 +43,54 @@ def _start():
     return problem, w, problem.grad(w)
 
 
-def _public_step(cfg, w, problem):
+def _public_step(cfg, w, state, problem):
+    """(w_next, state) from the public step of ``cfg.kind``."""
     g = problem.h @ w
     public = {
-        "swan": lambda: swan_step(w, g, cfg),
-        "sgd": lambda: sgd_step(w, g, cfg),
-        "signed_sgd": lambda: signed_step(w, g, cfg),
-        "adam": lambda: adam_step(w, g, init_state(cfg, w.shape), cfg)[0],
-        "gd_optimal": lambda: gd_optimal_step(w, problem),
-        "newton": lambda: newton_step(w, problem, LR),
-        "whitened_gd_optimal": lambda: whitened_gd_optimal_step(w, problem),
+        "swan": lambda: (swan_step(w, g, cfg), state),
+        "sgd": lambda: (sgd_step(w, g, cfg), state),
+        "signed_sgd": lambda: (signed_step(w, g, cfg), state),
+        "adam": lambda: adam_step(w, g, state, cfg),
+        "gd_optimal": lambda: (gd_optimal_step(w, problem), state),
+        "newton": lambda: (newton_step(w, problem, LR), state),
+        "whitened_gd_optimal": lambda: (whitened_gd_optimal_step(w, problem), state),
     }
     assert set(public) == set(KINDS)
     return public[cfg.kind]()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_table_step_equals_public_step(kind):
-    problem, w, g = _start()
-    cfg = _config(kind)
-    got, _, _, _ = make_step(cfg, problem)(w, g, init_state(cfg, w.shape), LR)
-    assert np.array_equal(got, _public_step(cfg, w, problem))
+# name -> (config, problem, steps): every kind for one step, then SWAN on a
+# tall block (which it steps transposed) in each ablation and whitening mode,
+# and Adam over consecutive steps with its state carried
+TALL = replace(PROBLEM, m=9, n=6)
+STEP_CASES = {kind: (_config(kind), PROBLEM, 1) for kind in KINDS}
+STEP_CASES.update(
+    {
+        f"swan-{ablation}-{mode}-{name}": (
+            replace(_config("swan"), ablation=ablation, whitening_cfg=WhiteningConfig(mode=mode)),
+            spec,
+            1,
+        )
+        for ablation in ABLATIONS
+        for mode in ("newton_schulz", "exact_eig")
+        for name, spec in (("wide", PROBLEM), ("tall", TALL))
+    }
+)
+STEP_CASES["adam-3-steps"] = (_config("adam"), PROBLEM, 3)
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_table_step_equals_public_step(case):
+    cfg, spec, steps = STEP_CASES[case]
+    problem = spec.build()
+    step = make_step(cfg, problem)
+    table = public = spec.init_scale * random_matrix(*problem.shape, SEED)
+    table_state = public_state = init_state(cfg, problem.shape)
+    for _ in range(steps):
+        table, table_state, _, _ = step(table, problem.grad(table), table_state, LR)
+        public, public_state = _public_step(cfg, public, public_state, problem)
+        assert np.array_equal(table, public)
+    assert table_state.step == public_state.step
 
 
 @pytest.mark.parametrize("kind", KINDS)
