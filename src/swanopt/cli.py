@@ -10,7 +10,6 @@ input file, a run the arguments drive non-finite included ("config error:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from .harness import (
     read_curve_csv,
     run_experiment,
     write_csv,
+    write_json,
 )
 from .problems import MlpProblem, StbSystem, hessian_block_divergence, stb_integrate
 
@@ -208,24 +208,13 @@ def _cmd_stb(args) -> int:
     system = StbSystem.seeded(
         context_len=args.context_len, width=args.width, seed=args.seed, dt=args.dt
     )
-    traj = stb_integrate(system, steps=args.steps, seed=args.seed, record_every=args.record_every)
+    traj = stb_integrate(system, steps=args.steps, seed=args.seed)
     div = hessian_block_divergence(system, traj.final_state)
-    out = _out_dir(args) / "stb_summary.json"
-    out.write_text(
-        json.dumps(
-            {
-                "aborted_at": traj.aborted_at,
-                "final_step": traj.steps[-1],
-                "block_divergence": div,
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    summary = dict(aborted_at=traj.aborted_at, final_step=traj.final_step, block_divergence=div)
+    write_json(_out_dir(args) / "stb_summary.json", summary)
     _say(
         args,
-        f"stb: integrated to step {traj.steps[-1]}"
+        f"stb: integrated to step {traj.final_step}"
         f"{f' (blow-up guard at {traj.aborted_at})' if traj.aborted_at else ''}, "
         f"normalized-block divergence {div:.3e}",
     )
@@ -351,12 +340,11 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.05)
     p.set_defaults(fn=_cmd_mlp_kl)
 
-    p = sub.add_parser("stb", help="integrate the reduced transformer-block flow")
+    p = sub.add_parser("stb", help="reduced transformer-block flow: final block divergence")
     p.add_argument("--context-len", type=int, default=10)
     p.add_argument("--width", type=int, default=12)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=100000)
-    p.add_argument("--record-every", type=int, default=100)
     p.set_defaults(fn=_cmd_stb)
 
     p = sub.add_parser("ns-bench", help="Newton-Schulz accuracy sweep vs the exact factor")

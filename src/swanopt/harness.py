@@ -45,6 +45,7 @@ __all__ = [
     "run_experiment",
     "parse_config",
     "write_csv",
+    "write_json",
     "read_curve_csv",
     "CSV_HEADER",
 ]
@@ -161,12 +162,10 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, records: list[TrajectoryRecord]) -> None:
-    rows = [
-        {k: None if k == "diag1" and np.isnan(v) else v for k, v in asdict(r).items()}
-        for r in records
-    ]
-    path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
+def write_json(path: Path, obj) -> None:
+    """Write ``obj`` as strict JSON (a NaN or an infinity raises), keys sorted,
+    one-space indent, with a trailing newline."""
+    path.write_text(json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +308,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if spec.file_format == "csv":
                 write_csv(out / f"{name}.csv", CSV_HEADER, map(astuple, records))
             else:
-                _write_json(out / f"{name}.json", records)
-        text = json.dumps(summary, indent=1, sort_keys=True, allow_nan=False)
-        (out / "summary.json").write_text(text + "\n")
+                # NaN diag1 (not reported) and a norm that overflowed become null
+                finite = [
+                    {k: x if np.isfinite(x) else None for k, x in asdict(r).items()}
+                    for r in records
+                ]
+                write_json(out / f"{name}.json", finite)
+        write_json(out / "summary.json", summary)
     return ExperimentResult(trajectories=trajectories, summary=summary)
 
 

@@ -119,6 +119,15 @@ def moment_buffer_count(state: OptimizerState) -> int:
     return int(state.first_moment is not None) + int(state.second_moment is not None)
 
 
+def _checked(name: str, kind: str, w, g, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The input rule of the public step ``name``: a ``kind`` config, and ``w``
+    and ``g`` finite matrices of one shape."""
+    if cfg.kind != kind:
+        raise ValueError(f"{name} called with kind={cfg.kind!r}")
+    g = as_matrix(g, "g")
+    return as_matrix(w, "w", g.shape), g
+
+
 def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """One stateless SWAN step: normalize rows, whiten, optionally rescale.
 
@@ -140,10 +149,7 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     array memory (tracemalloc does not count it). Exact mode keeps its SVD
     and its buffers.
     """
-    if cfg.kind != "swan":
-        raise ValueError(f"swan_step called with kind={cfg.kind!r}")
-    g = as_matrix(g, "g")
-    w = as_matrix(w, "w", g.shape)
+    w, g = _checked("swan_step", "swan", w, g, cfg)
     if w.shape[0] > w.shape[1]:
         return swan_step(w.T, g.T, cfg).T
     return _swan(w, g, cfg, cfg.learning_rate)
@@ -177,10 +183,7 @@ def adam_step(
     squared gradient (its bias correction would divide by zero) so the update
     becomes gradient descent preconditioned by diag(|G^0|^-1).
     """
-    if cfg.kind != "adam":
-        raise ValueError(f"adam_step called with kind={cfg.kind!r}")
-    g = as_matrix(g, "g")
-    w = as_matrix(w, "w", g.shape)
+    w, g = _checked("adam_step", "adam", w, g, cfg)
     if state.step > 0 and (state.first_moment is None or state.second_moment is None):
         raise ValueError(f"uninitialized adam state at step {state.step}")
     m = state.first_moment if state.first_moment is not None else np.zeros_like(w)
@@ -214,8 +217,7 @@ def _adam(
 
 
 def sgd_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
-    g = as_matrix(g, "g")
-    w = as_matrix(w, "w", g.shape)
+    w, g = _checked("sgd_step", "sgd", w, g, cfg)
     return _sgd(w, g, cfg.learning_rate)
 
 
@@ -225,8 +227,7 @@ def _sgd(w: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
 
 def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """Sign descent; sign(0) = 0 so exact zeros get no direction bias."""
-    g = as_matrix(g, "g")
-    w = as_matrix(w, "w", g.shape)
+    w, g = _checked("signed_step", "signed_sgd", w, g, cfg)
     return _signed(w, g, cfg.learning_rate)
 
 

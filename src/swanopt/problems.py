@@ -8,15 +8,17 @@ Four problem families:
 * a seeded teacher-student regression MLP providing minibatch-noisy
   gradients,
 * the reduced transformer-block gradient flow over V = U_C^T W, whose columns
-  evolve as Vdot[:, j] = exp(z + c) * mu[:, j] with per-row z_l = 1/2 sum_s
-  V[l, s]^2, together with its analytic Hessian.
+  evolve as Vdot[:, j] = exp(z) * mu[:, j] with per-row z_l = 1/2 sum_s
+  V[l, s]^2. It is integrated in one pass to its final state; its analytic
+  Hessian comes dense or, overflow-safe, as the normalized diagonals of its
+  diagonal blocks, one row per block.
 
 All gradients are exact and every stochastic quantity takes an explicit seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,6 @@ __all__ = [
     "StbTrajectory",
     "stb_integrate",
     "stb_hessian",
-    "stb_hessian_blocks",
     "normalized_hessian_blocks",
     "hessian_block_divergence",
 ]
@@ -318,73 +319,51 @@ class StbSystem:
     def shape(self) -> tuple[int, int]:
         return self.mu.shape
 
-    def row_exponents(self, v) -> np.ndarray:
-        v = as_matrix(v, "v")
-        return 0.5 * np.sum(v * v, axis=1)
+    def velocity(self, v) -> np.ndarray:
+        """Time derivative of V at state ``v``, which must be ``shape``."""
+        return self._velocity(as_matrix(v, "v", self.shape), self.mu)
 
-    def velocity(self, v, mu=None) -> np.ndarray:
-        """Time derivative of V at state v (optionally with a perturbed mu)."""
-        v = as_matrix(v, "v")
-        mu = self.mu if mu is None else mu
-        z = self.row_exponents(v)
+    @staticmethod
+    def _velocity(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """:meth:`velocity` on a checked ``v``, with ``mu`` (perturbed or not)."""
         with np.errstate(over="ignore"):
-            rate = np.exp(z)
+            rate = np.exp(0.5 * np.sum(v * v, axis=1))
         return rate[:, None] * mu
 
 
 @dataclass(frozen=True)
 class StbTrajectory:
-    steps: list[int]
-    states: list[np.ndarray]
+    """The end of an :func:`stb_integrate` run: the last accepted step, the
+    state after it, and the step the blow-up guard rejected (None if none)."""
+
+    final_step: int
+    final_state: np.ndarray
     aborted_at: int | None = None
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
-
-def stb_integrate(
-    system: StbSystem,
-    steps: int,
-    seed: int = 0,
-    record_every: int = 1,
-) -> StbTrajectory:
+def stb_integrate(system: StbSystem, steps: int, seed: int = 0) -> StbTrajectory:
     """Explicit Euler integration of the V-dynamics with a blow-up guard.
 
     The flow has finite-time blow-up (the exponent grows with ||V||), so the
-    integrator rejects any step that would produce a non-finite entry or push
-    ``max |V|`` past 1e30, recording the step index at which it
-    stopped. Noise (when ``noise_std > 0``) is a fresh seeded Gaussian added
-    to mu at every step; with ``noise_std == 0`` the run is deterministic and
-    the seed is unused.
+    integrator stops at the first step that would produce a non-finite entry
+    or push ``max |V|`` past 1e30, and returns the state before it. Noise
+    (when ``noise_std > 0``) is a fresh seeded Gaussian added to mu at every
+    step; with ``noise_std == 0`` the run is deterministic and the seed is
+    unused.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     rng = np.random.default_rng(seed)
     v = system.v0.copy()
-    rec_steps = [0]
-    rec_states = [v.copy()]
-    aborted = None
-    completed = 0
     for t in range(1, steps + 1):
         mu = system.mu
         if system.noise_std > 0.0:
             mu = mu + system.noise_std * rng.normal(size=mu.shape)
-        candidate = v + system.dt * system.velocity(v, mu)
+        candidate = v + system.dt * system._velocity(v, mu)
         if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > 1e30:
-            aborted = t
-            break
+            return StbTrajectory(final_step=t - 1, final_state=v, aborted_at=t)
         v = candidate
-        completed = t
-        if t % record_every == 0:
-            rec_steps.append(t)
-            rec_states.append(v.copy())
-    if rec_steps[-1] != completed:
-        rec_steps.append(completed)
-        rec_states.append(v.copy())
-    return StbTrajectory(steps=rec_steps, states=rec_states, aborted_at=aborted)
+    return StbTrajectory(final_step=steps, final_state=v)
 
 
 def stb_hessian(system: StbSystem, v) -> np.ndarray:
@@ -397,56 +376,40 @@ def stb_hessian(system: StbSystem, v) -> np.ndarray:
     """
     v = as_matrix(v, "v", system.shape)
     mc, n = system.shape
-    vdot = system.velocity(v)
+    vdot = system._velocity(v, system.mu)
     h = np.zeros((mc * n, mc * n))
-    for k in range(n):
-        for kp in range(n):
-            block = np.diag(vdot[:, k] * v[:, kp])
-            h[k * mc : (k + 1) * mc, kp * mc : (kp + 1) * mc] = block
+    # h[k * mc + l, k' * mc + l] = vdot[l, k] * v[l, k'], indexed [l, k, k']
+    diag = np.arange(mc)
+    h.reshape(n, mc, n, mc)[:, diag, :, diag] = vdot[:, :, None] * v[:, None, :]
     return h
 
 
-def stb_hessian_blocks(system: StbSystem, v) -> list[np.ndarray]:
-    """The n diagonal M_C x M_C blocks of :func:`stb_hessian`."""
-    v = as_matrix(v, "v")
-    vdot = system.velocity(v)
-    return [np.diag(vdot[:, k] * v[:, k]) for k in range(system.shape[1])]
-
-
-def normalized_hessian_blocks(system: StbSystem, v) -> list[np.ndarray]:
-    """Diagonal Hessian blocks normalized by their entry sum, overflow-safe.
+def normalized_hessian_blocks(system: StbSystem, v) -> np.ndarray:
+    """Diagonals of the Hessian's diagonal blocks, each divided by its sum,
+    as an n x M_C array: row k is the normalized diagonal of block k.
 
     Block k of the analytic Hessian is diag(exp(z_l) * mu[l, k] * v[l, k]);
     dividing by the block sum cancels the common scale, so the computation is
-    done in log magnitude with the max exponent factored out. Valid whenever
-    V is finite, even when exp(z_l) itself would overflow.
+    done in log magnitude with each block's max exponent factored out. Valid
+    whenever V is finite, even when exp(z_l) itself would overflow.
     """
     v = as_matrix(v, "v", system.shape)
-    mc, n = system.shape
-    z = system.row_exponents(v)
-    blocks = []
-    for k in range(n):
-        raw = system.mu[:, k] * v[:, k]
-        with np.errstate(divide="ignore"):
-            log_mag = z + np.log(np.abs(raw))
-        sign = np.sign(raw)
+    # a C-ordered (n, M_C) copy, so each block's sum runs over contiguous entries
+    raw = (system.mu * v).T.copy()
+    z = 0.5 * np.sum(v * v, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = z + np.log(np.abs(raw))
         finite = np.isfinite(log_mag)
-        if not np.any(finite):
-            raise ValueError(f"block {k} is identically zero; cannot normalize")
-        shift = np.max(log_mag[finite])
-        entries = np.where(finite, sign * np.exp(log_mag - shift), 0.0)
-        total = entries.sum()
-        if total == 0.0:
-            raise ValueError(f"block {k} sums to zero; cannot normalize")
-        blocks.append(np.diag(entries / total))
-    return blocks
+        shift = np.max(log_mag, axis=1, keepdims=True, where=finite, initial=-np.inf)
+        entries = np.where(finite, np.sign(raw) * np.exp(log_mag - shift), 0.0)
+    totals = entries.sum(axis=1, keepdims=True)
+    if not np.all(totals):
+        k = int(np.argmax(totals[:, 0] == 0.0))  # the first zero sum
+        what = "sums to zero" if finite[k].any() else "is identically zero"
+        raise ValueError(f"block {k} {what}; cannot normalize")
+    return entries / totals
 
 
 def hessian_block_divergence(system: StbSystem, v) -> float:
-    """Largest pairwise max-abs difference between normalized diagonal blocks."""
-    blocks = normalized_hessian_blocks(system, v)
-    worst = 0.0
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            worst = max(worst, float(np.max(np.abs(blocks[i] - blocks[j]))))
-    return worst
+    """Largest max-abs difference between two normalized diagonal blocks."""
+    return float(np.max(np.ptp(normalized_hessian_blocks(system, v), axis=0)))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradient_ops import WhiteningConfig, orthogonalize
+from .gradient_ops import exact_polar
 from .matrixops import as_matrix, sample_stiefel, schatten1_norm, sym_eig
 from .optimizers import (
     OptimizerConfig,
@@ -21,7 +21,6 @@ from .optimizers import (
     gd_optimal_step,
     init_state,
     whitened_gd_optimal_step,
-    whitened_optimal_learning_rate,
 )
 from .problems import QuadraticProblem
 
@@ -211,18 +210,19 @@ def compare_blockwise(
     vs Adam (beta1=0, beta2=1) with a per-block tuned rate.
 
     ``blocks`` holds (H_l, W0_l) pairs, each H_l SPD. The shared whitened rate
-    is min_l ||H_l W_l||_* / Tr(H_l); Adam's per-block rate minimizes its own
-    measured one-step ratio by golden-section search (to 1e-6 in eta).
-    Returns one (whitened, adam) report pair per block.
+    is min_l ||H_l W_l||_* / Tr(H_l); each block's nuclear norm and polar
+    factor come from one thin SVD of its gradient. Adam's per-block rate
+    minimizes its own measured one-step ratio by golden-section search (to
+    1e-6 in eta). Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
     grads = [p.grad(w) for p, (_, w) in zip(problems, blocks)]
-    eta_global = min(whitened_optimal_learning_rate(p, g) for p, g in zip(problems, grads))
+    polars = [exact_polar(g) for g in grads]
+    eta_global = min(float(s.sum()) / float(np.trace(p.h)) for p, (_, s) in zip(problems, polars))
     out = []
-    for idx, (p, (_, w0), g) in enumerate(zip(problems, blocks, grads)):
+    for idx, (p, (_, w0), g, (polar, _)) in enumerate(zip(problems, blocks, grads, polars)):
         w0 = as_matrix(w0, "w0")
-        delta = orthogonalize(g, WhiteningConfig(mode="exact_eig"))
-        w1 = w0 - eta_global * delta
+        w1 = w0 - eta_global * polar
         white = ContractionReport(
             predicted=predict_whitened_contraction(p, w0),
             measured=p.excess_loss(w1) / p.excess_loss(w0),

@@ -371,7 +371,7 @@ def test_criterion_11_stb_hessian_block_structure():
     report(
         11,
         ok,
-        f"final state at step {traj.steps[-1]} (guard at {traj.aborted_at}); "
+        f"final state at step {traj.final_step} (guard at {traj.aborted_at}); "
         f"pairwise normalized-block max-abs difference {divergence:.2e} (<=0.05)",
     )
     assert ok

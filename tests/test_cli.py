@@ -98,7 +98,6 @@ class TestExitCodes:
             ["mlp-kl", "--lr", "nan"],
             ["stb", "--width", "0"],
             ["stb", "--steps", "0"],
-            ["stb", "--record-every", "0"],
             ["stb", "--dt", "nan"],
             ["mlp-kl", "--block", "-1"],
         ],
@@ -186,25 +185,26 @@ class TestSubcommands:
         steps, losses = read_curve_csv(tmp_path / "out" / "gd.csv")
         assert losses[-1] < losses[0]
 
-    def test_stb_summary(self, tmp_path):
-        assert (
-            run(
-                [
-                    "--out-dir",
-                    str(tmp_path),
-                    "stb",
-                    "--steps",
-                    "2000",
-                    "--context-len",
-                    "4",
-                    "--width",
-                    "5",
-                ]
-            )
-            == 0
-        )
+    @pytest.mark.parametrize(
+        "argv, aborted_at, final_step, divergence",
+        [
+            (
+                ["--context-len", "4", "--width", "5", "--steps", "2000"],
+                466,
+                465,
+                2.4989879964593914e-34,
+            ),
+            ([], 322, 321, 0.0),
+            (["--steps", "300"], None, 300, 0.6945432085030405),
+        ],
+        ids=("small", "default", "steps-300"),
+    )
+    def test_stb_summary(self, tmp_path, argv, aborted_at, final_step, divergence):
+        assert run(["--quiet", "--out-dir", str(tmp_path), "stb", *argv]) == 0
         summary = json.loads((tmp_path / "stb_summary.json").read_text())
-        assert "block_divergence" in summary
+        assert summary["aborted_at"] == aborted_at
+        assert summary["final_step"] == final_step
+        assert summary["block_divergence"] == pytest.approx(divergence, rel=1e-12, abs=0.0)
 
     def test_quadratic_and_speedup_pipeline(self, tmp_path):
         out = tmp_path / "quad"

@@ -208,6 +208,29 @@ class TestRunExperiment:
         rows = json.loads((tmp_path / "gd.json").read_text())
         assert rows[0]["step"] == 5 and "loss" in rows[0]
 
+    # the update norm of the last finite-loss step overflows, as it should
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_json_format_writes_an_overflowing_norm_as_null(self, tmp_path):
+        # H = I and lr 3 double W each step: ||update||^2 = 4.5 loss, so the
+        # last record with a finite loss has an infinite update norm
+        sgd = OptimizerDescriptor("sgd", OptimizerConfig(kind="sgd", learning_rate=3.0))
+        spec = ExperimentSpec(
+            problem=ProblemSpec(kind="quadratic", seed=0, m=4, n=4, kappa=1.0),
+            optimizers=(sgd,),
+            steps=1000,
+            record_every=1,
+            out_dir=str(tmp_path),
+            file_format="json",
+        )
+        result = run_experiment(spec)
+        last = result.trajectories["sgd"][-1]
+        assert np.isfinite(last.loss) and last.update_fro == np.inf
+        rows = json.loads((tmp_path / "sgd.json").read_text())
+        assert rows[-1]["step"] == last.step and rows[-1]["update_fro"] is None
+        assert rows[-1]["diag1"] is None and rows[-1]["loss"] == last.loss
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["optimizers"]["sgd"]["diverged_at"] == last.step + 1
+
     def test_summary_contents(self, tmp_path):
         run_experiment(quadratic_spec(out_dir=str(tmp_path)))
         summary = json.loads((tmp_path / "summary.json").read_text())

@@ -391,3 +391,23 @@ class TestConfigValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, other",
+        [
+            ("swan_step", "adam"),
+            ("adam_step", "swan"),
+            ("sgd_step", "adam"),
+            ("signed_step", "swan"),
+        ],
+    )
+    def test_public_step_rejects_a_config_of_another_kind(self, name, other):
+        steps = {
+            "swan_step": swan_step,
+            "adam_step": lambda w, g, cfg: adam_step(w, g, OptimizerState(), cfg),
+            "sgd_step": sgd_step,
+            "signed_step": signed_step,
+        }
+        w = random_matrix(2, 3, 0)
+        with pytest.raises(ValueError, match=f"{name} called with kind='{other}'"):
+            steps[name](w, w, OptimizerConfig(kind=other))

@@ -10,7 +10,6 @@ from swanopt.problems import (
     hessian_block_divergence,
     normalized_hessian_blocks,
     stb_hessian,
-    stb_hessian_blocks,
     stb_integrate,
 )
 
@@ -219,7 +218,8 @@ class TestStb:
         system = StbSystem.seeded(4, 5, seed=3, noise_std=0.5)
         a = stb_integrate(system, steps=200, seed=9)
         b = stb_integrate(system, steps=200, seed=9)
-        assert all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
+        assert a.final_step == b.final_step == 200
+        assert np.array_equal(a.final_state, b.final_state)
 
     @pytest.mark.parametrize("dt", (0.0, -1e-3, float("nan"), float("inf")))
     def test_rejects_bad_dt(self, dt):
@@ -236,7 +236,19 @@ class TestStb:
         traj = stb_integrate(system, steps=10**6)
         assert traj.aborted_at is not None
         assert np.all(np.isfinite(traj.final_state))
-        assert traj.steps[-1] == traj.aborted_at - 1
+        assert traj.final_step == traj.aborted_at - 1
+
+    @pytest.mark.parametrize("shape", ((3, 7), (1, 4), (3, 9)))
+    @pytest.mark.parametrize("fn", ("velocity", "stb_hessian", "normalized_hessian_blocks"))
+    def test_rejects_wrong_shape_state(self, fn, shape):
+        system = StbSystem.seeded(3, 4, seed=1)
+        call = {
+            "velocity": system.velocity,
+            "stb_hessian": lambda v: stb_hessian(system, v),
+            "normalized_hessian_blocks": lambda v: normalized_hessian_blocks(system, v),
+        }[fn]
+        with pytest.raises(ValueError, match=r"v must be \(3, 4\)"):
+            call(np.zeros(shape))
 
     def test_hessian_zero_state(self):
         system = StbSystem.seeded(3, 4, seed=1)
@@ -273,8 +285,23 @@ class TestStb:
         system = StbSystem.seeded(4, 3, seed=5)
         v = 0.3 * random_matrix(4, 3, 6)
         full = stb_hessian(system, v)
-        for k, block in enumerate(stb_hessian_blocks(system, v)):
-            assert np.array_equal(full[k * 4 : (k + 1) * 4, k * 4 : (k + 1) * 4], block)
+        rows = normalized_hessian_blocks(system, v)
+        assert rows.shape == (3, 4)
+        for k, row in enumerate(rows):
+            diag = np.diag(full[k * 4 : (k + 1) * 4, k * 4 : (k + 1) * 4])
+            np.testing.assert_allclose(row, diag / diag.sum(), rtol=1e-12)
+
+    def test_normalized_blocks_reject_a_zero_block(self):
+        system = StbSystem.seeded(3, 4, seed=1)
+        v = random_matrix(3, 4, 2)
+        v[:, 2] = 0.0
+        with pytest.raises(ValueError, match="block 2 is identically zero"):
+            normalized_hessian_blocks(system, v)
+
+    def test_normalized_blocks_reject_a_zero_sum(self):
+        system = StbSystem(mu=np.array([[1.0], [-1.0]]), v0=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="block 0 sums to zero"):
+            normalized_hessian_blocks(system, np.ones((2, 1)))
 
     def test_normalized_blocks_sum_to_one(self):
         system = StbSystem.seeded(5, 4, seed=2)
