@@ -11,6 +11,7 @@ matrix onto a computed update direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,10 @@ _MODES = ("newton_schulz", "exact_eig")
 _UPDATE_ORDERS = ("chained", "paired")
 
 # Gram matrices with at least this many rows run Newton-Schulz on their
-# spectrum. Matrix-loop time over spectral time (float64, k = 10 chained,
-# OpenBLAS 0.3.31 on 1 thread of a Xeon): 0.67 at m = 50, 0.74 at 64, 1.00
-# at 96, 1.5 at 128, 2.6 at 256 and 3.5 at 512. The threshold sits above the
-# break-even at 96 so that the spectral path is only taken where it clearly wins.
+# spectrum. Matrix-loop time (28 products) over spectral time (float64,
+# k = 10 chained, OpenBLAS 0.3.31 on 1 thread of a Xeon): 0.6 at m = 50, 0.68
+# at 64, 0.88 at 96, 1.5 at 128 and 2.4 at 256. The break-even lies between 96
+# and 128; moving the threshold changes the bits of the blocks it moves.
 _SPECTRAL_MIN_ROWS = 128
 
 
@@ -68,9 +69,9 @@ class WhiteningConfig:
     G G^T inside (0, 1], where the iteration is well behaved.
 
     ``update_order`` selects how the coupled Y/Z recursions advance (both
-    track Z and P = Z Y, as m x m products below 128 rows and on the
-    eigenvalues of G G^T from 128 rows on, see
-    :func:`newton_schulz_inverse_sqrt`):
+    track Z and P = Z Y, as m x m products below 128 rows, 3k - 2 of them
+    chained and 3k - 3 paired for k iterations, and on the eigenvalues of
+    G G^T from 128 rows on, see :func:`newton_schulz_inverse_sqrt`):
 
     * ``"chained"``: Y is overwritten first and the Z update reads the new Y
       (the two assignments executed in order). At step_size 0.8 this contracts
@@ -107,14 +108,18 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     statistics. A zero-variance row with ``epsilon == 0`` is rejected with the
     offending row index; with a positive epsilon such a row maps to zeros.
     """
-    g = as_matrix(g, "g")
+    return _grad_norm(as_matrix(g, "g"), cfg)
+
+
+def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
+    """:func:`grad_norm` of a checked matrix ``g``, into a new array."""
     n = g.shape[1]
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
     if n < 1:
         raise ValueError("grad_norm needs at least one column")
-    c = g - g.mean(axis=1, keepdims=True) if cfg.subtract_mean else g.copy()
-    std = np.sqrt(np.mean(c * c, axis=1, keepdims=True))
+    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g.copy()
+    std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
     if cfg.epsilon == 0.0:
         dead = np.flatnonzero(std.ravel() == 0.0)
         if dead.size:
@@ -157,8 +162,9 @@ def newton_schulz_inverse_sqrt(
     ``a`` is a Gram matrix (symmetric positive semidefinite). The recursion is
     evaluated one of two ways, picked by the size of ``a``:
 
-    * below 128 rows, on matrices: 3 m x m products per iteration (2 while
-      Z = I), in four reused m x m buffers; ``a`` is not copied.
+    * below 128 rows, on matrices: 3k - 2 m x m products chained and 3k - 3
+      paired (Z_1 is T_1 or S_1 itself; the last P, and paired its P T, are
+      not read), in four reused m x m buffers; ``a`` is not copied.
     * from 128 rows on, on the spectrum. Z is a polynomial f_k(a), so one
       ``eigh`` of ``a`` (which reads its lower triangle) gives
       Z = V f_k(lambda) V^T, with the same recursion run elementwise on the
@@ -168,11 +174,15 @@ def newton_schulz_inverse_sqrt(
       loop to round-off (within 2e-11 relative on the tested cases at m = 128).
     """
     a = as_matrix(a, "a")
-    m = a.shape[0]
-    if a.shape[1] != m:
+    if a.shape[1] != a.shape[0]:
         raise ValueError("newton_schulz_inverse_sqrt needs a square matrix")
-    if m < _SPECTRAL_MIN_ROWS:
-        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
+    return _ns_inverse_sqrt(a, iterations, step_size, update_order)
+
+
+def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order) -> np.ndarray:
+    """:func:`newton_schulz_inverse_sqrt` of a checked square matrix ``a``."""
+    if len(a) < _SPECTRAL_MIN_ROWS:
+        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, len(a) + 1)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
     z = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
@@ -185,29 +195,34 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
     ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
     identity's diagonal every ``stride = m + 1`` flat entries, or its
     eigenvalues, with ``product=np.multiply`` and ``stride=1``. ``p0`` is
-    not written.
+    not written; T and S share one buffer, shifted through one diagonal view.
     """
+    t = np.empty(p0.shape)  # T, then S when chained
+    diag = t.reshape(-1)[::stride]
+    chained = update_order == "chained"
 
-    def shifted(x, out):
-        """b (3I - x), with 3b added on the diagonal (no identity matrix)."""
-        out = np.multiply(x, -step_size, out=out)
-        out.flat[::stride] += 3.0 * step_size
-        return out
+    def shift(x):  # b (3I - x) into t: 3b is added on the diagonal (no identity matrix)
+        np.multiply(x, -step_size, out=t)
+        np.add(diag, 3.0 * step_size, out=diag)
 
-    p, z, t, u = p0, None, None, None
-    for _ in range(iterations):
-        t = shifted(p, t)  # T
-        u = product(p, t, out=u)  # P T, which is Q = Z Y' when chained
-        if update_order == "chained":
-            shifted(u, t)  # S takes T's buffer
-        p = product(t, u, out=None if p is p0 else p)  # T (P T) or S Q
-        if z is None:  # Z = I: the new Z is T or S itself
-            z, t, u = t, u, None
+    p, z, u = p0, None, None
+    for i in range(1, iterations + 1):
+        last = i == iterations
+        shift(p)  # T
+        if chained or not last:  # paired, P T only feeds the next P
+            u = product(p, t, out=u)  # P T, which is Q = Z Y' when chained
+        if chained:
+            shift(u)  # S
+        if not last:
+            p = product(t, u, out=None if p is p0 else p)  # T (P T) or S Q
+        if z is None:  # Z = I: the new Z is a copy of T or S
+            z = t.copy()
         else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
             z, u = product(t, z, out=u), z
-    if z is None:
-        z = np.zeros_like(p0)
-        z.flat[::stride] = 1.0
+    if z is None:  # no iterations: Z = I
+        t.fill(0.0)
+        diag.fill(1.0)
+        z = t
     return z
 
 
@@ -220,13 +235,11 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
     ``g``. The Gram matrix and the loop's buffers are freed before ``Z @ g``
     is formed, so beside ``g`` the product needs one fresh m x n buffer and Z.
     """
-    scale = float(np.linalg.norm(g))
+    scale = _fro(g)
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     gn = np.divide(g, scale, out=g if overwrite else None)
-    z = newton_schulz_inverse_sqrt(
-        gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order
-    )
+    z = _ns_inverse_sqrt(gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order)
     return z @ gn, scale
 
 
@@ -262,9 +275,15 @@ def orthogonalize(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     return grad_whitening(g, cfg)
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm of ``x``: the bits of ``np.linalg.norm(x)``, at less call overhead."""
+    f = x.ravel(order="K")  # a view in memory order, also for a transposed ``x``
+    return math.sqrt(f @ f)
+
+
 def _rescale(delta: np.ndarray, target_norm: float, out=None) -> np.ndarray:
     """``delta`` scaled to Frobenius norm ``target_norm``, into ``out`` if given."""
-    norm = float(np.linalg.norm(delta))
+    norm = _fro(delta)
     if norm == 0.0:
         raise ValueError("rescale_update: zero-norm delta has no direction")
     return np.multiply(delta, target_norm / norm, out=out)
@@ -274,4 +293,4 @@ def rescale_update(delta, reference) -> np.ndarray:
     """Scale ``delta`` so its Frobenius norm matches that of ``reference``."""
     delta = as_matrix(delta, "delta")
     reference = as_matrix(reference, "reference")
-    return _rescale(delta, float(np.linalg.norm(reference)))
+    return _rescale(delta, _fro(reference))

@@ -274,17 +274,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             ):
                 steps_to_threshold = t
             if t % spec.record_every == 0 or t == spec.steps:
-                records.append(
-                    TrajectoryRecord(
-                        step=t,
-                        loss=loss,
-                        loss_minus_opt=excess,
-                        grad_fro=float(np.linalg.norm(g)),
-                        update_fro=float(np.linalg.norm(w_next - w)),
-                        eta=eta,
-                        diag1=info,
+                with np.errstate(over="ignore", invalid="ignore"):  # a norm may overflow
+                    records.append(
+                        TrajectoryRecord(
+                            step=t,
+                            loss=loss,
+                            loss_minus_opt=excess,
+                            grad_fro=float(np.linalg.norm(g)),
+                            update_fro=float(np.linalg.norm(w_next - w)),
+                            eta=eta,
+                            diag1=info,
+                        )
                     )
-                )
             w, g = w_next, g_next
         trajectories[desc.name] = records
         rows[desc.name] = {

@@ -27,10 +27,11 @@ import numpy as np
 from .gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
+    _fro,
+    _grad_norm,
     _ns_whiten,
     _rescale,
     exact_polar,
-    grad_norm,
 )
 from .matrixops import as_matrix, schatten1_norm
 from .problems import QuadraticProblem
@@ -160,12 +161,12 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
     stepped transposed."""
     if w.shape[0] > w.shape[1]:
         return _swan(w.T, g.T, cfg, lr).T
-    g_tilde = g if cfg.ablation == "whiten_only" else grad_norm(g, cfg.grad_norm_cfg)
+    g_tilde = g if cfg.ablation == "whiten_only" else _grad_norm(g, cfg.grad_norm_cfg)
     if cfg.ablation == "norm_only":
         delta = g_tilde
     else:
         if cfg.whitening_cfg.mode == "exact_eig":
-            delta, scale = exact_polar(g_tilde)[0], float(np.linalg.norm(g_tilde))
+            delta, scale = exact_polar(g_tilde)[0], _fro(g_tilde)
         else:
             delta, scale = _ns_whiten(g_tilde, cfg.whitening_cfg, overwrite=g_tilde is not g)
         if cfg.swan_rescale:

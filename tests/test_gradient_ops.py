@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from swanopt.gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
+    _ns_recursion,
     grad_norm,
     grad_whitening,
     newton_schulz_inverse_sqrt,
@@ -75,6 +77,13 @@ class TestGradNorm:
     def test_needs_two_columns_with_mean(self):
         with pytest.raises(ValueError, match="2 columns"):
             grad_norm(np.ones((3, 1)), NOEPS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        g = random_matrix(3, 5, 0)
+        g[1, 2] = bad
+        with pytest.raises(ValueError, match="g contains non-finite entries"):
+            grad_norm(g)
 
     def test_rms_mode(self):
         g = np.array([[3.0, -4.0]])
@@ -220,6 +229,36 @@ class TestGradWhitening:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * m * m * 8 + 2048
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("order, unread", [("chained", 2), ("paired", 3)])
+    def test_newton_schulz_product_count(self, order, unread, k):
+        # 3 products per iteration less the unread ones: Z_1 is T_1 (or S_1)
+        # itself, the last P is not read, nor (paired) the last P T
+        g = conditioned_gradient(3, m=8, n=16)
+        a = g @ g.T
+        for p0, product, stride in ((a, np.matmul, 9), (np.linalg.eigvalsh(a), np.multiply, 1)):
+            p0.flags.writeable = False  # any write to p0 raises
+            calls = []
+
+            def counting(x, y, out=None):
+                calls.append(1)
+                return product(x, y, out=out)
+
+            _ns_recursion(p0, k, 0.8, order, counting, stride)
+            assert len(calls) == 3 * k - unread
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.ones((2, 3)), "newton_schulz_inverse_sqrt needs a square matrix"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "a contains non-finite entries"),
+            (np.ones(3), "a must be 2-D, got ndim=1"),
+        ],
+    )
+    def test_newton_schulz_rejects_bad_input(self, a, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            newton_schulz_inverse_sqrt(a, 10, 0.8)
 
     def test_chained_defaults_bounded_and_improving(self):
         for seed in range(5):
