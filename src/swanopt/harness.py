@@ -4,8 +4,9 @@ An :class:`ExperimentSpec` names a problem, a list of optimizers, a step
 budget and output settings; :func:`run_experiment` executes every optimizer
 from one shared seeded initialization, records a trajectory per optimizer,
 and (when an output directory is set) writes one CSV/JSON file per optimizer
-plus a JSON summary. Identical spec and seed produce byte-identical files.
-An optimizer whose loss turns non-finite, or whose step or loss raises a
+plus a JSON summary. Identical spec, seed and BLAS thread count produce
+byte-identical files (the thread count can change whitening's bits). An
+optimizer whose loss turns non-finite, or whose step or loss raises a
 ``ValueError``, is stopped and flagged as diverged; the others run on.
 
 Every step comes from the one step table, :func:`swanopt.optimizers.make_step`.

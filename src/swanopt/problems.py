@@ -91,7 +91,8 @@ class QuadraticProblem:
 
     def grad(self, w) -> np.ndarray:
         w = as_matrix(w, "w", self.shape)
-        return self.h @ w - self.c
+        hw = self.h @ w
+        return np.subtract(hw, self.c, out=hw)
 
     def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
         """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one
@@ -99,7 +100,8 @@ class QuadraticProblem:
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             hw = self.h @ w
-            return self._loss(w, hw), hw - self.c
+            loss = self._loss(w, hw)
+            return loss, np.subtract(hw, self.c, out=hw)
 
     def _loss(self, w, hw) -> float:
         return float(np.vdot(w, 0.5 * hw - self.c))
@@ -231,7 +233,7 @@ class MlpProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             out, acts = self._forward(weights, x)
             diff = out - y
-            loss = 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+            loss = 0.5 * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / x.shape[0])
             grads: list[np.ndarray] = [np.empty(0)] * len(weights)
             delta = diff / x.shape[0]
             for i in reversed(range(len(weights))):

@@ -14,12 +14,14 @@ from swanopt.matrixops import make_spd, random_matrix, sample_stiefel, schatten1
 from swanopt.optimizers import (
     ABLATIONS,
     STATELESS_KINDS,
+    _BLOCK,
     OptimizerConfig,
     OptimizerState,
     adam_step,
     gd_optimal_step,
     init_state,
     linear_warmup_decay,
+    make_step,
     moment_buffer_count,
     newton_step,
     sgd_step,
@@ -251,6 +253,67 @@ class TestAdamStep:
         st0 = init_state(cfg, w.shape)
         adam_step(w, g, st0, cfg)
         assert np.array_equal(st0.first_moment, np.zeros((2, 2)))
+
+
+def _adam_oracle(w, g, step, m, nu, cfg, lr):
+    """Adam's step as whole-array expressions: (w_new, m, nu)."""
+    t = step + 1
+    m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
+    if cfg.adam_beta2 == 1.0:
+        nu = g * g if step == 0 else nu
+        nu_hat = nu
+    else:
+        nu = cfg.adam_beta2 * nu + (1.0 - cfg.adam_beta2) * g * g
+        nu_hat = nu / (1.0 - cfg.adam_beta2**t)
+    m_hat = m / (1.0 - cfg.adam_beta1**t)
+    w_new = w - lr * m_hat / (np.sqrt(nu_hat) + cfg.adam_epsilon)
+    return w_new, m, nu
+
+
+# one block; several with a ragged last one (46-row blocks); one row per block
+ADAM_SHAPES = [(1, 7), (3, 1), (50, 50), (64, 8), (100, 700), (7, 40000), (512, 2048)]
+
+
+@pytest.mark.parametrize("step", [0, 4])
+@pytest.mark.parametrize("betas", [(0.9, 0.999), (0.0, 1.0), (0.9, 1.0), (0.5, 0.0)])
+@pytest.mark.parametrize("shape", ADAM_SHAPES, ids=str)
+def test_adam_matches_whole_array_expressions_and_is_pure(shape, betas, step):
+    cfg = OptimizerConfig(
+        kind="adam", learning_rate=0.013, adam_beta1=betas[0], adam_beta2=betas[1]
+    )
+    w, g = random_matrix(*shape, 0), 7.0 * random_matrix(*shape, 1)
+    m = random_matrix(*shape, 2)
+    nu = np.abs(random_matrix(*shape, 3)) if step else np.zeros(shape)
+    inputs = (w, g, m, nu)
+    saved = [a.tobytes() for a in inputs]
+    want = _adam_oracle(w, g, step, m, nu, cfg, cfg.learning_rate)
+    state = OptimizerState(step=step, first_moment=m, second_moment=nu)
+    public = adam_step(w, g, state, cfg)
+    table = make_step(cfg, None)(w, g, state, cfg.learning_rate)
+    for w_new, st in (public, table[:2]):
+        got = (w_new, st.first_moment, st.second_moment)
+        assert st.step == step + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        keeps_nu = betas[1] == 1.0 and step > 0
+        assert (got[2] is nu) == keeps_nu
+        for out in got[: 2 if keeps_nu else 3]:
+            assert not any(np.shares_memory(out, a) for a in inputs)
+    assert [a.tobytes() for a in inputs] == saved
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (256, 1024), (1024, 128)])
+def test_adam_step_memory_is_three_outputs_plus_one_block(shape):
+    # the returned m', nu' and weights, plus one row block of scratch (the
+    # whole matrix when it fits in one block), with 4 KB for small temporaries
+    cfg = OptimizerConfig(kind="adam", learning_rate=0.1)
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    state = OptimizerState(
+        step=1, first_moment=random_matrix(*shape, 2), second_moment=np.ones(shape)
+    )
+    peak = _warm_peak_bytes(lambda w, g, cfg: adam_step(w, g, state, cfg), w, g, cfg)
+    m, n = shape
+    rows = m if m * n <= _BLOCK else max(1, _BLOCK // n)
+    assert peak <= 3 * m * n * 8 + rows * n * 8 + 4096
 
 
 class TestSimpleSteps:
