@@ -129,10 +129,11 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
     return np.divide(c, std + cfg.epsilon, out=c)
 
 
-def exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal polar factor U V^T of ``g`` and its singular values (descending),
-    from one thin SVD. All-zero and rank-deficient input are rejected."""
-    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    from one thin SVD. ``g`` must be a finite matrix (LAPACK's SVD does not
+    return on +inf); all-zero and rank-deficient input are rejected."""
+    u, s, vt = np.linalg.svd(as_matrix(g, "g"), full_matrices=False)
     if s[0] == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     if s[-1] <= 1e-12 * s[0]:

@@ -175,8 +175,10 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not text or not text[0].startswith("step,"):
         raise ConfigError(f"{path} is not a trajectory CSV")
     steps, losses = [], []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         parts = line.split(",")
+        if len(parts) < 2:
+            raise ConfigError(f"{path} line {lineno}: expected step and loss cells, got {line!r}")
         steps.append(float(parts[0]))
         losses.append(float(parts[1]))
     return np.array(steps), np.array(losses)
@@ -184,19 +186,8 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def spec_hash(spec: ExperimentSpec) -> str:
     """Hash of the scientific configuration; output location/format excluded."""
-
-    def encode(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {
-                k: encode(getattr(obj, k))
-                for k in sorted(obj.__dataclass_fields__)
-                if k not in ("out_dir", "file_format")
-            }
-        if isinstance(obj, (tuple, list)):
-            return [encode(v) for v in obj]
-        return obj
-
-    payload = json.dumps(encode(spec), sort_keys=True)
+    science = {k: v for k, v in asdict(spec).items() if k not in ("out_dir", "file_format")}
+    payload = json.dumps(science, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -7,9 +7,9 @@ the point of the exercise.
 
 :func:`make_step` is the one step table: for every kind in :data:`KINDS` it
 returns ``step(w, g, state, lr) -> (w_next, state, eta, info)``, the form the
-harness runs. Its SWAN, SGD, sign and Adam entries take the rate as ``lr``
-and trust their arrays, which the harness owns and has checked; the public
-:func:`swan_step`, :func:`adam_step`, :func:`sgd_step` and
+harness runs. Its entries trust their arrays, which the harness owns and
+has checked; the SWAN, SGD, sign and Adam entries take the rate as ``lr``.
+The public :func:`swan_step`, :func:`adam_step`, :func:`sgd_step` and
 :func:`signed_step` check their inputs, then call the same bodies. The
 curvature kinds read their constants (the spectrum, W*, Tr H) from the
 :class:`~swanopt.problems.QuadraticProblem` they are built for. The public
@@ -259,7 +259,9 @@ def sgd_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
 
 
 def _sgd(w: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
-    return w - lr * g
+    """w - lr g in one new buffer; ``w`` and ``g`` are not written."""
+    s = np.multiply(g, lr)
+    return np.subtract(w, s, out=s)
 
 
 def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
@@ -269,7 +271,9 @@ def signed_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
 
 
 def _signed(w: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
-    return w - lr * np.sign(g)
+    """w - lr sign(g) in one new buffer; ``w`` and ``g`` are not written."""
+    s = np.sign(g)
+    return np.subtract(w, np.multiply(s, lr, out=s), out=s)
 
 
 _NAN = float("nan")
@@ -280,19 +284,20 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
 
     ``lr`` is the rate of this step (it overrides ``cfg.learning_rate``) and
     ``eta`` the rate actually applied: the GD-optimal and whitened kinds set
-    their own. The SWAN, SGD, sign and Adam entries pass ``lr`` straight to
-    the bodies of the public steps and check nothing: ``w`` and ``g`` must be
-    finite float64 arrays of one shape, and ``state`` must come from
-    :func:`init_state` or an earlier step, as in the harness, which owns them.
-    The curvature kinds need a quadratic ``problem`` (this is the
-    one place that rejects any other) and ``g`` its gradient at ``w``; they
-    read its closed forms: ``gd_optimal`` its spectrum, ``newton`` W* (it
-    steps to W* + (1 - lr)(w - W*), so lr = 1 lands on W* exactly),
-    ``whitened_gd_optimal`` Tr H. ``info`` is NaN except for
-    ``whitened_gd_optimal`` on a problem with C = 0, the only form for which
-    it holds: there it is the closed-form one-step loss contraction
-    1 - ||g||_*^2 / (<w, g> Tr H). The whitened step takes the polar factor
-    and ||g||_* from one thin SVD.
+    their own. Every entry trusts its arrays: ``w`` and ``g`` must be finite
+    float64 arrays of one shape, and ``state`` must come from
+    :func:`init_state` or an earlier step, as in the harness, which owns and
+    has checked them. The SWAN, SGD, sign and Adam entries pass ``lr``
+    straight to the bodies of the public steps. The curvature kinds need a
+    quadratic ``problem`` (this is the one place that rejects any other) and
+    ``g`` its gradient at ``w``; they read its closed forms: ``gd_optimal``
+    its spectrum, ``newton`` W* (it steps to W* + (1 - lr)(w - W*), so lr = 1
+    lands on W* exactly), ``whitened_gd_optimal`` Tr H. ``info`` is NaN
+    except for ``whitened_gd_optimal`` on a problem with C = 0, the only form
+    for which it holds: there it is the closed-form one-step loss contraction
+    1 - ||g||_*^2 / (<w, g> Tr H). The whitened step takes the polar factor,
+    ||g||_* and its rate from one thin SVD (:func:`_whitened`), whose
+    :func:`~swanopt.gradient_ops.exact_polar` still checks ``g``.
     """
     kind = cfg.kind
     if kind == "swan":
@@ -314,7 +319,7 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
         raise ValueError(f"{kind} steps need a quadratic problem and its Hessian")
     if kind == "gd_optimal":
         eta = 2.0 / (problem.eigenvalues[0] + problem.eigenvalues[-1])
-        return lambda w, g, state, lr: (w - eta * g, state, eta, _NAN)
+        return lambda w, g, state, lr: (_sgd(w, g, eta), state, eta, _NAN)
     if kind == "newton":
         w_star = problem.w_star
         return lambda w, g, state, lr: (w_star + (1.0 - lr) * (w - w_star), state, lr, _NAN)
@@ -322,15 +327,20 @@ def make_step(cfg: OptimizerConfig, problem) -> Callable:
     predicts = not np.any(problem.c)
 
     def whitened(w, g, state, lr):
-        g = as_matrix(g, "g")
-        w = as_matrix(w, "w", g.shape)
-        polar, s = exact_polar(g)
-        nuclear = s.sum()
-        eta = float(nuclear) / trace_h
+        polar, nuclear, eta = _whitened(g, trace_h)
         info = float(1.0 - nuclear * nuclear / (np.vdot(w, g) * trace_h)) if predicts else _NAN
-        return w - eta * polar, state, eta, info
+        return _sgd(w, polar, eta), state, eta, info
 
     return whitened
+
+
+def _whitened(g, trace_h: float) -> tuple[np.ndarray, float, float]:
+    """Whitened descent's direction and rate on a quadratic with trace ``trace_h``:
+    the polar factor of ``g``, ||g||_* and the rate ||g||_* / Tr H, from one
+    :func:`~swanopt.gradient_ops.exact_polar` (which checks ``g``)."""
+    polar, s = exact_polar(g)
+    nuclear = float(s.sum())
+    return polar, nuclear, nuclear / trace_h
 
 
 def _quadratic_step(kind: str, w, problem: QuadraticProblem, lr: float = 1.0) -> np.ndarray:

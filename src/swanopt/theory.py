@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradient_ops import exact_polar
-from .matrixops import as_matrix, sample_stiefel, schatten1_norm, sym_eig
+from .matrixops import as_matrix, sample_stiefel, schatten1_norm
 from .optimizers import (
     OptimizerConfig,
+    _whitened,
     adam_step,
     gd_optimal_step,
     init_state,
@@ -51,14 +51,21 @@ class ContractionReport:
         return abs(self.predicted - self.measured)
 
 
-def predict_whitened_contraction(problem: QuadraticProblem, w) -> float:
-    """Closed-form one-step loss contraction of whitened descent at its
-    optimal dynamic rate: 1 - ||H z||_*^2 / (Tr(z^T H z) Tr(H)), z = w - W*."""
+def _offset(problem: QuadraticProblem, w, what: str) -> tuple[np.ndarray, float]:
+    """H z and Tr(z^T H z) for z = w - W*; at the optimum, where the latter is 0,
+    ``what`` says which quantity is then undefined."""
     z = as_matrix(w, "w", problem.shape) - problem.w_star
     hz = problem.h @ z
     q = float(np.vdot(z, hz))
     if q == 0.0:
-        raise ValueError("w equals the optimum; contraction is 0/0")
+        raise ValueError(f"w equals the optimum; {what}")
+    return hz, q
+
+
+def predict_whitened_contraction(problem: QuadraticProblem, w) -> float:
+    """Closed-form one-step loss contraction of whitened descent at its
+    optimal dynamic rate: 1 - ||H z||_*^2 / (Tr(z^T H z) Tr(H)), z = w - W*."""
+    hz, q = _offset(problem, w, "contraction is 0/0")
     s = schatten1_norm(hz)
     return 1.0 - s * s / (q * float(np.trace(problem.h)))
 
@@ -104,22 +111,17 @@ def predict_adam_bound(problem: QuadraticProblem, w0) -> float:
     lo, hi = np.inf, 0.0
     for j in range(g0.shape[1]):
         root = 1.0 / np.sqrt(np.abs(g0[:, j]))
-        sym = (problem.h * root[None, :]) * root[:, None]
-        vals = sym_eig(sym).eigenvalues
-        hi = max(hi, vals[0])
-        lo = min(lo, vals[-1])
+        vals = np.linalg.eigvalsh((problem.h * root[None, :]) * root[:, None])
+        hi = max(hi, vals[-1])
+        lo = min(lo, vals[0])
     return predict_gd_bound(hi / lo)
 
 
 def robustness_q(problem: QuadraticProblem, w) -> float:
     """Q = Tr(H z)^2 / (Tr(z^T H z) Tr(H)) with z = w - W*; square z only."""
-    z = as_matrix(w, "w", problem.shape) - problem.w_star
-    if z.shape[0] != z.shape[1]:
+    if problem.shape[0] != problem.shape[1]:
         raise ValueError("robustness_q needs a square parameter matrix")
-    hz = problem.h @ z
-    q = float(np.vdot(z, hz))
-    if q == 0.0:
-        raise ValueError("w equals the optimum; Q is undefined")
+    hz, q = _offset(problem, w, "Q is undefined")
     tr_hz = float(np.trace(hz))
     return tr_hz**2 / (q * float(np.trace(problem.h)))
 
@@ -191,55 +193,44 @@ def tune_learning_rate(
     return eta, val
 
 
-def _adam_one_step_factor(problem: QuadraticProblem, w0, eta: float) -> float:
-    cfg = OptimizerConfig(
-        kind="adam",
-        learning_rate=eta,
-        adam_beta1=0.0,
-        adam_beta2=1.0,
-        adam_epsilon=1e-300,
-    )
-    w1, _ = adam_step(w0, problem.grad(w0), init_state(cfg, problem.shape), cfg)
-    return problem.excess_loss(w1) / problem.excess_loss(w0)
-
-
 def compare_blockwise(
     blocks: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> list[tuple[ContractionReport, ContractionReport]]:
     """Per-block one-step contraction: whitened descent with one shared rate
-    vs Adam (beta1=0, beta2=1) with a per-block tuned rate.
+    vs Adam (beta1=0, beta2=1) at its best per-block rate.
 
     ``blocks`` holds (H_l, W0_l) pairs, each H_l SPD. The shared whitened rate
-    is min_l ||H_l W_l||_* / Tr(H_l); each block's nuclear norm and polar
-    factor come from one thin SVD of its gradient. Adam's per-block rate
-    minimizes its own measured one-step ratio by golden-section search (to
-    1e-6 in eta). Returns one (whitened, adam) report pair per block.
+    is min_l ||H_l W_l||_* / Tr(H_l); each block's polar factor and rate come
+    from one thin SVD of its gradient g. Adam's first step at beta1=0, beta2=1
+    is eta sign(g), so its one-step ratio is a parabola in eta; its rate is the
+    vertex sum|g| / <sign g, H sign g>, and one ``adam_step`` measures the
+    factor there. Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
     grads = [p.grad(w) for p, (_, w) in zip(problems, blocks)]
-    polars = [exact_polar(g) for g in grads]
-    eta_global = min(float(s.sum()) / float(np.trace(p.h)) for p, (_, s) in zip(problems, polars))
+    whitened = [_whitened(g, float(np.trace(p.h))) for p, g in zip(problems, grads)]
+    eta_global = min(eta for _, _, eta in whitened)
     out = []
-    for idx, (p, (_, w0), g, (polar, _)) in enumerate(zip(problems, blocks, grads, polars)):
-        w0 = as_matrix(w0, "w0")
-        w1 = w0 - eta_global * polar
+    for idx, (p, (_, w0), g, (polar, _, _)) in enumerate(zip(problems, blocks, grads, whitened)):
+        before = p.excess_loss(w0)
         white = ContractionReport(
             predicted=predict_whitened_contraction(p, w0),
-            measured=p.excess_loss(w1) / p.excess_loss(w0),
+            measured=p.excess_loss(w0 - eta_global * polar) / before,
             context=f"block {idx} whitened, shared eta={eta_global:.6g}",
         )
-        # the measured ratio is an exact parabola in eta; bracket its vertex
-        direction = g / np.abs(g)
-        vertex = float(np.sum(np.abs(g)) / np.vdot(direction, p.h @ direction))
-        eta_adam = golden_section(
-            lambda e: _adam_one_step_factor(p, w0, e),
-            vertex / 100.0,
-            vertex * 100.0,
-            tol=1e-6,
+        direction = np.sign(g)
+        eta_adam = float(np.sum(np.abs(g)) / np.vdot(direction, p.h @ direction))
+        cfg = OptimizerConfig(
+            kind="adam",
+            learning_rate=eta_adam,
+            adam_beta1=0.0,
+            adam_beta2=1.0,
+            adam_epsilon=1e-300,
         )
+        w1, _ = adam_step(w0, g, init_state(cfg, p.shape), cfg)
         adam = ContractionReport(
             predicted=predict_adam_bound(p, w0),
-            measured=_adam_one_step_factor(p, w0, eta_adam),
+            measured=p.excess_loss(w1) / before,
             context=f"block {idx} adam, tuned eta={eta_adam:.6g}",
         )
         out.append((white, adam))

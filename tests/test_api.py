@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,3 +93,18 @@ def test_package_exports_resolve():
         source = importlib.import_module(f"swanopt.{module}")
         assert hasattr(swanopt, name), name
         assert name in source.__all__, f"{name} is not public in swanopt.{module}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(swanopt.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_imports_only_stdlib_and_numpy(path):
+    # scipy and pytest-benchmark may be installed, but the library must not need them
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    allowed = set(sys.stdlib_module_names) | {"numpy", "swanopt"}
+    assert imported <= allowed, sorted(imported - allowed)

@@ -131,6 +131,14 @@ class TestExitCodes:
         assert run(argv) == 1
         assert "config error: g contains non-finite entries" in capsys.readouterr().err
 
+    def test_short_row_in_a_curve_is_a_config_error(self, tmp_path, capsys):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text("step,loss\n0,3.0\n10,2.0\n")
+        bad.write_text("step,loss\n0,3.0\n10\n")
+        assert run(["--out-dir", str(tmp_path / "out"), "speedup", str(ok), str(bad)]) == 1
+        assert f"config error: {bad} line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "speedup", "/no/such.csv", "/none.csv"]) == 2
 

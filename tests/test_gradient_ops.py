@@ -10,6 +10,7 @@ from swanopt.gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
     _ns_recursion,
+    exact_polar,
     grad_norm,
     grad_whitening,
     newton_schulz_inverse_sqrt,
@@ -146,6 +147,22 @@ class TestGradWhitening:
         g = np.vstack([v, 2 * v, random_matrix(1, 6, 1)])
         with pytest.raises(ValueError, match="singular value"):
             grad_whitening(g, EXACT)
+
+    @pytest.mark.parametrize(
+        "g, match",
+        [
+            (np.array([[np.inf, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 1.0, 2.0]]),
+             "non-finite"),
+            (np.array([[np.nan, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 1.0, 2.0]]),
+             "non-finite"),
+            (np.ones(4), "2-D"),
+        ],
+        ids=["inf", "nan", "1d"],
+    )
+    def test_exact_polar_checks_its_input(self, g, match):
+        # LAPACK's SVD does not return on a matrix holding +inf
+        with pytest.raises(ValueError, match=f"g .*{match}"):
+            exact_polar(g)
 
     def test_newton_schulz_tolerates_rank_deficiency(self):
         v = random_matrix(1, 6, 0)

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from swanopt.gradient_ops import WhiteningConfig
+from swanopt.gradient_ops import GradNormConfig, WhiteningConfig
 from swanopt.harness import (
     CSV_HEADER,
     ConfigError,
@@ -14,6 +14,7 @@ from swanopt.harness import (
     parse_config,
     read_curve_csv,
     run_experiment,
+    spec_hash,
     write_csv,
 )
 from swanopt.optimizers import KINDS, OptimizerConfig
@@ -237,6 +238,25 @@ class TestRunExperiment:
         assert summary["seed"] == 1
         assert len(summary["config_hash"]) == 16
         assert set(summary["optimizers"]) == {"gd", "adam"}
+
+    def test_config_hash_is_pinned(self):
+        # every scientific field of a fixed spec, nested configs included, feeds
+        # the hash; its value is pinned so that old run directories stay comparable
+        swan = OptimizerConfig(
+            kind="swan",
+            learning_rate=0.02,
+            grad_norm_cfg=GradNormConfig(epsilon=1e-6, subtract_mean=False),
+            whitening_cfg=WhiteningConfig(mode="exact_eig"),
+        )
+        optimizers = (
+            OptimizerDescriptor("a", swan, schedule="linear_decay", warmup_fraction=0.1),
+            OptimizerDescriptor("b", OptimizerConfig(kind="adam", adam_beta2=0.99), True),
+        )
+        problem = ProblemSpec("quadratic", seed=4, m=11, n=6, kappa=50.0, c_scale=0.7)
+        spec = ExperimentSpec(problem, optimizers, 77, 3, 5, 1e-3, "x", "json")
+        assert spec_hash(spec) == "8de6a01f00102027"
+        assert spec_hash(ExperimentSpec(problem, optimizers, 77, 3, 5, 1e-3)) == spec_hash(spec)
+        assert spec_hash(ExperimentSpec(problem, optimizers, 77, 3, 6, 1e-3)) != spec_hash(spec)
 
 
 GOOD_CONFIG = """

@@ -178,15 +178,28 @@ def _warm_peak_bytes(step, w, g, cfg) -> int:
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape):
-    # SWAN's working set is SGD's two m x n buffers plus the min(m, n)^2 Gram
-    # and Newton-Schulz buffers (five at most), with 4 KB for small temporaries;
+    # SWAN's working set is two m x n buffers plus the min(m, n)^2 Gram and
+    # Newton-Schulz buffers (five at most), with 4 KB for small temporaries;
     # from 128 rows, the Gram matrix, eigh's eigenvectors, their scaled copy and Z
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
-    sgd = _warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = _warm_peak_bytes(swan_step, w, g, cfg)
-    k = min(shape)
-    assert swan <= sgd + 5 * k * k * 8 + 4096
+    (m, n), k = shape, min(shape)
+    assert swan <= 2 * m * n * 8 + 5 * k * k * 8 + 4096
+
+
+@pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])
+@pytest.mark.parametrize("kind, step", [("sgd", sgd_step), ("signed_sgd", signed_step)])
+def test_sgd_and_sign_steps_write_one_new_buffer(kind, step, shape):
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    saved = w.tobytes(), g.tobytes()
+    cfg = OptimizerConfig(kind=kind, learning_rate=0.1)
+    out = step(w, g, cfg)
+    assert np.array_equal(out, w - 0.1 * (g if kind == "sgd" else np.sign(g)))
+    assert not np.shares_memory(out, w) and not np.shares_memory(out, g)
+    assert (w.tobytes(), g.tobytes()) == saved
+    m, n = shape
+    assert _warm_peak_bytes(step, w, g, cfg) <= m * n * 8 + 4096
 
 
 class TestAdamStep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swanopt import theory
 from swanopt.matrixops import make_spd, random_matrix, sample_stiefel
 from swanopt.problems import QuadraticProblem
 from swanopt.theory import (
@@ -157,6 +158,41 @@ class TestBlockwise:
         w0 = random_matrix(4, 1, 0) @ np.ones((1, 4))
         with pytest.raises(ValueError, match="singular value"):
             compare_blockwise([(h, w0)])
+
+    @pytest.mark.parametrize(
+        "w0, match",
+        [
+            # H w0 overflows to +inf in one entry; LAPACK's SVD would not return on it
+            (np.array([[1e308, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 1.0, 2.0]]),
+             "g contains non-finite"),
+            (np.array([[np.nan, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 1.0, 2.0]]),
+             "non-finite"),
+            (np.ones(3), "2-D"),
+        ],
+        ids=["inf", "nan", "1d"],
+    )
+    def test_bad_block_raises(self, w0, match):
+        # numpy warns about the overflow in H w0; the error is what is tested here
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+            compare_blockwise([(np.diag([2.0, 1.0, 1.0]), w0)])
+
+    def test_adam_rate_is_the_vertex_of_its_parabola(self, monkeypatch):
+        h, w0 = make_spd(25, 1e4, 100), random_matrix(25, 25, 300)
+        calls = []
+        real = theory.adam_step
+        monkeypatch.setattr(
+            theory, "adam_step", lambda *args: calls.append(args[-1]) or real(*args)
+        )
+        [(_, adam)] = compare_blockwise([(h, w0)])
+        [cfg] = calls  # one measuring step, no search
+        p = QuadraticProblem(h, np.zeros_like(w0))
+
+        def factor(eta):
+            w1 = w0 - eta * np.sign(p.grad(w0))
+            return p.excess_loss(w1) / p.excess_loss(w0)
+
+        assert adam.measured == pytest.approx(factor(cfg.learning_rate), rel=1e-12)
+        assert all(adam.measured < factor(cfg.learning_rate * c) for c in (0.99, 1.01))
 
 
 class TestSearchHelpers:
