@@ -32,12 +32,14 @@ __all__ = [
 _MODES = ("newton_schulz", "exact_eig")
 _UPDATE_ORDERS = ("chained", "paired")
 
-# Gram matrices with at least this many rows run Newton-Schulz on their
-# spectrum. Matrix-loop time (28 products) over spectral time (float64,
-# k = 10 chained, OpenBLAS 0.3.31 on 1 thread of a Xeon): 0.6 at m = 50, 0.68
-# at 64, 0.88 at 96, 1.5 at 128 and 2.4 at 256. The break-even lies between 96
-# and 128; moving the threshold changes the bits of the blocks it moves.
+# Gram matrices with at least this many rows run Newton-Schulz on their spectrum:
+# the break-even with the matrix loop lies between 96 and 128 rows (CHANGES.md).
+# Moving the threshold changes the bits of the blocks it moves.
 _SPECTRAL_MIN_ROWS = 128
+
+# Elementwise passes over a large matrix run on row blocks of at most this many
+# entries, so a block's operands stay in L2 (Adam's block sweep is in CHANGES.md).
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,7 @@ class WhiteningConfig:
     G G^T inside (0, 1], where the iteration is well behaved.
 
     ``update_order`` selects how the coupled Y/Z recursions advance (both
-    track Z and P = Z Y, as m x m products below 128 rows, 3k - 2 of them
-    chained and 3k - 3 paired for k iterations, and on the eigenvalues of
-    G G^T from 128 rows on, see :func:`newton_schulz_inverse_sqrt`):
+    track Z and P = Z Y, see :func:`newton_schulz_inverse_sqrt`):
 
     * ``"chained"``: Y is overwritten first and the Z update reads the new Y
       (the two assignments executed in order). At step_size 0.8 this contracts
@@ -113,27 +113,40 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
 
 def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
     """:func:`grad_norm` of a checked matrix ``g``, into a new array."""
-    n = g.shape[1]
+    m, n = g.shape
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
     if n < 1:
         raise ValueError("grad_norm needs at least one column")
-    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g.copy()
-    std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
-    if cfg.epsilon == 0.0:
-        dead = np.flatnonzero(std.ravel() == 0.0)
-        if dead.size:
-            raise ValueError(
-                f"zero-variance row {int(dead[0])} with epsilon=0 (division by zero)"
-            )
-    return np.divide(c, std + cfg.epsilon, out=c)
+    # c, in the memory order of ``g - mean`` or ``g.copy()``, is the one m x n buffer. A C-ordered
+    # g runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
+    # Adam's); another order (a tall block's view, strided by rows) as one block, as c * c.
+    c = np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape)
+    rows = max(1, min(m, _BLOCK // n) if g.flags.c_contiguous else m)
+    sq = np.empty_like(c[:rows]) if rows < m else None
+    for i in range(0, m, rows):
+        gb, cb = g[i : i + rows], c[i : i + rows]
+        sqb = None if sq is None else sq[: len(cb)]
+        mean = np.add.reduce(gb, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
+        np.subtract(gb, mean, out=cb)  # x - 0.0 is x, bit for bit
+        std = np.sqrt(np.add.reduce(np.square(cb, out=sqb), axis=1, keepdims=True) / n)
+        if cfg.epsilon == 0.0 and not std.all():
+            dead = i + int(np.flatnonzero(std.ravel() == 0.0)[0])
+            raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
+        np.divide(cb, std + cfg.epsilon, out=cb)
+    return c
 
 
 def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal polar factor U V^T of ``g`` and its singular values (descending),
     from one thin SVD. ``g`` must be a finite matrix (LAPACK's SVD does not
     return on +inf); all-zero and rank-deficient input are rejected."""
-    u, s, vt = np.linalg.svd(as_matrix(g, "g"), full_matrices=False)
+    return _exact_polar(as_matrix(g, "g"))
+
+
+def _exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`exact_polar` of a checked matrix ``g``."""
+    u, s, vt = np.linalg.svd(g, full_matrices=False)
     if s[0] == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     if s[-1] <= 1e-12 * s[0]:
@@ -172,7 +185,7 @@ def newton_schulz_inverse_sqrt(
       eigenvalues. They are clamped at 0 first: ``a`` is PSD by construction,
       and on a rank-deficient ``a`` the round-off negatives are what the
       recursion grows by about 9 b^2 per iteration. Agrees with the matrix
-      loop to round-off (within 2e-11 relative on the tested cases at m = 128).
+      loop to round-off.
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
@@ -180,14 +193,15 @@ def newton_schulz_inverse_sqrt(
     return _ns_inverse_sqrt(a, iterations, step_size, update_order)
 
 
-def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order) -> np.ndarray:
-    """:func:`newton_schulz_inverse_sqrt` of a checked square matrix ``a``."""
+def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order, overwrite=False):
+    """:func:`newton_schulz_inverse_sqrt` of a checked square ``a``; with ``overwrite``
+    (the caller owns ``a``) the spectral path forms V f(lambda) in ``a``'s buffer."""
     if len(a) < _SPECTRAL_MIN_ROWS:
         return _ns_recursion(a, iterations, step_size, update_order, np.matmul, len(a) + 1)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
     z = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
-    return (v * z) @ v.T
+    return np.multiply(v, z, out=a if overwrite else None) @ v.T
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
@@ -230,18 +244,30 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
 def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
     """Newton-Schulz whitening of a wide ``g``: ``(Z @ (g / s), s)`` with s = ||g||_F.
 
-    The one Newton-Schulz path of :func:`grad_whitening` and
-    :func:`~swanopt.optimizers.swan_step`. With ``overwrite`` the division
-    happens in ``g`` itself (same bits as ``g / s``), for a caller that owns
-    ``g``. The Gram matrix and the loop's buffers are freed before ``Z @ g``
-    is formed, so beside ``g`` the product needs one fresh m x n buffer and Z.
+    The one Newton-Schulz path of :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`.
+    With ``overwrite`` the division happens in ``g`` itself (same bits as ``g / s``), for a
+    caller that owns ``g``. Beside G~ = g / s, the working set is 3 m x m arrays from 128 rows
+    (the Gram matrix, reused for V f(lambda), the eigenvectors and Z), 5 below. A C-ordered G~
+    with m >= 128 and n > 2m a multiple of 64 is overwritten with Z G~ by the fewest even column
+    blocks of <= 2m on multiples of 64, through one scratch. No BLAS promises a column split
+    keeps the product's bits: these kept them with OpenBLAS 0.3.31 (AVX-512 kernel, 1 thread),
+    others did not (CHANGES.md); re-measure on another build before widening the rule.
+    Otherwise Z G~ is a new array; in an F-ordered (tall) G~ its norm would change.
     """
     scale = _fro(g)
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     gn = np.divide(g, scale, out=g if overwrite else None)
-    z = _ns_inverse_sqrt(gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order)
-    return z @ gn, scale
+    z = _ns_inverse_sqrt(gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order, True)
+    m, n = gn.shape
+    if m < 128 or n % 64 or n <= 2 * m or not gn.flags.c_contiguous:
+        return z @ gn, scale
+    units, count = n // 64, -(-n // (m // 32 * 64))  # the fewest blocks of <= 2m columns
+    out = np.empty((m, 64 * -(-units // count)))
+    for i in range(count):
+        b = gn[:, 64 * (units * i // count) : 64 * (units * (i + 1) // count)]
+        np.copyto(b, np.matmul(z, b, out=out[:, : b.shape[1]]))
+    return gn, scale
 
 
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
@@ -254,26 +280,25 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     scale*; downstream rescaling (see :func:`rescale_update`) restores
     magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the
     same Newton-Schulz code, so their outputs agree bit for bit. Rank
-    deficiency is not rejected here. From 128 rows it is safe: the recursion
-    runs on the Gram spectrum clamped at 0. Below 128 rows it is unsafe: on
-    square GradNorm'd input the chained default turns non-finite from ~28
-    iterations.
+    deficiency is not rejected here: from 128 rows the recursion runs on the
+    Gram spectrum clamped at 0, but below, on square GradNorm'd input, the
+    chained default turns non-finite from ~28 iterations.
     """
     g = as_matrix(g, "g")
-    m, n = g.shape
-    if m > n:
-        raise ValueError(f"grad_whitening needs rows <= cols, got {m}x{n}")
-    if cfg.mode == "exact_eig":
-        return exact_polar(g)[0]
-    return _ns_whiten(g, cfg)[0]
+    if g.shape[0] > g.shape[1]:
+        raise ValueError(f"grad_whitening needs rows <= cols, got {g.shape[0]}x{g.shape[1]}")
+    return _whiten(g, cfg)
 
 
 def orthogonalize(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     """Shape-agnostic whitening: transposes tall inputs and transposes back."""
     g = as_matrix(g, "g")
-    if g.shape[0] > g.shape[1]:
-        return grad_whitening(g.T, cfg).T
-    return grad_whitening(g, cfg)
+    return _whiten(g.T, cfg).T if g.shape[0] > g.shape[1] else _whiten(g, cfg)
+
+
+def _whiten(g: np.ndarray, cfg: WhiteningConfig) -> np.ndarray:
+    """:func:`grad_whitening` of a checked wide matrix ``g``."""
+    return _exact_polar(g)[0] if cfg.mode == "exact_eig" else _ns_whiten(g, cfg)[0]
 
 
 def _fro(x: np.ndarray) -> float:

@@ -25,8 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .gradient_ops import (
+    _BLOCK,
     GradNormConfig,
     WhiteningConfig,
+    _exact_polar,
     _fro,
     _grad_norm,
     _ns_whiten,
@@ -137,18 +139,12 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     whitening, ``whiten_only`` skips the row normalization. ``w`` and ``g``
     are never written.
 
-    Working set beyond its inputs, for an m x n block at the Newton-Schulz
-    default: 2 m x n + min(m, n)^2, against SGD's 2 m x n. The step owns two
-    m x n buffers. G~ is divided by its norm in place in the first (under
-    ``whiten_only``, that buffer is the step's own copy of ``g``). Z G~ goes
-    into the second, where the rescale, the rate and the subtraction from
-    ``w`` are applied in place. The min(m, n)^2 is Z. While Newton-Schulz
-    runs, more such squares sit beside G~: below 128 rows, the Gram matrix
-    and the loop's four buffers; from 128 rows, the Gram matrix, ``eigh``'s
-    eigenvectors, their scaled copy and Z, plus about 2 min(m, n)^2 doubles of
-    LAPACK workspace inside ``eigh``, which numpy allocates outside its
-    array memory (tracemalloc does not count it). Exact mode keeps its SVD
-    and its buffers.
+    Working set beyond its inputs, for an m x n block at the Newton-Schulz default and
+    k = min(m, n): one m x n buffer (G~, where the whitening, the rescale, the rate and the
+    subtraction from ``w`` all happen) plus 3 k^2 from 128 rows and 5 k^2 below, and one
+    GradNorm row block. Shapes that :func:`~swanopt.gradient_ops._ns_whiten` does not block,
+    tall ones among them, take a second m x n buffer instead of the row block. ``eigh``'s
+    LAPACK workspace is not counted. Exact mode keeps its SVD and its buffers (CHANGES.md).
     """
     w, g = _checked("swan_step", "swan", w, g, cfg)
     if w.shape[0] > w.shape[1]:
@@ -166,7 +162,7 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
         delta = g_tilde
     else:
         if cfg.whitening_cfg.mode == "exact_eig":
-            delta, scale = exact_polar(g_tilde)[0], _fro(g_tilde)
+            delta, scale = _exact_polar(g_tilde)[0], _fro(g_tilde)
         else:
             delta, scale = _ns_whiten(g_tilde, cfg.whitening_cfg, overwrite=g_tilde is not g)
         if cfg.swan_rescale:
@@ -198,13 +194,6 @@ def adam_step(
     if m.shape != w.shape or nu.shape != w.shape:
         raise ValueError("adam state buffers do not match the parameter shape")
     return _adam(w, g, state.step, m, nu, cfg, cfg.learning_rate)
-
-
-# Adam's elementwise passes run on row blocks of at most this many entries, so a
-# block's eight operand slices (2 MB) stay in L2. On a Xeon with 4 MiB L2, a 512 x
-# 2048 step took 22.3 ms as whole-array expressions, 20.0 ms unblocked into buffers
-# and 15.7 / 13.7 / 13.2 / 14.3 / 16.6 ms in 8K / 16K / 32K / 64K / 256K blocks.
-_BLOCK = 32768
 
 
 def _adam(

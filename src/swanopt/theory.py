@@ -207,7 +207,8 @@ def compare_blockwise(
     factor there. Returns one (whitened, adam) report pair per block.
     """
     problems = [QuadraticProblem(h, np.zeros_like(w)) for h, w in blocks]
-    grads = [p.grad(w) for p, (_, w) in zip(problems, blocks)]
+    with np.errstate(over="ignore", invalid="ignore"):  # exact_polar rejects a non-finite g
+        grads = [p.grad(w) for p, (_, w) in zip(problems, blocks)]
     whitened = [_whitened(g, float(np.trace(p.h))) for p, g in zip(problems, grads)]
     eta_global = min(eta for _, _, eta in whitened)
     out = []

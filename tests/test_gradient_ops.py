@@ -1,12 +1,13 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swanopt import gradient_ops
 from swanopt.gradient_ops import (
+    _BLOCK,
     GradNormConfig,
     WhiteningConfig,
     _ns_recursion,
@@ -126,6 +127,64 @@ class TestGradNorm:
         assert np.max(np.abs(grad_norm(g + 0.9, NOEPS) - ref)) <= 1e-12
 
 
+def _grad_norm_unblocked(g, cfg):
+    """GradNorm as plain whole-array numpy expressions, its squares in one
+    temporary: the oracle for the row-blocked kernel's bits. A dead row under
+    epsilon = 0 gives the index of the first one."""
+    n = g.shape[1]
+    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g.copy()
+    std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
+    dead = np.flatnonzero(std.ravel() == 0.0)
+    if cfg.epsilon == 0.0 and dead.size:
+        return int(dead[0])
+    return c / (std + cfg.epsilon)
+
+
+# C-ordered input runs in row blocks of _BLOCK // n rows: one block, ragged
+# ones (46 + 46 + 8 and 46 + 1) and one-row blocks for n > _BLOCK; F-ordered
+# input runs as one block
+GRAD_NORM_SHAPES = [
+    (50, 50), (100, 700), (47, 700), (512, 2048), (2048, 512), (7, 40000), (1, 40000), (0, 5)
+]
+
+
+class TestGradNormBlocks:
+    @pytest.mark.parametrize("subtract_mean", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("shape", GRAD_NORM_SHAPES)
+    def test_matches_unblocked_expressions(self, shape, layout, subtract_mean, assert_same_bits):
+        g = 3.0 * random_matrix(*shape, 5) + 0.5
+        g = np.asfortranarray(g) if layout == "F" else g  # as a tall block's transposed view
+        cfg = GradNormConfig(subtract_mean=subtract_mean)
+        assert_same_bits(grad_norm(g, cfg), _grad_norm_unblocked(g, cfg))
+
+    @pytest.mark.parametrize("subtract_mean", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("dead", [(0, 99), (45, 60), (93, 99), (99,)])
+    def test_epsilon_zero_names_the_first_dead_row(self, dead, layout, subtract_mean):
+        g = random_matrix(100, 700, 6)  # row blocks 0-45, 46-91 and 92-99
+        g[list(dead)] = 2.0 if subtract_mean else 0.0
+        g = np.asfortranarray(g) if layout == "F" else g
+        cfg = GradNormConfig(subtract_mean=subtract_mean, epsilon=0.0)
+        assert _grad_norm_unblocked(g, cfg) == dead[0]
+        with pytest.raises(ValueError, match=f"zero-variance row {dead[0]} with epsilon=0"):
+            grad_norm(g, cfg)
+
+    @pytest.mark.parametrize(
+        "shape, layout",
+        [((512, 2048), "C"), ((2048, 512), "C"), ((7, 40000), "C"), ((512, 2048), "F")],
+    )
+    def test_working_set_is_the_output_and_one_block(self, shape, layout, warm_peak_bytes):
+        # the m x n output and one row block of squares (F-ordered input: one
+        # block, m x n), plus numpy's ufunc buffer for the broadcast subtraction,
+        # two per-row vectors and 4 KB for small temporaries
+        g = random_matrix(*shape, 7)
+        g = np.asfortranarray(g) if layout == "F" else g
+        (m, n), buffer = shape, np.getbufsize()
+        rows = max(1, min(m, _BLOCK // n)) if layout == "C" else m
+        assert warm_peak_bytes(grad_norm, g) <= (m * n + rows * n + buffer + 2 * m) * 8 + 4096
+
+
 class TestGradWhitening:
     def test_orthogonal_fixed_point(self):
         o = sample_stiefel(4, 9, 3)
@@ -235,17 +294,30 @@ class TestGradWhitening:
             assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
-    def test_newton_schulz_working_set(self, order):
+    def test_newton_schulz_working_set(self, order, warm_peak_bytes):
         m = 50
         g = conditioned_gradient(2, m=m, n=2 * m)
         a = g @ g.T
-        tracemalloc.start()
-        try:
-            newton_schulz_inverse_sqrt(a, 10, 0.8, order)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = warm_peak_bytes(newton_schulz_inverse_sqrt, a, 10, 0.8, order)
         assert peak <= 5 * m * m * 8 + 2048
+
+    @pytest.mark.parametrize("cfg", [EXACT, WhiteningConfig()], ids=["exact", "newton_schulz"])
+    @pytest.mark.parametrize(
+        "fn, tall",
+        [(grad_whitening, False), (orthogonalize, False), (orthogonalize, True)],
+        ids=["grad_whitening", "orthogonalize", "orthogonalize_tall"],
+    )
+    def test_whitening_checks_its_input_once(self, monkeypatch, fn, tall, cfg):
+        g = conditioned_gradient(4)
+        want = grad_whitening(g, cfg)
+        calls = []
+        real = gradient_ops.as_matrix
+        monkeypatch.setattr(
+            gradient_ops, "as_matrix", lambda *args: calls.append(args[1]) or real(*args)
+        )
+        out = fn(g.T, cfg).T if tall else fn(g, cfg)
+        assert calls == ["g"]
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 10])
     @pytest.mark.parametrize("order, unread", [("chained", 2), ("paired", 3)])

@@ -1,20 +1,19 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from swanopt.gradient_ops import (
+    _BLOCK,
     GradNormConfig,
     WhiteningConfig,
     grad_norm,
     grad_whitening,
+    newton_schulz_inverse_sqrt,
     rescale_update,
 )
 from swanopt.matrixops import make_spd, random_matrix, sample_stiefel, schatten1_norm
 from swanopt.optimizers import (
     ABLATIONS,
     STATELESS_KINDS,
-    _BLOCK,
     OptimizerConfig,
     OptimizerState,
     adam_step,
@@ -159,38 +158,96 @@ def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
     assert w.tobytes() == w0.tobytes() and g.tobytes() == g0.tobytes()
 
 
-def _warm_peak_bytes(step, w, g, cfg) -> int:
-    """Peak bytes one step allocates above what is live at its start, after a warm-up step."""
-    step(w, g, cfg)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        step(w, g, cfg)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+def _swan_unblocked(w, g, cfg):
+    """SWAN's step as plain whole-array numpy expressions: GradNorm's squares in
+    one temporary, Z @ G~ into a new array. The oracle for the blocked kernels' bits."""
+    if w.shape[0] > w.shape[1]:
+        return _swan_unblocked(w.T, g.T, cfg).T
+    gcfg, wcfg, n = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape[1]
+    g_tilde = g
+    if cfg.ablation != "whiten_only":
+        c = g - np.add.reduce(g, axis=1, keepdims=True) / n if gcfg.subtract_mean else g.copy()
+        std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
+        g_tilde = c / (std + gcfg.epsilon)
+    delta = g_tilde
+    if cfg.ablation != "norm_only":
+        scale = np.linalg.norm(g_tilde)
+        gn = g_tilde / scale
+        k, b, order = wcfg.iterations, wcfg.step_size, wcfg.update_order
+        delta = newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+        if cfg.swan_rescale:
+            delta = delta * (scale / np.linalg.norm(delta))
+    return w - delta * cfg.learning_rate
+
+
+SWAN_BITS_SHAPES = {
+    "swan_wide": (512, 2048),  # two 1024-column blocks of Z G~
+    "swan_tall": (2048, 512),  # F-ordered G~: Z G~ into a new array
+    "ragged_blocks": (130, 1216),  # column blocks of 192 and 256, row blocks of 26
+    "four_blocks": (128, 1024),
+    "unblocked_n": (200, 300),  # n is not a multiple of 64
+    "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
+    "small": (16, 64),
+}
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+@pytest.mark.parametrize("case", SWAN_BITS_SHAPES)
+def test_swan_step_matches_unblocked_expressions(case, ablation, assert_same_bits):
+    shape = SWAN_BITS_SHAPES[case]
+    w, g = random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1) + 0.5
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037, ablation=ablation)
+    assert_same_bits(swan_step(w, g, cfg), _swan_unblocked(w, g, cfg))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grad_norm_cfg": GradNormConfig(subtract_mean=False)},  # a tall c is C-ordered
+        {"grad_norm_cfg": GradNormConfig(epsilon=0.0)},
+        {"whitening_cfg": WhiteningConfig(update_order="paired", step_size=0.5)},
+        {"swan_rescale": False},
+    ],
+    ids=["rms", "epsilon0", "paired", "no_rescale"],
+)
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, assert_same_bits):
+    w, g = random_matrix(*shape, 2), 3.0 * random_matrix(*shape, 3) - 0.5
+    g = np.asfortranarray(g) if layout == "F" else g
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037, **kwargs)
+    assert_same_bits(swan_step(w, g, cfg), _swan_unblocked(w, g, cfg))
 
 
 @pytest.mark.parametrize(
     "shape",
-    [(64, 512), (512, 64), (128, 1024), (1024, 128)],
-    ids=["wide", "tall", "wide_spectral", "tall_spectral"],
+    [(64, 512), (512, 64), (128, 1024), (1024, 128), (512, 2048), (2048, 512)],
+    ids=["wide", "tall", "wide_spectral", "tall_spectral", "swan_wide", "swan_tall"],
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
-def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape):
-    # SWAN's working set is two m x n buffers plus the min(m, n)^2 Gram and
-    # Newton-Schulz buffers (five at most), with 4 KB for small temporaries;
-    # from 128 rows, the Gram matrix, eigh's eigenvectors, their scaled copy and Z
+def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
+    # k = min(m, n), with 4 KB for small temporaries. A G~ that _ns_whiten blocks
+    # (wide, C-ordered, m >= 128 and n > 2m a multiple of 64) is the one m x n
+    # buffer: Z G~ goes back into it, beside three k x k arrays (the Gram matrix,
+    # reused for V f(lambda), eigh's eigenvectors and Z), and GradNorm squares one
+    # row block at a time. Other shapes, tall ones (F-ordered G~) among them, take
+    # a second m x n buffer (GradNorm's squares, then Z G~), and below 128 rows five
+    # k x k. No bound is above the unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
-    swan = _warm_peak_bytes(swan_step, w, g, cfg)
+    swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
-    assert swan <= 2 * m * n * 8 + 5 * k * k * 8 + 4096
+    squares = 3 if k >= 128 else 5
+    blocked = m >= 128 and n % 64 == 0 and n > 2 * m
+    second = max(1, min(m, _BLOCK // n)) * n if blocked else m * n
+    bound = (m * n + second + squares * k * k) * 8 + 4096
+    assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
+    assert swan <= bound
 
 
 @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])
 @pytest.mark.parametrize("kind, step", [("sgd", sgd_step), ("signed_sgd", signed_step)])
-def test_sgd_and_sign_steps_write_one_new_buffer(kind, step, shape):
+def test_sgd_and_sign_steps_write_one_new_buffer(kind, step, shape, warm_peak_bytes):
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     saved = w.tobytes(), g.tobytes()
     cfg = OptimizerConfig(kind=kind, learning_rate=0.1)
@@ -199,7 +256,7 @@ def test_sgd_and_sign_steps_write_one_new_buffer(kind, step, shape):
     assert not np.shares_memory(out, w) and not np.shares_memory(out, g)
     assert (w.tobytes(), g.tobytes()) == saved
     m, n = shape
-    assert _warm_peak_bytes(step, w, g, cfg) <= m * n * 8 + 4096
+    assert warm_peak_bytes(step, w, g, cfg) <= m * n * 8 + 4096
 
 
 class TestAdamStep:
@@ -315,7 +372,7 @@ def test_adam_matches_whole_array_expressions_and_is_pure(shape, betas, step):
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (256, 1024), (1024, 128)])
-def test_adam_step_memory_is_three_outputs_plus_one_block(shape):
+def test_adam_step_memory_is_three_outputs_plus_one_block(shape, warm_peak_bytes):
     # the returned m', nu' and weights, plus one row block of scratch (the
     # whole matrix when it fits in one block), with 4 KB for small temporaries
     cfg = OptimizerConfig(kind="adam", learning_rate=0.1)
@@ -323,7 +380,7 @@ def test_adam_step_memory_is_three_outputs_plus_one_block(shape):
     state = OptimizerState(
         step=1, first_moment=random_matrix(*shape, 2), second_moment=np.ones(shape)
     )
-    peak = _warm_peak_bytes(lambda w, g, cfg: adam_step(w, g, state, cfg), w, g, cfg)
+    peak = warm_peak_bytes(adam_step, w, g, state, cfg)
     m, n = shape
     rows = m if m * n <= _BLOCK else max(1, _BLOCK // n)
     assert peak <= 3 * m * n * 8 + rows * n * 8 + 4096
