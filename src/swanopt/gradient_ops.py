@@ -158,34 +158,25 @@ def _exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def newton_schulz_inverse_sqrt(
-    a,
-    iterations: int,
-    step_size: float,
-    update_order: str = "chained",
+    a, iterations: int, step_size: float, update_order: str = "chained"
 ) -> np.ndarray:
     """Run the coupled Newton-Schulz recursion from Y=a, Z=I; return Z.
 
-    Each iteration applies ``Y <- b Y (3I - Z Y)`` and ``Z <- b (3I - Z Y) Z``
-    with b = ``step_size``, in either order of :class:`WhiteningConfig`. With
-    ``step_size=0.5``, ``update_order="paired"`` and the spectrum of ``a`` inside
-    (0, 2), Z converges to ``a^{-1/2}``. The iterates are polynomials in ``a`` and
-    commute, so the recursion tracks P = Z Y for Y: with T = b (3I - P),
-    ``paired`` sets Z <- T Z, P <- T (P T), and ``chained`` sets Z <- S Z,
-    P <- S Q with Q = P T and S = b (3I - Q).
+    Each iteration applies ``Y <- b Y (3I - Z Y)`` and ``Z <- b (3I - Z Y) Z`` with b =
+    ``step_size``, in either order of :class:`WhiteningConfig`. With ``step_size=0.5``,
+    ``update_order="paired"`` and the spectrum of ``a`` inside (0, 2), Z converges to
+    ``a^{-1/2}``. The iterates are polynomials in ``a`` and commute, so the recursion tracks
+    P = Z Y for Y: with T = b (3I - P), ``paired`` sets Z <- T Z, P <- T (P T), and
+    ``chained`` sets Z <- S Z, P <- S Q with Q = P T and S = b (3I - Q).
 
-    ``a`` is a Gram matrix (symmetric positive semidefinite). The recursion is
-    evaluated one of two ways, picked by the size of ``a``:
-
-    * below 128 rows, on matrices: 3k - 2 m x m products chained and 3k - 3
-      paired (Z_1 is T_1 or S_1 itself; the last P, and paired its P T, are
-      not read), in four reused m x m buffers; ``a`` is not copied.
-    * from 128 rows on, on the spectrum. Z is a polynomial f_k(a), so one
-      ``eigh`` of ``a`` (which reads its lower triangle) gives
-      Z = V f_k(lambda) V^T, with the same recursion run elementwise on the
-      eigenvalues. They are clamped at 0 first: ``a`` is PSD by construction,
-      and on a rank-deficient ``a`` the round-off negatives are what the
-      recursion grows by about 9 b^2 per iteration. Agrees with the matrix
-      loop to round-off.
+    ``a`` is a Gram matrix (symmetric positive semidefinite) and is not written. Below 128
+    rows the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1
+    is T_1 or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays
+    beside ``a`` (T, Q, P, Z). From 128 rows it runs on the spectrum: Z is a polynomial
+    f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V f_k(lambda)
+    V^T, in 3 m x m arrays beside ``a`` (V, V f_k(lambda), Z). The eigenvalues are clamped at
+    0 first: on a rank-deficient ``a`` the round-off negatives are what the recursion grows
+    by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
@@ -194,24 +185,32 @@ def newton_schulz_inverse_sqrt(
 
 
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order, overwrite=False):
-    """:func:`newton_schulz_inverse_sqrt` of a checked square ``a``; with ``overwrite``
-    (the caller owns ``a``) the spectral path forms V f(lambda) in ``a``'s buffer."""
-    if len(a) < _SPECTRAL_MIN_ROWS:
-        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, len(a) + 1)
+    """:func:`newton_schulz_inverse_sqrt` of a checked square ``a``. With ``overwrite`` (the
+    caller owns ``a``) P, or V f(lambda), goes into ``a``, beside 3 m x m arrays below 128 rows
+    (T, Q, Z) and 2 from 128 (V, Z); if m is a multiple of 64, Z too, beside V and a scratch."""
+    m = len(a)
+    if m < _SPECTRAL_MIN_ROWS:
+        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1, overwrite)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
-    z = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
-    return np.multiply(v, z, out=a if overwrite else None) @ v.T
+    f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1, True)
+    z = np.multiply(v, f, out=a if overwrite else None)  # V f(lambda)
+    if not overwrite or m % 64:
+        return z @ v.T
+    rows = min(m, _BLOCK // m) // 16 * 16 or 16  # blocks off multiples of 16 changed bits
+    out = np.empty((rows, m))
+    for i in range(0, m, rows):  # row i of Z reads only row i of V f(lambda)
+        b = z[i : i + rows]
+        np.copyto(b, np.matmul(b, v.T, out=out[: len(b)]))
+    return z
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I.
-
-    ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
-    identity's diagonal every ``stride = m + 1`` flat entries, or its
-    eigenvalues, with ``product=np.multiply`` and ``stride=1``. ``p0`` is
-    not written; T and S share one buffer, shifted through one diagonal view.
-    """
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride, overwrite=False):
+    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; P goes into ``p0``
+    itself with ``overwrite`` (the caller owns ``p0``). ``p0`` is either the Gram matrix, with
+    ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or
+    its eigenvalues, with ``product=np.multiply`` and ``stride=1``. T and S share one buffer,
+    shifted through one diagonal view."""
     t = np.empty(p0.shape)  # T, then S when chained
     diag = t.reshape(-1)[::stride]
     chained = update_order == "chained"
@@ -220,7 +219,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
         np.multiply(x, -step_size, out=t)
         np.add(diag, 3.0 * step_size, out=diag)
 
-    p, z, u = p0, None, None
+    p, z, u, p_out = p0, None, None, p0 if overwrite else None
     for i in range(1, iterations + 1):
         last = i == iterations
         shift(p)  # T
@@ -229,7 +228,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
         if chained:
             shift(u)  # S
         if not last:
-            p = product(t, u, out=None if p is p0 else p)  # T (P T) or S Q
+            p = p_out = product(t, u, out=p_out)  # T (P T) or S Q
         if z is None:  # Z = I: the new Z is a copy of T or S
             z = t.copy()
         else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
@@ -245,14 +244,14 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
     """Newton-Schulz whitening of a wide ``g``: ``(Z @ (g / s), s)`` with s = ||g||_F.
 
     The one Newton-Schulz path of :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`.
-    With ``overwrite`` the division happens in ``g`` itself (same bits as ``g / s``), for a
-    caller that owns ``g``. Beside G~ = g / s, the working set is 3 m x m arrays from 128 rows
-    (the Gram matrix, reused for V f(lambda), the eigenvectors and Z), 5 below. A C-ordered G~
-    with m >= 128 and n > 2m a multiple of 64 is overwritten with Z G~ by the fewest even column
-    blocks of <= 2m on multiples of 64, through one scratch. No BLAS promises a column split
-    keeps the product's bits: these kept them with OpenBLAS 0.3.31 (AVX-512 kernel, 1 thread),
-    others did not (CHANGES.md); re-measure on another build before widening the rule.
-    Otherwise Z G~ is a new array; in an F-ordered (tall) G~ its norm would change.
+    With ``overwrite`` (the caller owns ``g``) the division happens in ``g`` (the bits of
+    ``g / s``). Beside G~ = g / s, the working set is the Gram matrix and the arrays of an owned
+    :func:`_ns_inverse_sqrt`: 4 m x m below 128 rows, else 2 and a ``_BLOCK`` scratch if m is a
+    multiple of 64, 3 if not. A C-ordered G~ with m >= 128 and n > 2m a multiple of 64 is
+    overwritten with Z G~ by the fewest even column blocks of <= m on multiples of 64, through
+    one scratch; else Z G~ is a new array (in an F-ordered, tall, G~ its norm would change).
+    No BLAS promises that row or column blocks keep a product's bits: these kept them on one
+    build (CHANGES.md). Re-measure before widening them.
     """
     scale = _fro(g)
     if scale == 0.0:
@@ -262,7 +261,7 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
     m, n = gn.shape
     if m < 128 or n % 64 or n <= 2 * m or not gn.flags.c_contiguous:
         return z @ gn, scale
-    units, count = n // 64, -(-n // (m // 32 * 64))  # the fewest blocks of <= 2m columns
+    units, count = n // 64, -(-n // (m // 64 * 64))  # the fewest blocks of <= m columns
     out = np.empty((m, 64 * -(-units // count)))
     for i in range(count):
         b = gn[:, 64 * (units * i // count) : 64 * (units * (i + 1) // count)]

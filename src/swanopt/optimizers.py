@@ -139,11 +139,11 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     whitening, ``whiten_only`` skips the row normalization. ``w`` and ``g``
     are never written.
 
-    Working set beyond its inputs, for an m x n block at the Newton-Schulz default and
-    k = min(m, n): one m x n buffer (G~, where the whitening, the rescale, the rate and the
-    subtraction from ``w`` all happen) plus 3 k^2 from 128 rows and 5 k^2 below, and one
-    GradNorm row block. Shapes that :func:`~swanopt.gradient_ops._ns_whiten` does not block,
-    tall ones among them, take a second m x n buffer instead of the row block. ``eigh``'s
+    Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): one m x n
+    buffer (G~, where whitening, rescale, rate and the subtraction from ``w`` happen), one
+    GradNorm row block and k x k arrays: 4 below 128 rows, else 2 and a ``_BLOCK`` scratch if k
+    is a multiple of 64, 3 if not. Shapes :func:`~swanopt.gradient_ops._ns_whiten` does not
+    block, tall ones among them, take a second m x n buffer instead of the row block. ``eigh``'s
     LAPACK workspace is not counted. Exact mode keeps its SVD and its buffers (CHANGES.md).
     """
     w, g = _checked("swan_step", "swan", w, g, cfg)

@@ -27,9 +27,10 @@ def warm_peak_bytes():
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    """Assert ``got`` has ``want``'s memory order and bits. The column-blocked Z G~
-    is known to keep the bits of ``z @ gn`` only on the BLAS build, kernel and thread
-    count it was measured on (OpenBLAS 0.3.31, AVX-512, 1 thread): a failure names them."""
+    """Assert ``got`` has ``want``'s memory order and bits. The column-blocked Z G~ and
+    the row-blocked Z = (V f) V^T are known to keep the bits of the whole products
+    ``z @ gn`` and ``np.multiply(v, f) @ v.T`` only on the BLAS build, kernel and thread
+    count they were measured on (OpenBLAS 0.3.31, AVX-512, 1 thread): a failure names them."""
     same = got.flags.f_contiguous == want.flags.f_contiguous
     if not (same and got.tobytes(order="A") == want.tobytes(order="A")):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

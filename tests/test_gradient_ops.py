@@ -10,6 +10,7 @@ from swanopt.gradient_ops import (
     _BLOCK,
     GradNormConfig,
     WhiteningConfig,
+    _ns_inverse_sqrt,
     _ns_recursion,
     exact_polar,
     grad_norm,
@@ -300,6 +301,48 @@ class TestGradWhitening:
         a = g @ g.T
         peak = warm_peak_bytes(newton_schulz_inverse_sqrt, a, 10, 0.8, order)
         assert peak <= 5 * m * m * 8 + 2048
+
+    @pytest.mark.parametrize("order", ["chained", "paired"])
+    @pytest.mark.parametrize("m, squares", [(50, 3), (300, 2), (512, 1)])
+    def test_owned_newton_schulz_working_set(self, m, squares, order, warm_peak_bytes):
+        # beside the owned a: T, Q and Z below 128 rows; V and Z from 128; V alone and
+        # one row-block scratch when m is a multiple of 64; and the spectral path's
+        # eigenvalues and recursion vectors (4 of length m)
+        g = conditioned_gradient(2, m=m, n=2 * m)
+        a0 = g @ g.T
+        a = a0.copy()
+
+        def owned():
+            np.copyto(a, a0)
+            return _ns_inverse_sqrt(a, 10, 0.8, order, overwrite=True)
+
+        scratch = _BLOCK if m >= 128 and m % 64 == 0 else 0
+        vectors = 4 * m if m >= 128 else 0
+        assert warm_peak_bytes(owned) <= (squares * m * m + scratch + vectors) * 8 + 2048
+
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("order", ["chained", "paired"])
+    @pytest.mark.parametrize("m", [2, 20, 50, 127])
+    def test_owned_loop_keeps_the_public_bits(self, m, order, k, assert_same_bits):
+        # P written into the owned Gram matrix: the same products into another buffer
+        g = conditioned_gradient(5, m=m, n=2 * m)
+        a = g @ g.T
+        want = newton_schulz_inverse_sqrt(a, k, 0.8, order)
+        assert_same_bits(_ns_inverse_sqrt(a.copy(), k, 0.8, order, overwrite=True), want)
+
+    @pytest.mark.parametrize("order", ["chained", "paired"])
+    @pytest.mark.parametrize("m", [128, 192, 300, 407, 512, 1024])
+    def test_owned_spectral_z_keeps_the_whole_product_bits(self, m, order, assert_same_bits):
+        # m a multiple of 64: Z by row blocks in the owned Gram matrix; other m keep the
+        # whole product V f(lambda) V^T as a new array
+        g = conditioned_gradient(6, m=m, n=2 * m)
+        a = g @ g.T
+        lam, v = np.linalg.eigh(a)
+        f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
+        owned = a.copy()
+        z = _ns_inverse_sqrt(owned, 10, 0.8, order, overwrite=True)
+        assert (z is owned) == (m % 64 == 0)
+        assert_same_bits(z, np.multiply(v, f) @ v.T)
 
     @pytest.mark.parametrize("cfg", [EXACT, WhiteningConfig()], ids=["exact", "newton_schulz"])
     @pytest.mark.parametrize(

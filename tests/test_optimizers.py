@@ -221,26 +221,37 @@ def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, a
 
 @pytest.mark.parametrize(
     "shape",
-    [(64, 512), (512, 64), (128, 1024), (1024, 128), (512, 2048), (2048, 512)],
-    ids=["wide", "tall", "wide_spectral", "tall_spectral", "swan_wide", "swan_tall"],
+    [(50, 50), (64, 64), (64, 512), (512, 64), (128, 1024), (1024, 128), (512, 2048), (2048, 512)],
+    ids=[
+        "quadratic",
+        "square",
+        "wide",
+        "tall",
+        "wide_spectral",
+        "tall_spectral",
+        "swan_wide",
+        "swan_tall",
+    ],
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
     # k = min(m, n), with 4 KB for small temporaries. A G~ that _ns_whiten blocks
     # (wide, C-ordered, m >= 128 and n > 2m a multiple of 64) is the one m x n
-    # buffer: Z G~ goes back into it, beside three k x k arrays (the Gram matrix,
-    # reused for V f(lambda), eigh's eigenvectors and Z), and GradNorm squares one
-    # row block at a time. Other shapes, tall ones (F-ordered G~) among them, take
-    # a second m x n buffer (GradNorm's squares, then Z G~), and below 128 rows five
-    # k x k. No bound is above the unblocked step's 2 m n + 5 k^2.
+    # buffer: Z G~ goes back into it, and GradNorm squares one row block at a time.
+    # Other shapes, tall ones (F-ordered G~) among them, take a second m x n buffer
+    # (GradNorm's squares, then Z G~). Beside it, k x k arrays: below 128 rows 4 (T,
+    # Q, Z and the Gram matrix, reused for P); from 128 rows 2 (the eigenvectors and
+    # the Gram matrix, reused for Z) and one scratch of <= _BLOCK entries if k is a
+    # multiple of 64, else 3. No bound is above the unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
-    squares = 3 if k >= 128 else 5
+    squares = 4 if k < 128 else 3 if k % 64 else 2
+    scratch = min(_BLOCK, k * k) if k >= 128 and k % 64 == 0 else 0
     blocked = m >= 128 and n % 64 == 0 and n > 2 * m
     second = max(1, min(m, _BLOCK // n)) * n if blocked else m * n
-    bound = (m * n + second + squares * k * k) * 8 + 4096
+    bound = (m * n + second + squares * k * k + scratch) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
 
