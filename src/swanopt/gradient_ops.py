@@ -111,8 +111,10 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     return _grad_norm(as_matrix(g, "g"), cfg)
 
 
-def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
-    """:func:`grad_norm` of a checked matrix ``g``, into a new array."""
+def _grad_norm(g: np.ndarray, cfg: GradNormConfig, stats: list | None = None) -> np.ndarray:
+    """:func:`grad_norm` of a checked ``g`` into a new array, beside a row block of squares (m x n
+    for one block) and a broadcast buffer of min(block size, 8192) entries. Each block's (rows,
+    mean, std + epsilon) goes into an empty list ``stats``; a filled one rebuilds the same bits."""
     m, n = g.shape
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
@@ -122,6 +124,14 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
     # g runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
     # Adam's); another order (a tall block's view, strided by rows) as one block, as c * c.
     c = np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape)
+    for rows, mean, std in stats or ():  # a small wide g in halves: its broadcast buffer < Z G~n
+        h = -(-m // 2) if n > m and g.size <= np.getbufsize() and g.flags.c_contiguous else len(std)
+        for i in range(0, len(std), h):
+            r, b = slice(rows.start + i, rows.start + i + h), slice(i, i + h)
+            cb = np.subtract(g[r], mean[b] if cfg.subtract_mean else mean, out=c[r])
+            np.divide(cb, std[b], out=cb)
+    if stats:
+        return c
     rows = max(1, min(m, _BLOCK // n) if g.flags.c_contiguous else m)
     sq = np.empty_like(c[:rows]) if rows < m else None
     for i in range(0, m, rows):
@@ -133,7 +143,9 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
         if cfg.epsilon == 0.0 and not std.all():
             dead = i + int(np.flatnonzero(std.ravel() == 0.0)[0])
             raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
-        np.divide(cb, std + cfg.epsilon, out=cb)
+        np.divide(cb, np.add(std, cfg.epsilon, out=std), out=cb)
+        if stats is not None:
+            stats.append((slice(i, i + rows), mean, std))
     return c
 
 
@@ -240,24 +252,34 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, over
     return z
 
 
-def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
-    """Newton-Schulz whitening of a wide ``g``: ``(Z @ (g / s), s)`` with s = ||g||_F.
+def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None = None):
+    """Newton-Schulz whitening of a wide ``g``: ``(Z @ G~n, s)``, with G~ the GradNorm of ``g``
+    under ``norm`` (``g`` itself without it), s = ||G~||_F and G~n = G~ / s.
 
-    The one Newton-Schulz path of :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`.
-    With ``overwrite`` (the caller owns ``g``) the division happens in ``g`` (the bits of
-    ``g / s``). Beside G~ = g / s, the working set is the Gram matrix and the arrays of an owned
-    :func:`_ns_inverse_sqrt`: 4 m x m below 128 rows, else 2 and a ``_BLOCK`` scratch if m is a
-    multiple of 64, 3 if not. A C-ordered G~ with m >= 128 and n > 2m a multiple of 64 is
-    overwritten with Z G~ by the fewest even column blocks of <= m on multiples of 64, through
-    one scratch; else Z G~ is a new array (in an F-ordered, tall, G~ its norm would change).
-    No BLAS promises that row or column blocks keep a product's bits: these kept them on one
-    build (CHANGES.md). Re-measure before widening them.
+    The one Newton-Schulz path of :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`,
+    and the one owner of G~n. Below 128 rows (k = m) the working set is max(4 k^2, 2 m n + k^2): if
+    n < 3m, G~n is not held across the loop (the Gram matrix, reused for P, T, Q and Z) but built
+    again after it from ``g``, s and GradNorm's row statistics by the first pass's operations, so
+    with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and an
+    owned :func:`_ns_inverse_sqrt`'s arrays; a C-ordered G~n with n > 2m a multiple of 64 is
+    overwritten with Z G~n by the fewest even column blocks of <= m on multiples of 64, through one
+    scratch, else Z G~n is a new array (in an F-ordered, tall, G~n its norm would change). No BLAS
+    promises that row or column blocks keep a product's bits: these kept them on one build
+    (CHANGES.md). Re-measure before widening them.
     """
-    scale = _fro(g)
+    # below 128 rows G~n is dropped for the loop if n < 3m (from 3m, Z G~n sets the peak anyway)
+    stats = [] if len(g) < _SPECTRAL_MIN_ROWS and g.shape[1] < 3 * len(g) else None
+    gn = g if norm is None else _grad_norm(g, norm, stats)
+    scale = _fro(gn)
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
-    gn = np.divide(g, scale, out=g if overwrite else None)
-    z = _ns_inverse_sqrt(gn @ gn.T, cfg.iterations, cfg.step_size, cfg.update_order, True)
+    gn = np.divide(gn, scale, out=None if gn is g else gn)
+    gram, gn = gn @ gn.T, None if stats is not None else gn
+    z = _ns_inverse_sqrt(gram, cfg.iterations, cfg.step_size, cfg.update_order, True)
+    del gram  # P's buffer, or Z's
+    if gn is None:  # G~n again; the statistics are not held for Z G~n
+        gn = g if norm is None else _grad_norm(g, norm, stats)
+        gn, stats = np.divide(gn, scale, out=None if gn is g else gn), None
     m, n = gn.shape
     if m < 128 or n % 64 or n <= 2 * m or not gn.flags.c_contiguous:
         return z @ gn, scale
@@ -272,16 +294,15 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, overwrite: bool = False):
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     """Map ``g`` (rows <= cols) to (an approximation of) ``(g g^T)^{-1/2} g``.
 
-    In ``exact_eig`` mode the orthogonal polar factor U V^T is returned from a
-    thin SVD and rank-deficient input is rejected. In ``newton_schulz`` mode
-    the input is divided by its Frobenius norm, the coupled recursion is run
-    for ``cfg.iterations`` steps, and ``Z @ g`` is returned *at the normalized
-    scale*; downstream rescaling (see :func:`rescale_update`) restores
-    magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the
-    same Newton-Schulz code, so their outputs agree bit for bit. Rank
-    deficiency is not rejected here: from 128 rows the recursion runs on the
-    Gram spectrum clamped at 0, but below, on square GradNorm'd input, the
-    chained default turns non-finite from ~28 iterations.
+    In ``exact_eig`` mode the orthogonal polar factor U V^T is returned from a thin SVD and
+    rank-deficient input is rejected. In ``newton_schulz`` mode the input is divided by its
+    Frobenius norm, the coupled recursion is run for ``cfg.iterations`` steps, and ``Z @ g`` is
+    returned *at the normalized scale*; downstream rescaling (see :func:`rescale_update`) restores
+    magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the same code, so their
+    outputs agree bit for bit; below 128 rows it holds max(4 m^2, 2 m n + m^2), as g / s is not kept
+    across the loop where n < 3m. Rank deficiency is not rejected here: from 128 rows the recursion
+    runs on the Gram spectrum clamped at 0, but below, on square GradNorm'd input, the chained
+    default turns non-finite from ~28 iterations.
     """
     g = as_matrix(g, "g")
     if g.shape[0] > g.shape[1]:

@@ -134,17 +134,16 @@ def _checked(name: str, kind: str, w, g, cfg: OptimizerConfig) -> tuple[np.ndarr
 def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     """One stateless SWAN step: normalize rows, whiten, optionally rescale.
 
-    Inputs with more rows than columns are handled by transposing the whole
-    step (through views, not copies). Ablations: ``norm_only`` skips
-    whitening, ``whiten_only`` skips the row normalization. ``w`` and ``g``
-    are never written.
+    Inputs with more rows than columns are handled by transposing the whole step (through views,
+    not copies). Ablations: ``norm_only`` skips whitening, ``whiten_only`` skips the row
+    normalization. ``w`` and ``g`` are never written.
 
-    Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): one m x n
-    buffer (G~, where whitening, rescale, rate and the subtraction from ``w`` happen), one
-    GradNorm row block and k x k arrays: 4 below 128 rows, else 2 and a ``_BLOCK`` scratch if k
-    is a multiple of 64, 3 if not. Shapes :func:`~swanopt.gradient_ops._ns_whiten` does not
-    block, tall ones among them, take a second m x n buffer instead of the row block. ``eigh``'s
-    LAPACK workspace is not counted. Exact mode keeps its SVD and its buffers (CHANGES.md).
+    Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): below 128 rows
+    max(4 k^2, 2 m n + k^2), as ``_ns_whiten`` holds G~ across the loop only where n >= 3k. From 128
+    rows one m x n buffer (G~, where whitening, rescale, rate and the subtraction from ``w``
+    happen), a GradNorm row block and k x k arrays: 2 and a ``_BLOCK`` scratch if k is a multiple of
+    64, else 3; unblocked shapes take a second m x n buffer for the row block. ``eigh``'s LAPACK
+    workspace is not counted. Exact mode keeps its SVD and buffers (CHANGES.md).
     """
     w, g = _checked("swan_step", "swan", w, g, cfg)
     if w.shape[0] > w.shape[1]:
@@ -157,14 +156,15 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
     stepped transposed."""
     if w.shape[0] > w.shape[1]:
         return _swan(w.T, g.T, cfg, lr).T
-    g_tilde = g if cfg.ablation == "whiten_only" else _grad_norm(g, cfg.grad_norm_cfg)
+    norm = None if cfg.ablation == "whiten_only" else cfg.grad_norm_cfg
     if cfg.ablation == "norm_only":
-        delta = g_tilde
+        delta = _grad_norm(g, norm)
     else:
         if cfg.whitening_cfg.mode == "exact_eig":
+            g_tilde = g if norm is None else _grad_norm(g, norm)
             delta, scale = _exact_polar(g_tilde)[0], _fro(g_tilde)
-        else:
-            delta, scale = _ns_whiten(g_tilde, cfg.whitening_cfg, overwrite=g_tilde is not g)
+        else:  # G~ is built by its one owner, which drops it for the loop where it can
+            delta, scale = _ns_whiten(g, cfg.whitening_cfg, norm)
         if cfg.swan_rescale:
             _rescale(delta, scale, out=delta)
     np.multiply(delta, lr, out=delta)

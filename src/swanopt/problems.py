@@ -210,36 +210,35 @@ class MlpProblem:
     def sample_batch(self, batch_seed: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(batch_seed)
         x = rng.normal(size=(self.batch_size, self.layer_dims[0]))
-        return x, self._forward(self.teacher, x)[0]
+        return x, self._forward(self.teacher, x)[-1]
 
     @staticmethod
-    def _forward(weights, x):
-        h = x
+    def _forward(weights, x) -> list[np.ndarray]:
         activations = [x]
-        last = len(weights) - 1
         for i, w in enumerate(weights):
-            z = h @ w
-            h = z if i == last else np.tanh(z)
-            activations.append(h)
-        return h, activations
+            z = activations[-1] @ w
+            activations.append(z if i == len(weights) - 1 else np.tanh(z, out=z))
+        return activations
 
     def loss_and_grads(
         self, weights, batch_seed: int
     ) -> tuple[float, list[np.ndarray]]:
         self._check_weights(weights)
         x, y = self.sample_batch(batch_seed)
-        # non-finite values from overflow on runaway weights reach the step,
-        # whose check on g reports the divergence
+        # overflow on runaway weights reaches the step, whose check on g reports it. Activations
+        # are overwritten once read (the output with the residual, a hidden one with 1 - a^2)
         with np.errstate(over="ignore", invalid="ignore"):
-            out, acts = self._forward(weights, x)
-            diff = out - y
-            loss = 0.5 * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / x.shape[0])
+            *acts, delta = self._forward(weights, x)
+            np.subtract(delta, y, out=delta)
+            loss = 0.5 * float(np.add.reduce(np.add.reduce(delta * delta, axis=1)) / x.shape[0])
+            np.divide(delta, x.shape[0], out=delta)
             grads: list[np.ndarray] = [np.empty(0)] * len(weights)
-            delta = diff / x.shape[0]
             for i in reversed(range(len(weights))):
                 grads[i] = acts[i].T @ delta
                 if i > 0:
-                    delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
+                    np.subtract(1.0, np.multiply(acts[i], acts[i], out=acts[i]), out=acts[i])
+                    delta = delta @ weights[i].T
+                    np.multiply(delta, acts.pop(), out=delta)
         return loss, grads
 
     def _check_weights(self, weights):

@@ -10,6 +10,7 @@ from swanopt.gradient_ops import (
     _BLOCK,
     GradNormConfig,
     WhiteningConfig,
+    _grad_norm,
     _ns_inverse_sqrt,
     _ns_recursion,
     exact_polar,
@@ -186,7 +187,56 @@ class TestGradNormBlocks:
         assert warm_peak_bytes(grad_norm, g) <= (m * n + rows * n + buffer + 2 * m) * 8 + 4096
 
 
+    @pytest.mark.parametrize("subtract_mean", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(16, 64), (50, 50), (64, 8), (100, 700), (7, 40000)])
+    def test_rebuilt_from_its_row_statistics_with_the_same_bits(
+        self, shape, layout, subtract_mean, assert_same_bits
+    ):
+        # one block (a C-ordered wide one in row halves), ragged row blocks and one-row
+        # blocks: the first pass's subtract and divide, from the kept (mean, std + eps)
+        g = 3.0 * random_matrix(*shape, 8) - 0.5
+        g = np.asfortranarray(g) if layout == "F" else g
+        cfg, stats = GradNormConfig(subtract_mean=subtract_mean), []
+        first = _grad_norm(g, cfg, stats)
+        assert sum(len(std) for _, _, std in stats) == shape[0]
+        assert_same_bits(_grad_norm(g, cfg, stats), first)
+        assert_same_bits(first, _grad_norm_unblocked(g, cfg))
+
+
+def _whitening_unblocked(g, cfg):
+    """Newton-Schulz whitening written out: Z @ G~n with G~n = g / ||g||_F and Z the
+    public recursion on G~n G~n^T (a tall ``g`` transposed, as :func:`orthogonalize`)."""
+    if g.shape[0] > g.shape[1]:
+        return _whitening_unblocked(g.T, cfg).T
+    gn = g / np.linalg.norm(g)
+    k, b, order = cfg.iterations, cfg.step_size, cfg.update_order
+    return newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+
+
 class TestGradWhitening:
+    @pytest.mark.parametrize(
+        "cfg",
+        [WhiteningConfig(), WhiteningConfig(update_order="paired", step_size=0.5)],
+        ids=["chained", "paired"],
+    )
+    @pytest.mark.parametrize("shape", [(50, 50), (40, 100), (16, 64), (64, 8)])
+    @pytest.mark.parametrize("fn", [grad_whitening, orthogonalize])
+    def test_rebuilt_input_keeps_the_bits(self, fn, shape, cfg, assert_same_bits):
+        # below 128 rows with n < 3m G~n is dropped for the loop and rebuilt from g and
+        # s, else held; a tall block reaches grad_whitening as its F-ordered transposed view
+        g = 3.0 * random_matrix(*shape, 9) + 0.5
+        if fn is grad_whitening and shape[0] > shape[1]:
+            g = g.T
+        assert_same_bits(fn(g, cfg), _whitening_unblocked(g, cfg))
+
+    def test_working_set_below_128_rows_is_the_loop(self, warm_peak_bytes):
+        # G~n = g / s is not held across the loop: its 4 k x k arrays (T, Q, Z and the
+        # Gram matrix, reused for P), or after it G~n, Z and Z G~n
+        k = 50
+        g = random_matrix(k, k, 10)
+        assert warm_peak_bytes(grad_whitening, g) <= 4 * k * k * 8 + 4096
+
     def test_orthogonal_fixed_point(self):
         o = sample_stiefel(4, 9, 3)
         assert np.linalg.norm(grad_whitening(o, EXACT) - o) <= 1e-10

@@ -187,7 +187,11 @@ SWAN_BITS_SHAPES = {
     "four_blocks": (128, 1024),
     "unblocked_n": (200, 300),  # n is not a multiple of 64
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
-    "small": (16, 64),
+    "small": (16, 64),  # n >= 3m: G~n held across the loop
+    "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
+    "quadratic": (50, 50),  # G~n rebuilt after the loop in one block
+    "square": (64, 64),
+    "square_100": (100, 100),
 }
 
 
@@ -210,7 +214,7 @@ def test_swan_step_matches_unblocked_expressions(case, ablation, assert_same_bit
     ],
     ids=["rms", "epsilon0", "paired", "no_rescale"],
 )
-@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216)])
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216), (50, 50)])
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, assert_same_bits):
     w, g = random_matrix(*shape, 2), 3.0 * random_matrix(*shape, 3) - 0.5
@@ -235,25 +239,60 @@ def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, a
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
-    # k = min(m, n), with 4 KB for small temporaries. A G~ that _ns_whiten blocks
-    # (wide, C-ordered, m >= 128 and n > 2m a multiple of 64) is the one m x n
-    # buffer: Z G~ goes back into it, and GradNorm squares one row block at a time.
-    # Other shapes, tall ones (F-ordered G~) among them, take a second m x n buffer
-    # (GradNorm's squares, then Z G~). Beside it, k x k arrays: below 128 rows 4 (T,
-    # Q, Z and the Gram matrix, reused for P); from 128 rows 2 (the eigenvectors and
-    # the Gram matrix, reused for Z) and one scratch of <= _BLOCK entries if k is a
-    # multiple of 64, else 3. No bound is above the unblocked step's 2 m n + 5 k^2.
+    # k = min(m, n), with 4 KB for small temporaries. Below 128 rows the peak is the
+    # Newton-Schulz loop's 4 k x k arrays (T, Q, Z and the Gram matrix, reused for P),
+    # G~ not being held across it where n < 3m, or after it G~n, Z and Z G~n. From 128 rows
+    # a G~ that _ns_whiten blocks (wide, C-ordered, n > 2m a multiple of 64) is the one
+    # m x n buffer: Z G~ goes back into it, and GradNorm squares one row block at a
+    # time. Other shapes, tall ones (F-ordered G~) among them, take a second m x n
+    # buffer (GradNorm's squares, then Z G~). Beside it, k x k arrays: 2 (the
+    # eigenvectors and the Gram matrix, reused for Z) and one scratch of <= _BLOCK
+    # entries if k is a multiple of 64, else 3. No bound is above the unblocked
+    # step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
-    squares = 4 if k < 128 else 3 if k % 64 else 2
-    scratch = min(_BLOCK, k * k) if k >= 128 and k % 64 == 0 else 0
-    blocked = m >= 128 and n % 64 == 0 and n > 2 * m
-    second = max(1, min(m, _BLOCK // n)) * n if blocked else m * n
-    bound = (m * n + second + squares * k * k + scratch) * 8 + 4096
+    if k < 128:
+        bound = max(4 * k * k, 2 * m * n + k * k) * 8 + 4096
+    else:
+        squares = 3 if k % 64 else 2
+        scratch = 0 if k % 64 else min(_BLOCK, k * k)
+        blocked = n % 64 == 0 and n > 2 * m
+        second = max(1, min(m, _BLOCK // n)) * n if blocked else m * n
+        bound = (m * n + second + squares * k * k + scratch) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
+
+
+@pytest.mark.parametrize("shape", [(16, 47), (20, 50), (40, 100), (64, 128)])
+@pytest.mark.parametrize(
+    "grad_norm_cfg", [GradNormConfig(), GradNormConfig(subtract_mean=False)], ids=["std", "rms"]
+)
+def test_swan_step_rebuilds_small_wide_blocks_below_their_product(
+    grad_norm_cfg, shape, warm_peak_bytes
+):
+    # 1.5m < n < 3m: Z G~n's 2 m n + k^2 sets the peak, and G~n is rebuilt after the loop.
+    # A broadcast buffers min(size, 8192) entries, so rebuilt in one block it would take a
+    # second m x n buffer beside G~n and Z, and with its iterator's 1.1 KB would put the
+    # peak above that product. In row halves it stays within it, plus small objects (the
+    # row statistics and views)
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
+    (m, n), k = shape, min(shape)
+    assert warm_peak_bytes(swan_step, w, g, cfg) <= (2 * m * n + k * k) * 8 + 1536
+
+
+@pytest.mark.parametrize("shape", [(50, 50), (64, 64)])
+def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_bytes):
+    # the paper's memory claim on the square blocks of quadratic_tune and the MLP: a
+    # warm SWAN step (G~ not held across the loop: 4 k^2) against a warm Adam step
+    # (its three returned arrays and one block)
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    adam = OptimizerConfig(kind="adam", learning_rate=0.1)
+    w1, state = adam_step(w, g, init_state(adam, shape), adam)
+    swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
+    assert swan <= warm_peak_bytes(adam_step, w1, g, state, adam) + 4096
 
 
 @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])

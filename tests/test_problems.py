@@ -186,6 +186,48 @@ class TestMlp:
         analytic = np.concatenate([g.ravel() for g in grads])
         assert np.linalg.norm(analytic - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
+    @pytest.mark.parametrize(
+        "dims, scale", [((16, 64, 64, 8), 1.0), ((5, 3), 1.0), ((10, 20, 30, 2), 1e200)]
+    )
+    def test_in_place_backward_pass_keeps_the_bits(self, dims, scale):
+        # the objective against the backward pass in new arrays, over 50 batches; at
+        # scale 1e200 the activations overflow to inf and nan
+        p = MlpProblem(layer_dims=dims, batch_size=33, teacher_seed=3)
+
+        def plain(weights, batch_seed):
+            x, y = p.sample_batch(batch_seed)
+            acts = [x]
+            for i, w in enumerate(weights):
+                z = acts[-1] @ w
+                acts.append(z if i == len(weights) - 1 else np.tanh(z))
+            diff = acts[-1] - y
+            loss = 0.5 * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / x.shape[0])
+            grads, delta = [None] * len(weights), diff / x.shape[0]
+            for i in reversed(range(len(weights))):
+                grads[i] = acts[i].T @ delta
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (1.0 - acts[i] * acts[i])
+            return loss, grads
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(50):
+                weights = [scale * w for w in p.initial_weights(t)]
+                loss, grads = p.loss_and_grads(weights, t)
+                want_loss, want = plain(weights, t)
+                assert np.array(loss).tobytes() == np.array(want_loss).tobytes()
+                assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+
+    def test_working_set(self, warm_peak_bytes):
+        # the batch (x, y), the hidden activations, the gradients, the output and one
+        # delta of the widest hidden layer: each activation is overwritten once read
+        dims, batch = (16, 64, 64, 8), 64
+        p = MlpProblem(layer_dims=dims, batch_size=batch)
+        weights = p.initial_weights(1)
+        hidden = batch * sum(dims[1:-1])
+        grads = sum(a * b for a, b in zip(dims, dims[1:]))
+        entries = batch * dims[0] + 2 * batch * dims[-1] + hidden + batch * max(dims[1:-1]) + grads
+        assert warm_peak_bytes(p.loss_and_grads, weights, 2) <= entries * 8 + 4096
+
     def test_batch_determinism(self):
         p = MlpProblem(layer_dims=(4, 8, 3), teacher_seed=2)
         weights = p.initial_weights(7)
