@@ -208,7 +208,7 @@ def _cmd_stb(args) -> int:
     system = StbSystem.seeded(
         context_len=args.context_len, width=args.width, seed=args.seed, dt=args.dt
     )
-    traj = stb_integrate(system, steps=args.steps, seed=args.seed)
+    traj = stb_integrate(system, args.steps)
     div = hessian_block_divergence(system, traj.final_state)
     summary = dict(aborted_at=traj.aborted_at, final_step=traj.final_step, block_divergence=div)
     write_json(_out_dir(args) / "stb_summary.json", summary)

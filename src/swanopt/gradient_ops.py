@@ -5,8 +5,10 @@ and population std 1 across its columns). ``grad_whitening`` maps a gradient
 G to its nearest row-orthogonal matrix (G G^T)^{-1/2} G, either exactly
 through an SVD or approximately through a Newton-Schulz iteration, run as
 matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
-rows on. ``rescale_update`` restores the Frobenius norm of a reference
-matrix onto a computed update direction.
+rows on; ``orthogonalize`` is the exact factor for either shape.
+``rescale_update`` restores the Frobenius norm of a reference matrix onto a
+computed update direction. The Newton-Schulz and rescale kernels write their
+input: their public entries hand them a copy.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
 def _exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`exact_polar` of a checked matrix ``g``."""
     u, s, vt = np.linalg.svd(g, full_matrices=False)
-    if s[0] == 0.0:
+    if not s.size or s[0] == 0.0:  # an empty matrix is all-zero
         raise ValueError("cannot whiten an all-zero matrix")
     if s[-1] <= 1e-12 * s[0]:
         raise ValueError(
@@ -181,33 +183,33 @@ def newton_schulz_inverse_sqrt(
     P = Z Y for Y: with T = b (3I - P), ``paired`` sets Z <- T Z, P <- T (P T), and
     ``chained`` sets Z <- S Z, P <- S Q with Q = P T and S = b (3I - Q).
 
-    ``a`` is a Gram matrix (symmetric positive semidefinite) and is not written. Below 128
-    rows the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1
-    is T_1 or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays
-    beside ``a`` (T, Q, P, Z). From 128 rows it runs on the spectrum: Z is a polynomial
-    f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V f_k(lambda)
-    V^T, in 3 m x m arrays beside ``a`` (V, V f_k(lambda), Z). The eigenvalues are clamped at
-    0 first: on a rank-deficient ``a`` the round-off negatives are what the recursion grows
-    by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
+    ``a`` is a Gram matrix (symmetric positive semidefinite) and is not written. Below 128 rows
+    the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1 is T_1
+    or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays beside ``a``
+    (a copy of it, which holds P, and T, Q, Z). From 128 rows it runs on the spectrum: Z is a
+    polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
+    f_k(lambda) V^T, in 3 m x m arrays beside ``a`` (the copy, holding V f_k(lambda), and V, Z).
+    The eigenvalues are clamped at 0 first: on a rank-deficient ``a`` the round-off negatives are
+    what the recursion grows by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
         raise ValueError("newton_schulz_inverse_sqrt needs a square matrix")
-    return _ns_inverse_sqrt(a, iterations, step_size, update_order)
+    return _ns_inverse_sqrt(a.copy(), iterations, step_size, update_order)
 
 
-def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order, overwrite=False):
-    """:func:`newton_schulz_inverse_sqrt` of a checked square ``a``. With ``overwrite`` (the
-    caller owns ``a``) P, or V f(lambda), goes into ``a``, beside 3 m x m arrays below 128 rows
-    (T, Q, Z) and 2 from 128 (V, Z); if m is a multiple of 64, Z too, beside V and a scratch."""
+def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
+    """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P, or V f(lambda),
+    goes into ``a``, beside 3 m x m arrays below 128 rows (T, Q, Z) and 2 from 128 (V, Z); if m
+    is a multiple of 64, Z too, beside V and a scratch."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
-        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1, overwrite)
+        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
-    f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1, True)
-    z = np.multiply(v, f, out=a if overwrite else None)  # V f(lambda)
-    if not overwrite or m % 64:
+    f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
+    z = np.multiply(v, f, out=a)  # V f(lambda)
+    if m % 64:
         return z @ v.T
     rows = min(m, _BLOCK // m) // 16 * 16 or 16  # blocks off multiples of 16 changed bits
     out = np.empty((rows, m))
@@ -217,12 +219,12 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order, overwri
     return z
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride, overwrite=False):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; P goes into ``p0``
-    itself with ``overwrite`` (the caller owns ``p0``). ``p0`` is either the Gram matrix, with
-    ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or
-    its eigenvalues, with ``product=np.multiply`` and ``stride=1``. T and S share one buffer,
-    shifted through one diagonal view."""
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
+    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; each new P goes into
+    ``p0``, which it writes. ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
+    identity's diagonal every ``stride = m + 1`` flat entries, or its eigenvalues, with
+    ``product=np.multiply`` and ``stride=1``. T and S share one buffer, shifted through one
+    diagonal view."""
     t = np.empty(p0.shape)  # T, then S when chained
     diag = t.reshape(-1)[::stride]
     chained = update_order == "chained"
@@ -231,16 +233,16 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, over
         np.multiply(x, -step_size, out=t)
         np.add(diag, 3.0 * step_size, out=diag)
 
-    p, z, u, p_out = p0, None, None, p0 if overwrite else None
+    z = u = None
     for i in range(1, iterations + 1):
         last = i == iterations
-        shift(p)  # T
+        shift(p0)  # T
         if chained or not last:  # paired, P T only feeds the next P
-            u = product(p, t, out=u)  # P T, which is Q = Z Y' when chained
+            u = product(p0, t, out=u)  # P T, which is Q = Z Y' when chained
         if chained:
             shift(u)  # S
         if not last:
-            p = p_out = product(t, u, out=p_out)  # T (P T) or S Q
+            product(t, u, out=p0)  # T (P T) or S Q
         if z is None:  # Z = I: the new Z is a copy of T or S
             z = t.copy()
         else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
@@ -260,8 +262,8 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
     and the one owner of G~n. Below 128 rows (k = m) the working set is max(4 k^2, 2 m n + k^2): if
     n < 3m, G~n is not held across the loop (the Gram matrix, reused for P, T, Q and Z) but built
     again after it from ``g``, s and GradNorm's row statistics by the first pass's operations, so
-    with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and an
-    owned :func:`_ns_inverse_sqrt`'s arrays; a C-ordered G~n with n > 2m a multiple of 64 is
+    with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and
+    :func:`_ns_inverse_sqrt`'s arrays; a C-ordered G~n with n > 2m a multiple of 64 is
     overwritten with Z G~n by the fewest even column blocks of <= m on multiples of 64, through one
     scratch, else Z G~n is a new array (in an F-ordered, tall, G~n its norm would change). No BLAS
     promises that row or column blocks keep a product's bits: these kept them on one build
@@ -275,7 +277,7 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
         raise ValueError("cannot whiten an all-zero matrix")
     gn = np.divide(gn, scale, out=None if gn is g else gn)
     gram, gn = gn @ gn.T, None if stats is not None else gn
-    z = _ns_inverse_sqrt(gram, cfg.iterations, cfg.step_size, cfg.update_order, True)
+    z = _ns_inverse_sqrt(gram, cfg.iterations, cfg.step_size, cfg.update_order)
     del gram  # P's buffer, or Z's
     if gn is None:  # G~n again; the statistics are not held for Z G~n
         gn = g if norm is None else _grad_norm(g, norm, stats)
@@ -307,18 +309,14 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     g = as_matrix(g, "g")
     if g.shape[0] > g.shape[1]:
         raise ValueError(f"grad_whitening needs rows <= cols, got {g.shape[0]}x{g.shape[1]}")
-    return _whiten(g, cfg)
-
-
-def orthogonalize(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
-    """Shape-agnostic whitening: transposes tall inputs and transposes back."""
-    g = as_matrix(g, "g")
-    return _whiten(g.T, cfg).T if g.shape[0] > g.shape[1] else _whiten(g, cfg)
-
-
-def _whiten(g: np.ndarray, cfg: WhiteningConfig) -> np.ndarray:
-    """:func:`grad_whitening` of a checked wide matrix ``g``."""
     return _exact_polar(g)[0] if cfg.mode == "exact_eig" else _ns_whiten(g, cfg)[0]
+
+
+def orthogonalize(g) -> np.ndarray:
+    """The orthogonal polar factor U V^T of ``g`` of either shape, from one thin SVD of ``g``
+    or, if tall, of ``g^T``; the input rule of :func:`exact_polar`."""
+    g = as_matrix(g, "g")
+    return _exact_polar(g.T)[0].T if g.shape[0] > g.shape[1] else _exact_polar(g)[0]
 
 
 def _fro(x: np.ndarray) -> float:
@@ -327,16 +325,16 @@ def _fro(x: np.ndarray) -> float:
     return math.sqrt(f @ f)
 
 
-def _rescale(delta: np.ndarray, target_norm: float, out=None) -> np.ndarray:
-    """``delta`` scaled to Frobenius norm ``target_norm``, into ``out`` if given."""
+def _rescale(delta: np.ndarray, target_norm: float) -> np.ndarray:
+    """``delta``, which it writes, scaled to Frobenius norm ``target_norm``."""
     norm = _fro(delta)
     if norm == 0.0:
         raise ValueError("rescale_update: zero-norm delta has no direction")
-    return np.multiply(delta, target_norm / norm, out=out)
+    return np.multiply(delta, target_norm / norm, out=delta)
 
 
 def rescale_update(delta, reference) -> np.ndarray:
-    """Scale ``delta`` so its Frobenius norm matches that of ``reference``."""
+    """A copy of ``delta`` scaled so its Frobenius norm matches that of ``reference``."""
     delta = as_matrix(delta, "delta")
     reference = as_matrix(reference, "reference")
-    return _rescale(delta, _fro(reference))
+    return _rescale(delta.copy(order="K"), _fro(reference))

@@ -230,7 +230,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for desc in spec.optimizers:
         w = w0_shared.copy()
         if desc.orthogonal_init:
-            w = orthogonalize(w, WhiteningConfig(mode="exact_eig"))
+            w = orthogonalize(w)
         step = steps[desc.name]
         state = init_state(desc.config, shape)
         records: list[TrajectoryRecord] = []

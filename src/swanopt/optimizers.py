@@ -67,6 +67,7 @@ KINDS = (
     "newton",
     "whitened_gd_optimal",
 )
+# Public: the kinds that keep no state between steps, for which moment_buffer_count reads 0.
 STATELESS_KINDS = tuple(k for k in KINDS if k != "adam")
 ABLATIONS = ("full", "norm_only", "whiten_only")
 
@@ -119,6 +120,7 @@ def init_state(cfg: OptimizerConfig, shape: tuple[int, int]) -> OptimizerState:
 
 
 def moment_buffer_count(state: OptimizerState) -> int:
+    """Public: how many m x n moment buffers ``state`` holds, 2 for Adam and 0 for the rest."""
     return int(state.first_moment is not None) + int(state.second_moment is not None)
 
 
@@ -166,7 +168,7 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
         else:  # G~ is built by its one owner, which drops it for the loop where it can
             delta, scale = _ns_whiten(g, cfg.whitening_cfg, norm)
         if cfg.swan_rescale:
-            _rescale(delta, scale, out=delta)
+            _rescale(delta, scale)
     np.multiply(delta, lr, out=delta)
     return np.subtract(w, delta, out=delta)
 

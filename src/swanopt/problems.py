@@ -49,8 +49,8 @@ class QuadraticProblem:
 
     def __init__(self, h, c=None):
         h = as_matrix(h, "h")
-        if h.shape[0] != h.shape[1]:
-            raise ValueError("h must be square")
+        if h.shape[0] != h.shape[1] or not h.size:  # an empty h has no spectrum to check
+            raise ValueError(f"h must be square and non-empty, got shape {h.shape}")
         self.h = 0.5 * (h + h.T)
         vals = np.linalg.eigvalsh(self.h)
         if vals[0] <= 0.0:
@@ -256,24 +256,18 @@ class MlpProblem:
 class StbSystem:
     """Reduced transformer-block gradient flow in V-space.
 
-    ``mu`` holds the stationary backpropagated gradient statistics (entry
-    [l, j] pairs input activation l with hidden unit j); ``noise_std`` perturbs
-    mu with fresh seeded Gaussian noise at every integration step. The
-    velocity of entry (l, j) is ``exp(z_l) * mu[l, j]`` with
+    The state V is the context embedding U_C (d x M_C) transposed times the
+    feedforward weights W (d x n), an M_C x n matrix; only its dynamics are
+    integrated, from ``v0``. ``mu`` holds the stationary backpropagated
+    gradient statistics (entry [l, j] pairs input activation l with hidden
+    unit j). The velocity of entry (l, j) is ``exp(z_l) * mu[l, j]`` with
     z_l = 1/2 sum_s V[l, s]^2 (the exponent carries no constant offset), so
     each row of V moves along its own mu row with a growing scalar rate.
-
-    The un-reparameterized construction from transformer quantities (context
-    embedding U_C in R^{d x M_C}, feedforward weights W in R^{d x n}, per-unit
-    backprop statistics) enters through :meth:`from_transformer_parts`, which
-    maps them to this V = U_C^T W coordinate system. Only the V-space dynamics
-    are integrated.
     """
 
     mu: np.ndarray
     v0: np.ndarray
     dt: float = 1e-3
-    noise_std: float = 0.0
 
     def __post_init__(self):
         mu = as_matrix(self.mu, "mu")
@@ -284,37 +278,15 @@ class StbSystem:
             raise ValueError(f"mu must be non-empty, got shape {mu.shape}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v0", v0)
 
     @classmethod
     def seeded(
-        cls,
-        context_len: int = 10,
-        width: int = 12,
-        seed: int = 0,
-        dt: float = 1e-3,
-        noise_std: float = 0.0,
+        cls, context_len: int = 10, width: int = 12, seed: int = 0, dt: float = 1e-3
     ) -> "StbSystem":
         mu = random_matrix(context_len, width, seed)
-        return cls(
-            mu=mu,
-            v0=np.zeros((context_len, width)),
-            dt=dt,
-            noise_std=noise_std,
-        )
-
-    @classmethod
-    def from_transformer_parts(
-        cls, u_c, w, mu, dt: float = 1e-3, noise_std: float = 0.0
-    ) -> "StbSystem":
-        """Build the V-space system from embedding and feedforward matrices."""
-        u_c = as_matrix(u_c, "u_c")
-        w = as_matrix(w, "w")
-        v0 = u_c.T @ w
-        return cls(mu=mu, v0=v0, dt=dt, noise_std=noise_std)
+        return cls(mu=mu, v0=np.zeros((context_len, width)), dt=dt)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -322,14 +294,13 @@ class StbSystem:
 
     def velocity(self, v) -> np.ndarray:
         """Time derivative of V at state ``v``, which must be ``shape``."""
-        return self._velocity(as_matrix(v, "v", self.shape), self.mu)
+        return self._velocity(as_matrix(v, "v", self.shape))
 
-    @staticmethod
-    def _velocity(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """:meth:`velocity` on a checked ``v``, with ``mu`` (perturbed or not)."""
+    def _velocity(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`velocity` on a checked ``v``."""
         with np.errstate(over="ignore"):
             rate = np.exp(0.5 * np.sum(v * v, axis=1))
-        return rate[:, None] * mu
+        return rate[:, None] * self.mu
 
 
 @dataclass(frozen=True)
@@ -342,25 +313,19 @@ class StbTrajectory:
     aborted_at: int | None = None
 
 
-def stb_integrate(system: StbSystem, steps: int, seed: int = 0) -> StbTrajectory:
+def stb_integrate(system: StbSystem, steps: int) -> StbTrajectory:
     """Explicit Euler integration of the V-dynamics with a blow-up guard.
 
     The flow has finite-time blow-up (the exponent grows with ||V||), so the
     integrator stops at the first step that would produce a non-finite entry
-    or push ``max |V|`` past 1e30, and returns the state before it. Noise
-    (when ``noise_std > 0``) is a fresh seeded Gaussian added to mu at every
-    step; with ``noise_std == 0`` the run is deterministic and the seed is
-    unused.
+    or push ``max |V|`` past 1e30, and returns the state before it. The run
+    is deterministic: the same system and step count give the same bits.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = np.random.default_rng(seed)
     v = system.v0.copy()
     for t in range(1, steps + 1):
-        mu = system.mu
-        if system.noise_std > 0.0:
-            mu = mu + system.noise_std * rng.normal(size=mu.shape)
-        candidate = v + system.dt * system._velocity(v, mu)
+        candidate = v + system.dt * system._velocity(v)
         if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > 1e30:
             return StbTrajectory(final_step=t - 1, final_state=v, aborted_at=t)
         v = candidate
@@ -377,7 +342,7 @@ def stb_hessian(system: StbSystem, v) -> np.ndarray:
     """
     v = as_matrix(v, "v", system.shape)
     mc, n = system.shape
-    vdot = system._velocity(v, system.mu)
+    vdot = system._velocity(v)
     h = np.zeros((mc * n, mc * n))
     # h[k * mc + l, k' * mc + l] = vdot[l, k] * v[l, k'], indexed [l, k, k']
     diag = np.arange(mc)

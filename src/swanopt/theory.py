@@ -126,9 +126,9 @@ def robustness_q(problem: QuadraticProblem, w) -> float:
     return tr_hz**2 / (q * float(np.trace(problem.h)))
 
 
-def gd_adversarial_factors(kappa: float, m: int = 50) -> tuple[float, float]:
+def gd_adversarial_factors(kappa: float) -> tuple[float, float]:
     """Measured one-step (loss factor, distance factor) of optimally tuned GD
-    from the classical worst-case start on a diagonal spectrum.
+    from the classical worst-case start on a 50-entry diagonal spectrum.
 
     The start mixes the extreme eigendirections with equal energy,
     w0 = (e_1 + e_m)/sqrt(2); the distance to the optimum then contracts by
@@ -136,6 +136,7 @@ def gd_adversarial_factors(kappa: float, m: int = 50) -> tuple[float, float]:
     """
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
+    m = 50
     lam = np.geomspace(1.0, kappa, m)
     problem = QuadraticProblem(np.diag(lam), np.zeros((m, 1)))
     w0 = np.zeros((m, 1))

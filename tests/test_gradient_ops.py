@@ -206,12 +206,32 @@ class TestGradNormBlocks:
 
 def _whitening_unblocked(g, cfg):
     """Newton-Schulz whitening written out: Z @ G~n with G~n = g / ||g||_F and Z the
-    public recursion on G~n G~n^T (a tall ``g`` transposed, as :func:`orthogonalize`)."""
-    if g.shape[0] > g.shape[1]:
-        return _whitening_unblocked(g.T, cfg).T
+    public recursion on G~n G~n^T."""
     gn = g / np.linalg.norm(g)
     k, b, order = cfg.iterations, cfg.step_size, cfg.update_order
     return newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+
+
+def _ns_recursion_in_new_arrays(a, k, b, order):
+    """The matrix loop of ``_ns_recursion`` (P = Z Y tracked for Y, T and S by one
+    shift) with each product into a new array and ``a`` not written."""
+    def shift(x):  # b (3I - x): x * -b, then 3b added on the diagonal
+        t = np.multiply(x, -b)
+        t.reshape(-1)[:: len(x) + 1] += 3.0 * b
+        return t
+
+    p, z = a, None
+    for i in range(1, k + 1):
+        last = i == k
+        t = shift(p)
+        if order == "chained" or not last:
+            u = p @ t
+        if order == "chained":
+            t = shift(u)
+        if not last:
+            p = t @ u
+        z = t.copy() if z is None else t @ z
+    return z
 
 
 class TestGradWhitening:
@@ -221,14 +241,34 @@ class TestGradWhitening:
         ids=["chained", "paired"],
     )
     @pytest.mark.parametrize("shape", [(50, 50), (40, 100), (16, 64), (64, 8)])
-    @pytest.mark.parametrize("fn", [grad_whitening, orthogonalize])
-    def test_rebuilt_input_keeps_the_bits(self, fn, shape, cfg, assert_same_bits):
+    def test_rebuilt_input_keeps_the_bits(self, shape, cfg, assert_same_bits):
         # below 128 rows with n < 3m G~n is dropped for the loop and rebuilt from g and
         # s, else held; a tall block reaches grad_whitening as its F-ordered transposed view
         g = 3.0 * random_matrix(*shape, 9) + 0.5
-        if fn is grad_whitening and shape[0] > shape[1]:
+        if shape[0] > shape[1]:
             g = g.T
-        assert_same_bits(fn(g, cfg), _whitening_unblocked(g, cfg))
+        assert_same_bits(grad_whitening(g, cfg), _whitening_unblocked(g, cfg))
+
+    @pytest.mark.parametrize("shape", [(50, 50), (40, 100), (16, 64), (64, 8)])
+    def test_orthogonalize_is_the_exact_polar_factor(self, shape, assert_same_bits):
+        # a tall g is factored transposed, so its factor is the wide one's transpose
+        g = 3.0 * random_matrix(*shape, 9) + 0.5
+        want = exact_polar(g.T)[0].T if shape[0] > shape[1] else exact_polar(g)[0]
+        assert_same_bits(orthogonalize(g), want)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            exact_polar,
+            lambda g: grad_whitening(g, EXACT),
+            orthogonalize,
+            lambda g: orthogonalize(g.T),
+        ],
+        ids=["exact_polar", "grad_whitening", "orthogonalize", "orthogonalize_tall"],
+    )
+    def test_empty_input_is_all_zero(self, call):
+        with pytest.raises(ValueError, match="cannot whiten an all-zero matrix"):
+            call(np.zeros((0, 3)))
 
     def test_working_set_below_128_rows_is_the_loop(self, warm_peak_bytes):
         # G~n = g / s is not held across the loop: its 4 k x k arrays (T, Q, Z and the
@@ -364,7 +404,7 @@ class TestGradWhitening:
 
         def owned():
             np.copyto(a, a0)
-            return _ns_inverse_sqrt(a, 10, 0.8, order, overwrite=True)
+            return _ns_inverse_sqrt(a, 10, 0.8, order)
 
         scratch = _BLOCK if m >= 128 and m % 64 == 0 else 0
         vectors = 4 * m if m >= 128 else 0
@@ -374,11 +414,32 @@ class TestGradWhitening:
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [2, 20, 50, 127])
     def test_owned_loop_keeps_the_public_bits(self, m, order, k, assert_same_bits):
-        # P written into the owned Gram matrix: the same products into another buffer
+        # P written into the owned Gram matrix: the same products into new arrays
         g = conditioned_gradient(5, m=m, n=2 * m)
         a = g @ g.T
-        want = newton_schulz_inverse_sqrt(a, k, 0.8, order)
-        assert_same_bits(_ns_inverse_sqrt(a.copy(), k, 0.8, order, overwrite=True), want)
+        want = _ns_recursion_in_new_arrays(a, k, 0.8, order)
+        assert_same_bits(_ns_inverse_sqrt(a.copy(), k, 0.8, order), want)
+
+    @pytest.mark.parametrize("order", ["chained", "paired"])
+    @pytest.mark.parametrize("m", [20, 127, 128, 192, 300])
+    def test_public_recursion_leaves_a_read_only_input_unwritten(
+        self, m, order, assert_same_bits
+    ):
+        # the owned body runs on a copy: the bits of the products into new arrays
+        # (below 128 rows) and of the whole product V f(lambda) V^T (from 128)
+        g = conditioned_gradient(7, m=m, n=2 * m)
+        a = g @ g.T
+        before = a.tobytes()
+        a.flags.writeable = False  # any write to a raises
+        z = newton_schulz_inverse_sqrt(a, 10, 0.8, order)
+        assert a.tobytes() == before
+        if m < 128:
+            want = _ns_recursion_in_new_arrays(a, 10, 0.8, order)
+        else:
+            lam, v = np.linalg.eigh(a)
+            f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
+            want = np.multiply(v, f) @ v.T
+        assert_same_bits(z, want)
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [128, 192, 300, 407, 512, 1024])
@@ -390,15 +451,24 @@ class TestGradWhitening:
         lam, v = np.linalg.eigh(a)
         f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
         owned = a.copy()
-        z = _ns_inverse_sqrt(owned, 10, 0.8, order, overwrite=True)
+        z = _ns_inverse_sqrt(owned, 10, 0.8, order)
         assert (z is owned) == (m % 64 == 0)
         assert_same_bits(z, np.multiply(v, f) @ v.T)
 
-    @pytest.mark.parametrize("cfg", [EXACT, WhiteningConfig()], ids=["exact", "newton_schulz"])
     @pytest.mark.parametrize(
-        "fn, tall",
-        [(grad_whitening, False), (orthogonalize, False), (orthogonalize, True)],
-        ids=["grad_whitening", "orthogonalize", "orthogonalize_tall"],
+        "fn, tall, cfg",
+        [
+            (grad_whitening, False, EXACT),
+            (grad_whitening, False, WhiteningConfig()),
+            (orthogonalize, False, EXACT),
+            (orthogonalize, True, EXACT),
+        ],
+        ids=[
+            "grad_whitening-exact",
+            "grad_whitening-newton_schulz",
+            "orthogonalize-exact",
+            "orthogonalize_tall-exact",
+        ],
     )
     def test_whitening_checks_its_input_once(self, monkeypatch, fn, tall, cfg):
         g = conditioned_gradient(4)
@@ -408,7 +478,8 @@ class TestGradWhitening:
         monkeypatch.setattr(
             gradient_ops, "as_matrix", lambda *args: calls.append(args[1]) or real(*args)
         )
-        out = fn(g.T, cfg).T if tall else fn(g, cfg)
+        call = fn if fn is orthogonalize else lambda x: fn(x, cfg)
+        out = call(g.T).T if tall else call(g)
         assert calls == ["g"]
         assert out.tobytes() == want.tobytes()
 
@@ -416,11 +487,12 @@ class TestGradWhitening:
     @pytest.mark.parametrize("order, unread", [("chained", 2), ("paired", 3)])
     def test_newton_schulz_product_count(self, order, unread, k):
         # 3 products per iteration less the unread ones: Z_1 is T_1 (or S_1)
-        # itself, the last P is not read, nor (paired) the last P T
+        # itself, the last P is not read, nor (paired) the last P T; each P goes
+        # into p0, so it gets a writable copy of the Gram matrix
         g = conditioned_gradient(3, m=8, n=16)
         a = g @ g.T
-        for p0, product, stride in ((a, np.matmul, 9), (np.linalg.eigvalsh(a), np.multiply, 1)):
-            p0.flags.writeable = False  # any write to p0 raises
+        spectrum = np.linalg.eigvalsh(a)
+        for p0, product, stride in ((a.copy(), np.matmul, 9), (spectrum, np.multiply, 1)):
             calls = []
 
             def counting(x, y, out=None):
@@ -466,7 +538,7 @@ class TestGradWhitening:
 
     def test_orthogonalize_transposes_tall(self):
         g = random_matrix(7, 3, 1)
-        w = orthogonalize(g, EXACT)
+        w = orthogonalize(g)
         assert w.shape == (7, 3)
         assert np.linalg.norm(w.T @ w - np.eye(3)) <= 1e-8
 
@@ -497,6 +569,18 @@ class TestRescale:
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
             rescale_update(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_read_only_delta_is_not_written(self, layout, assert_same_bits):
+        # a copy in delta's memory order is scaled: the bits of delta * (|ref| / |delta|)
+        d = random_matrix(5, 7, 3)
+        d = np.asfortranarray(d) if layout == "F" else d
+        ref = random_matrix(5, 7, 4)
+        before = d.tobytes(order="A")
+        d.flags.writeable = False  # any write to d raises
+        out = rescale_update(d, ref)
+        assert d.tobytes(order="A") == before
+        assert_same_bits(out, d * (np.linalg.norm(ref) / np.linalg.norm(d)))
 
 
 class TestConfigValidation:

@@ -108,6 +108,12 @@ class TestSwanStep:
         with pytest.raises(ValueError, match="shape"):
             swan_step(random_matrix(2, 4, 0), random_matrix(2, 5, 1), SWAN_EXACT)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_block_is_all_zero(self, shape):
+        # the Newton-Schulz path's message, also on the exact path
+        with pytest.raises(ValueError, match="cannot whiten an all-zero matrix"):
+            swan_step(np.zeros(shape), np.zeros(shape), SWAN_EXACT)
+
 
 def _swan_oracle(w, g, cfg):
     """SWAN's step composed from the public kernels: w - lr * rescale(whiten(G~), G~)."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,12 @@ class TestQuadratic:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticProblem(np.diag([1.0, -2.0]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+    def test_rejects_an_empty_or_non_square_h(self, shape):
+        message = f"h must be square and non-empty, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuadraticProblem(np.zeros(shape))
 
     def test_rejects_shape_mismatch(self):
         p = QuadraticProblem(np.eye(3), np.zeros((3, 2)))
@@ -256,13 +264,6 @@ class TestStb:
         traj = stb_integrate(system, steps=1)
         assert np.isclose(traj.final_state[0, 0], 1e-3)
 
-    def test_noise_determinism(self):
-        system = StbSystem.seeded(4, 5, seed=3, noise_std=0.5)
-        a = stb_integrate(system, steps=200, seed=9)
-        b = stb_integrate(system, steps=200, seed=9)
-        assert a.final_step == b.final_step == 200
-        assert np.array_equal(a.final_state, b.final_state)
-
     @pytest.mark.parametrize("dt", (0.0, -1e-3, float("nan"), float("inf")))
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
@@ -356,10 +357,3 @@ class TestStb:
         traj = stb_integrate(system, steps=10**6)
         div = hessian_block_divergence(system, traj.final_state)
         assert np.isfinite(div)
-
-    def test_from_transformer_parts(self):
-        u_c = random_matrix(6, 4, 0)
-        w = random_matrix(6, 5, 1)
-        mu = random_matrix(4, 5, 2)
-        system = StbSystem.from_transformer_parts(u_c, w, mu)
-        assert np.allclose(system.v0, u_c.T @ w)

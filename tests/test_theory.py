@@ -17,7 +17,7 @@ from swanopt.theory import (
     tune_learning_rate,
 )
 from swanopt.optimizers import whitened_gd_optimal_step
-from swanopt.gradient_ops import WhiteningConfig, orthogonalize
+from swanopt.gradient_ops import orthogonalize
 from swanopt.matrixops import schatten1_norm
 
 
@@ -52,7 +52,7 @@ class TestWhitenedContraction:
         p = QuadraticProblem.seeded(20, 20, 1e3, 4)
         w = random_matrix(20, 20, 5)
         g = p.h @ w
-        delta = orthogonalize(g, WhiteningConfig(mode="exact_eig"))
+        delta = orthogonalize(g)
         eta_star = schatten1_norm(g) / np.trace(p.h)
         base = p.excess_loss(w - eta_star * delta)
         for f in (0.9, 0.95, 1.05, 1.1):
