@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import as_matrix
+from .matrixops import _SPLIT_MIN, _in_halves, as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -201,7 +201,8 @@ def newton_schulz_inverse_sqrt(
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P, or V f(lambda),
     goes into ``a``, beside 3 m x m arrays below 128 rows (T, Q, Z) and 2 from 128 (V, Z); if m
-    is a multiple of 64, Z too, beside V and a scratch."""
+    is a multiple of 64, Z too, beside V and a scratch (from 2^17 entries and up to m = 1024, two
+    of half the size, one per thread)."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
         return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
@@ -211,12 +212,18 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     z = np.multiply(v, f, out=a)  # V f(lambda)
     if m % 64:
         return z @ v.T
-    rows = min(m, _BLOCK // m) // 16 * 16 or 16  # blocks off multiples of 16 changed bits
-    out = np.empty((rows, m))
-    for i in range(0, m, rows):  # row i of Z reads only row i of V f(lambda)
+    split = z.size >= _SPLIT_MIN and _BLOCK // m >= 32  # a half's blocks keep >= 16 rows
+    rows = min(m, _BLOCK // m) // (16 << split) * 16 or 16  # off multiples of 16, bits changed
+    _in_halves(_z_rows, split, -(-m // rows), z, v, rows)  # row i of Z reads row i of V f
+    return z
+
+
+def _z_rows(z, v, rows, lo, hi) -> None:
+    """Row blocks lo .. hi - 1 of Z = (V f(lambda)) V^T over V f(lambda) in ``z``, via a scratch."""
+    out = np.empty((rows, len(z)))
+    for i in range(lo * rows, min(hi * rows, len(z)), rows):
         b = z[i : i + rows]
         np.copyto(b, np.matmul(b, v.T, out=out[: len(b)]))
-    return z
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
@@ -265,7 +272,9 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
     with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and
     :func:`_ns_inverse_sqrt`'s arrays; a C-ordered G~n with n > 2m a multiple of 64 is
     overwritten with Z G~n by the fewest even column blocks of <= m on multiples of 64, through one
-    scratch, else Z G~n is a new array (in an F-ordered, tall, G~n its norm would change). No BLAS
+    scratch, else Z G~n is a new array (in an F-ordered, tall, G~n its norm would change). From
+    2^17 entries of G~n the column blocks are <= m / 2 wide, and each half of them runs on its own
+    thread through its own scratch (Z's row blocks likewise, in :func:`_ns_inverse_sqrt`). No BLAS
     promises that row or column blocks keep a product's bits: these kept them on one build
     (CHANGES.md). Re-measure before widening them.
     """
@@ -285,12 +294,19 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
     m, n = gn.shape
     if m < 128 or n % 64 or n <= 2 * m or not gn.flags.c_contiguous:
         return z @ gn, scale
-    units, count = n // 64, -(-n // (m // 64 * 64))  # the fewest blocks of <= m columns
-    out = np.empty((m, 64 * -(-units // count)))
-    for i in range(count):
+    split = gn.size >= _SPLIT_MIN
+    count = -(-n // (m // (64 << split) * 64))  # the fewest blocks of <= m (split: m / 2) columns
+    _in_halves(_z_columns, split, count, z, gn, count)
+    return gn, scale
+
+
+def _z_columns(z, gn, count, lo, hi) -> None:
+    """Column blocks lo .. hi - 1 of ``count`` (even, on multiples of 64) of Z G~n over G~n."""
+    units = gn.shape[1] // 64
+    out = np.empty((len(z), 64 * -(-units // count)))
+    for i in range(lo, hi):
         b = gn[:, 64 * (units * i // count) : 64 * (units * (i + 1) // count)]
         np.copyto(b, np.matmul(z, b, out=out[:, : b.shape[1]]))
-    return gn, scale
 
 
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 All matrices are 2-D ``numpy.ndarray`` of float64. Every operation here is a
 pure function; sampling operations take an explicit integer seed and are
-bit-reproducible within a fixed numpy/BLAS build.
+bit-reproducible within a fixed numpy/BLAS build. ``_in_halves`` runs the
+library's large blocked passes on two threads.
 
 The library-wide shape convention is "wide": operators that care about
 orientation expect ``rows <= cols``; their callers transpose tall inputs and
@@ -11,6 +12,10 @@ transpose back.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,55 @@ def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> 
     if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+# Blocked passes over at least _SPLIT_MIN entries take blocks of half their serial size, so that
+# the blocks and the bits depend on the shape alone (break-even in CHANGES.md).
+_SPLIT_MIN = 1 << 17
+_tasks, _busy = None, threading.Lock()  # the worker's queue, made with it by the first split
+_cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+
+
+def _in_halves(fn, split: bool, count: int, *args) -> None:
+    """``fn(*args, 0, count)``, where ``fn(*args, lo, hi)`` runs blocks lo .. hi - 1 of a pass. If
+    ``split`` and two CPUs are free, blocks from ceil(count / 2) on run meanwhile on the worker
+    thread, in this thread's context (numpy's errstate is a context variable); an error is raised
+    once both halves have ended, the lower half's first. A call that finds ``_busy`` held (made by
+    a half, or by another thread) runs serially, so no call waits on itself."""
+    global _tasks
+    if not split or len(_cpus(0)) < 2 or not _busy.acquire(blocking=False):
+        return fn(*args, 0, count)
+    if _tasks is None:  # if the thread fails to start, _busy stays held and later calls are serial
+        _tasks = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_tasks,), daemon=True).start()
+    half, done = -(-count // 2), queue.SimpleQueue()
+    _tasks.put((done, contextvars.copy_context(), fn, (*args, half, count)))
+    try:
+        fn(*args, 0, half)
+    finally:
+        error = done.get()
+        _busy.release()
+    if error is not None:
+        raise error
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        done, context, fn, args = tasks.get()
+        try:
+            done.put(context.run(fn, *args))  # None
+        except BaseException as error:
+            done.put(error)
+        del done, context, fn, args  # a task's arrays die with it, not at the next task
+
+
+def _forget_worker() -> None:  # in a forked child, which has no worker thread
+    global _tasks, _busy
+    _tasks, _busy = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass(frozen=True)

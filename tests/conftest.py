@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from swanopt import matrixops
+
 
 def _warm_peak_bytes(fn, *args) -> int:
     """Peak bytes ``fn(*args)`` allocates above what is live at its start, after a
@@ -42,3 +44,14 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 def assert_same_bits():
     """:func:`_assert_same_bits`, for the bit-identity tests of the blocked kernels."""
     return _assert_same_bits
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` sets the CPU count the library reads before it runs a pass in two halves:
+    1 runs every pass on the calling thread, 2 hands half of a large one to the worker."""
+
+    def set_count(k: int) -> None:
+        monkeypatch.setattr(matrixops, "_cpus", lambda pid: range(k))
+
+    return set_count

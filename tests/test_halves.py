@@ -1,0 +1,198 @@
+"""The library's two-thread passes: each half runs in the caller's context, an error is raised
+once both halves are done, a call never waits on itself, a forked child and the interpreter's
+exit do not wait on the worker, and small blocks never start it."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from swanopt import matrixops
+from swanopt.gradient_ops import _BLOCK, GradNormConfig
+from swanopt.matrixops import _in_halves, random_matrix
+from swanopt.optimizers import OptimizerConfig, OptimizerState, adam_step, init_state, swan_step
+from swanopt.problems import MlpProblem, QuadraticProblem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADAM = OptimizerConfig(kind="adam", learning_rate=0.1)
+SWAN = OptimizerConfig(kind="swan", learning_rate=0.1)
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(cpus):
+    cpus(2)
+
+
+def _wide(seed=0):
+    return random_matrix(512, 2048, seed), random_matrix(512, 2048, seed + 1)
+
+
+def test_both_halves_run_in_the_callers_errstate():
+    seen = {}
+
+    def record(lo, hi):
+        seen[lo] = (np.geterr()["over"], np.geterr()["invalid"], threading.get_ident())
+
+    with np.errstate(over="ignore", invalid="raise"):
+        _in_halves(record, True, 3)
+    assert seen[0][:2] == seen[2][:2] == ("ignore", "raise")
+    assert seen[0][2] == threading.get_ident() != seen[2][2]
+
+
+def test_an_overflow_in_the_worker_half_follows_the_callers_errstate():
+    # loss ignores overflow; the second column half of H w, the worker's, overflows.
+    # Under the suite's error::RuntimeWarning a warning there would fail the call
+    problem = QuadraticProblem.seeded(512, 2048, 10.0, 0)
+    w = random_matrix(512, 2048, 1)
+    w[:, 1024:] = 1e308
+    assert not np.isfinite(problem.loss(w))
+    assert not np.isfinite(problem.loss_and_grad(w)[0])
+
+
+def test_an_error_is_raised_after_both_halves_and_the_lower_ones_wins():
+    ended = []
+
+    def both_fail(lo, hi):
+        if lo:
+            time.sleep(0.2)
+            ended.append(lo)
+        raise ValueError(f"half from block {lo}")
+
+    with pytest.raises(ValueError, match="half from block 0"):
+        _in_halves(both_fail, True, 4)
+    assert ended == [2]
+
+    def upper_fails(lo, hi):
+        if lo:
+            raise ValueError("upper")
+
+    with pytest.raises(ValueError, match="upper"):
+        _in_halves(upper_fails, True, 4)
+
+
+def test_split_steps_raise_todays_errors():
+    w, g = _wide()
+    g[[300, 40]] = 2.0  # zero-variance rows: the message names the first
+    cfg = OptimizerConfig(kind="swan", grad_norm_cfg=GradNormConfig(epsilon=0.0))
+    with pytest.raises(ValueError, match="zero-variance row 40 with epsilon=0"):
+        swan_step(w, g, cfg)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        adam_step(w, np.full(w.shape, 1e200), init_state(ADAM, w.shape), ADAM)
+
+
+def test_a_call_on_the_worker_thread_runs_serially():
+    w, g = _wide()
+    want = adam_step(w, g, init_state(ADAM, w.shape), ADAM)[0]
+    got = {}
+
+    def nested(lo, hi):  # each half makes a call that splits
+        got[lo] = adam_step(w, g, init_state(ADAM, w.shape), ADAM)[0]
+
+    caller = threading.Thread(target=_in_halves, args=(nested, True, 2), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert sorted(got) == [0, 1]
+    assert all(np.array_equal(a, want) for a in got.values())
+
+
+def test_concurrent_callers_each_run_their_own_halves():
+    # more calling threads than cores, switching often: each call returns once all of its
+    # blocks have run, whether its upper half went to the worker or ran serially
+    runs, early = {caller: [] for caller in range(4)}, []
+
+    def record(caller, lo, hi):
+        time.sleep(0.0005)
+        runs[caller].extend(range(lo, hi))
+
+    def calls(caller):
+        for i in range(50):
+            _in_halves(record, True, 5, caller)
+            if sorted(runs[caller]) != sorted(list(range(5)) * (i + 1)):
+                early.append((caller, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=calls, args=(c,), daemon=True) for c in runs]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert early == []
+
+
+def _step_in_child(w, g, want):
+    sys.exit(0 if np.array_equal(swan_step(w, g, SWAN), want) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_forked_child_splits_without_the_parents_worker():
+    w, g = _wide()
+    want = swan_step(w, g, SWAN)  # the parent's worker is running
+    child = multiprocessing.get_context("fork").Process(target=_step_in_child, args=(w, g, want))
+    child.start()
+    child.join(timeout=120)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+
+
+def test_the_cli_exits_promptly_after_split_steps(tmp_path):
+    # `python -m swanopt` on a 2^17-entry quadratic, told it has two CPUs; the worker is
+    # still running at exit
+    script = (
+        "import os, runpy, threading; os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "try: runpy.run_module('swanopt', run_name='__main__')\n"
+        "finally: print(threading.active_count())"
+    )
+    argv = ["--out-dir", str(tmp_path), "--quiet", "quadratic", "--m", "128", "--n", "1024"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--steps", "3"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+
+
+def test_small_blocks_start_no_worker(monkeypatch):
+    monkeypatch.setattr(matrixops, "_tasks", None)
+    threads = threading.active_count()
+    w, g = random_matrix(50, 50, 0), random_matrix(50, 50, 1)
+    swan_step(w, g, SWAN)
+    adam_step(w, g, init_state(ADAM, w.shape), ADAM)
+    QuadraticProblem.seeded(50, 50, 1e4, 2).loss_and_grad(w)
+    mlp = MlpProblem()
+    params = mlp.initial_weights(3)
+    _, grads = mlp.loss_and_grads(params, 4)
+    for p, q in zip(params, grads):
+        swan_step(p, q, SWAN)
+        adam_step(p, q, init_state(ADAM, p.shape), ADAM)
+    assert matrixops._tasks is None
+    assert threading.active_count() == threads
+
+
+def test_split_steps_keep_todays_working_set(warm_peak_bytes):
+    # the bounds of tests/test_optimizers.py at 512 x 2048: two half-size scratches take
+    # the place of one
+    (m, n), (w, g) = (512, 2048), _wide()
+    moments = random_matrix(m, n, 2), np.ones((m, n))
+    state = OptimizerState(step=1, first_moment=moments[0], second_moment=moments[1])
+    rows = _BLOCK // n
+    assert warm_peak_bytes(adam_step, w, g, state, ADAM) <= (3 * m * n + rows * n) * 8 + 4096
+    swan = warm_peak_bytes(swan_step, w, g, SWAN)
+    assert swan <= (m * n + rows * n + 2 * m * m + _BLOCK) * 8 + 4096
+    problem = QuadraticProblem.seeded(m, n, 10.0, 0)
+    assert warm_peak_bytes(problem.grad, w) <= m * n * 8 + 4096

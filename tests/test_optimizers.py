@@ -10,6 +10,7 @@ from swanopt.gradient_ops import (
     newton_schulz_inverse_sqrt,
     rescale_update,
 )
+from swanopt import optimizers
 from swanopt.matrixops import make_spd, random_matrix, sample_stiefel, schatten1_norm
 from swanopt.optimizers import (
     ABLATIONS,
@@ -92,6 +93,22 @@ class TestSwanStep:
         got = swan_step(w, g, SWAN_EXACT)
         assert got.shape == (8, 4)
         assert np.allclose(got, swan_step(w.T, g.T, SWAN_EXACT).T)
+
+    def test_a_tall_block_is_checked_once(self, monkeypatch, assert_same_bits):
+        # one as_matrix call each for w and g, and the bits of the step on the transposes
+        w, g = random_matrix(64, 8, 3), random_matrix(64, 8, 4)
+        cfg = OptimizerConfig(kind="swan", learning_rate=0.1)
+        want = swan_step(w.T, g.T, cfg).T
+        checked, as_matrix = [], optimizers.as_matrix
+
+        def counted(a, *args):
+            checked.append(np.shape(a))
+            return as_matrix(a, *args)
+
+        monkeypatch.setattr(optimizers, "as_matrix", counted)
+        assert_same_bits(swan_step(w, g, cfg), want)
+        assert_same_bits(swan_step(w.tolist(), g.tolist(), cfg), want)
+        assert checked == [(8, 64)] * 4
 
     def test_update_direction_invariances(self):
         # row-wise positive rescaling and recentering of g leave the step unchanged
@@ -440,6 +457,38 @@ def test_adam_step_memory_is_three_outputs_plus_one_block(shape, warm_peak_bytes
     m, n = shape
     rows = m if m * n <= _BLOCK else max(1, _BLOCK // n)
     assert peak <= 3 * m * n * 8 + rows * n * 8 + 4096
+
+
+# The two-thread passes: shapes at 2^17 entries and one row below (no split), odd block
+# counts (Adam's 19 row blocks at 300 x 1024, Z G~'s 19 column blocks at 192 x 1216, H w's
+# 17 units of 64 columns at 128 x 1088) and the bench's block and the transposes.
+SPLIT_SHAPES = [
+    (128, 1024), (127, 1024), (300, 1024), (192, 1216), (128, 1088), (512, 2048), (2048, 512),
+    (1024, 128),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=str)
+def test_split_steps_keep_the_serial_and_unblocked_bits(shape, layout, cpus, assert_same_bits):
+    # with the worker on (2 CPUs) and off (1): the same bits, and those of the whole-array
+    # expressions above
+    w, g = random_matrix(*shape, 4), 3.0 * random_matrix(*shape, 5) + 0.5
+    g = np.asfortranarray(g) if layout == "F" else g
+    m, nu = random_matrix(*shape, 6), np.abs(random_matrix(*shape, 7))
+    swan = OptimizerConfig(kind="swan", learning_rate=0.037)
+    adam = OptimizerConfig(kind="adam", learning_rate=0.013)
+    state, runs = OptimizerState(step=3, first_moment=m, second_moment=nu), []
+    for count in (2, 1):
+        cpus(count)
+        w_new, after = adam_step(w, g, state, adam)
+        runs.append((swan_step(w, g, swan), w_new, after.first_moment, after.second_moment))
+    assert_same_bits(runs[0][0], runs[1][0])
+    assert_same_bits(runs[0][0], _swan_unblocked(w, g, swan))
+    want = _adam_oracle(w, g, 3, m, nu, adam, adam.learning_rate)
+    for split, serial, oracle in zip(runs[0][1:], runs[1][1:], want):
+        assert split.tobytes() == serial.tobytes()
+        assert np.array_equal(split, oracle)
 
 
 class TestSimpleSteps:

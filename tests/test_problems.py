@@ -67,6 +67,25 @@ class TestQuadratic:
             w = p.w_star + 0.1 * random_matrix(5, 5, seed)
             assert p.loss(w) >= p.l_star
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize(
+        "shape", [(512, 2048), (128, 1024), (127, 1024), (128, 1088), (1024, 128)], ids=str
+    )
+    def test_split_products_keep_the_serial_and_whole_bits(self, shape, layout, cpus):
+        # H w in column halves from 2^17 entries (not at 127 x 1024), with the worker on
+        # (2 CPUs) and off (1): the bits of the whole product and of loss's expression
+        p = QuadraticProblem.seeded(*shape, 100.0, 8, c_scale=1.0)
+        w = random_matrix(*shape, 9)
+        w = np.asfortranarray(w) if layout == "F" else w
+        runs = []
+        for count in (2, 1):
+            cpus(count)
+            loss, grad = p.loss_and_grad(w)
+            runs.append((p.grad(w).tobytes(), p.loss(w), loss, grad.tobytes()))
+        hw = p.h @ w
+        whole, loss = np.subtract(hw, p.c).tobytes(), float(np.vdot(w, 0.5 * hw - p.c))
+        assert runs[0] == runs[1] == (whole, loss, loss, whole)
+
     @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
     def test_loss_and_l_star_match_the_trace_form(self, shape):
         p = QuadraticProblem.seeded(*shape, 1e3, 5, c_scale=0.8)
