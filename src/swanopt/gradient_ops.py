@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _SPLIT_MIN, _in_halves, as_matrix
+from .matrixops import _matmul_blocks, as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -188,9 +188,9 @@ def newton_schulz_inverse_sqrt(
     or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays beside ``a``
     (a copy of it, which holds P, and T, Q, Z). From 128 rows it runs on the spectrum: Z is a
     polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
-    f_k(lambda) V^T, in 3 m x m arrays beside ``a`` (the copy, holding V f_k(lambda), and V, Z).
-    The eigenvalues are clamped at 0 first: on a rank-deficient ``a`` the round-off negatives are
-    what the recursion grows by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
+    f_k(lambda) V^T, in the copy of ``a`` and V beside one row block. The eigenvalues are
+    clamped at 0 first: on a rank-deficient ``a`` the round-off negatives are what the recursion
+    grows by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
@@ -199,10 +199,9 @@ def newton_schulz_inverse_sqrt(
 
 
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
-    """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P, or V f(lambda),
-    goes into ``a``, beside 3 m x m arrays below 128 rows (T, Q, Z) and 2 from 128 (V, Z); if m
-    is a multiple of 64, Z too, beside V and a scratch (from 2^17 entries and up to m = 1024, two
-    of half the size, one per thread)."""
+    """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P goes into ``a``
+    beside 3 m x m arrays below 128 rows (T, Q, Z), and from 128 V f(lambda), beside V and then Z
+    by the row blocks of :func:`~swanopt.matrixops._matmul_blocks` (all of Z if one block)."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
         return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
@@ -210,20 +209,7 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     np.maximum(lam, 0.0, out=lam)
     f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
     z = np.multiply(v, f, out=a)  # V f(lambda)
-    if m % 64:
-        return z @ v.T
-    split = z.size >= _SPLIT_MIN and _BLOCK // m >= 32  # a half's blocks keep >= 16 rows
-    rows = min(m, _BLOCK // m) // (16 << split) * 16 or 16  # off multiples of 16, bits changed
-    _in_halves(_z_rows, split, -(-m // rows), z, v, rows)  # row i of Z reads row i of V f
-    return z
-
-
-def _z_rows(z, v, rows, lo, hi) -> None:
-    """Row blocks lo .. hi - 1 of Z = (V f(lambda)) V^T over V f(lambda) in ``z``, via a scratch."""
-    out = np.empty((rows, len(z)))
-    for i in range(lo * rows, min(hi * rows, len(z)), rows):
-        b = z[i : i + rows]
-        np.copyto(b, np.matmul(b, v.T, out=out[: len(b)]))
+    return _matmul_blocks(z, v.T, 0, _BLOCK)  # row i of Z reads row i of V f
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
@@ -270,13 +256,7 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
     n < 3m, G~n is not held across the loop (the Gram matrix, reused for P, T, Q and Z) but built
     again after it from ``g``, s and GradNorm's row statistics by the first pass's operations, so
     with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and
-    :func:`_ns_inverse_sqrt`'s arrays; a C-ordered G~n with n > 2m a multiple of 64 is
-    overwritten with Z G~n by the fewest even column blocks of <= m on multiples of 64, through one
-    scratch, else Z G~n is a new array (in an F-ordered, tall, G~n its norm would change). From
-    2^17 entries of G~n the column blocks are <= m / 2 wide, and each half of them runs on its own
-    thread through its own scratch (Z's row blocks likewise, in :func:`_ns_inverse_sqrt`). No BLAS
-    promises that row or column blocks keep a product's bits: these kept them on one build
-    (CHANGES.md). Re-measure before widening them.
+    :func:`_ns_inverse_sqrt`'s arrays, and Z G~n goes back into it by column blocks (CHANGES.md).
     """
     # below 128 rows G~n is dropped for the loop if n < 3m (from 3m, Z G~n sets the peak anyway)
     stats = [] if len(g) < _SPECTRAL_MIN_ROWS and g.shape[1] < 3 * len(g) else None
@@ -291,22 +271,9 @@ def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None 
     if gn is None:  # G~n again; the statistics are not held for Z G~n
         gn = g if norm is None else _grad_norm(g, norm, stats)
         gn, stats = np.divide(gn, scale, out=None if gn is g else gn), None
-    m, n = gn.shape
-    if m < 128 or n % 64 or n <= 2 * m or not gn.flags.c_contiguous:
+    if len(gn) < _SPECTRAL_MIN_ROWS:
         return z @ gn, scale
-    split = gn.size >= _SPLIT_MIN
-    count = -(-n // (m // (64 << split) * 64))  # the fewest blocks of <= m (split: m / 2) columns
-    _in_halves(_z_columns, split, count, z, gn, count)
-    return gn, scale
-
-
-def _z_columns(z, gn, count, lo, hi) -> None:
-    """Column blocks lo .. hi - 1 of ``count`` (even, on multiples of 64) of Z G~n over G~n."""
-    units = gn.shape[1] // 64
-    out = np.empty((len(z), 64 * -(-units // count)))
-    for i in range(lo, hi):
-        b = gn[:, 64 * (units * i // count) : 64 * (units * (i + 1) // count)]
-        np.copyto(b, np.matmul(z, b, out=out[:, : b.shape[1]]))
+    return _matmul_blocks(z, gn, 1, z.size), scale  # Z G~n over G~n
 
 
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
@@ -317,8 +284,7 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     Frobenius norm, the coupled recursion is run for ``cfg.iterations`` steps, and ``Z @ g`` is
     returned *at the normalized scale*; downstream rescaling (see :func:`rescale_update`) restores
     magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the same code, so their
-    outputs agree bit for bit; below 128 rows it holds max(4 m^2, 2 m n + m^2), as g / s is not kept
-    across the loop where n < 3m. Rank deficiency is not rejected here: from 128 rows the recursion
+    outputs agree bit for bit. Rank deficiency is not rejected here: from 128 rows the recursion
     runs on the Gram spectrum clamped at 0, but below, on square GradNorm'd input, the chained
     default turns non-finite from ~28 iterations.
     """

@@ -2,8 +2,8 @@
 
 All matrices are 2-D ``numpy.ndarray`` of float64. Every operation here is a
 pure function; sampling operations take an explicit integer seed and are
-bit-reproducible within a fixed numpy/BLAS build. ``_in_halves`` runs the
-library's large blocked passes on two threads.
+bit-reproducible within a fixed numpy/BLAS build. ``_in_blocks`` holds the
+library's one rule for blocked passes, and runs the large ones on two threads.
 
 The library-wide shape convention is "wide": operators that care about
 orientation expect ``rows <= cols``; their callers transpose tall inputs and
@@ -43,34 +43,75 @@ def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> 
     return m
 
 
-# Blocked passes over at least _SPLIT_MIN entries take blocks of half their serial size, so that
-# the blocks and the bits depend on the shape alone (break-even in CHANGES.md).
-_SPLIT_MIN = 1 << 17
+_SPLIT_MIN = 1 << 17  # passes of this many entries split in two (break-even in CHANGES.md)
 _tasks, _busy = None, threading.Lock()  # the worker's queue, made with it by the first split
 _cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
 
 
-def _in_halves(fn, split: bool, count: int, *args) -> None:
-    """``fn(*args, 0, count)``, where ``fn(*args, lo, hi)`` runs blocks lo .. hi - 1 of a pass. If
-    ``split`` and two CPUs are free, blocks from ceil(count / 2) on run meanwhile on the worker
-    thread, in this thread's context (numpy's errstate is a context variable); an error is raised
-    once both halves have ended, the lower half's first. A call that finds ``_busy`` held (made by
-    a half, or by another thread) runs serially, so no call waits on itself."""
+def _in_blocks(fn, args: tuple, x: np.ndarray, axis: int, unit: int, cap: int | None) -> None:
+    """The library's one blocking rule: a pass over the lines of ``x`` (rows for ``axis`` 0, columns
+    for 1) runs as ``fn(args, width, lo, hi)`` on blocks lo .. hi - 1 of ``width`` lines, the last
+    one ragged. A pass of one block (:func:`_one_block`) is its caller's to run whole. Otherwise a
+    block is the most lines on a multiple of ``unit`` (at least one unit) that fit in ``cap``
+    entries, halved from ``_SPLIT_MIN`` entries, or without a cap half the lines: the blocks, and so
+    the bits, depend on the shape alone. If a pass splits and two CPUs are free, its upper half runs
+    meanwhile on the worker thread, in this thread's context (numpy's errstate is a context
+    variable); an error is raised once both halves have ended, the lower half's first. A call that
+    finds ``_busy`` held (made by a half, or by another thread) runs serially, so no call waits on
+    itself."""
     global _tasks
-    if not split or len(_cpus(0)) < 2 or not _busy.acquire(blocking=False):
-        return fn(*args, 0, count)
+    split = x.size >= _SPLIT_MIN
+    per = cap // x.shape[1 - axis] // unit >> split if cap else -(-x.shape[axis] // unit // 2)
+    width = unit * max(per, 1)  # per: units of lines per block
+    count = -(-x.shape[axis] // width)
+    if count < 2 or not split or len(_cpus(0)) < 2 or not _busy.acquire(blocking=False):
+        return fn(args, width, 0, count)
     if _tasks is None:  # if the thread fails to start, _busy stays held and later calls are serial
         _tasks = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(_tasks,), daemon=True).start()
     half, done = -(-count // 2), queue.SimpleQueue()
-    _tasks.put((done, contextvars.copy_context(), fn, (*args, half, count)))
+    _tasks.put((done, contextvars.copy_context(), fn, (args, width, half, count)))
     try:
-        fn(*args, 0, half)
+        fn(args, width, 0, half)
     finally:
         error = done.get()
         _busy.release()
     if error is not None:
         raise error
+
+
+def _one_block(size: int, cap: int | None) -> bool:
+    """Whether a pass of ``size`` entries is one block: within ``cap``, or without it below 2^17."""
+    return size < _SPLIT_MIN if cap is None else size <= cap
+
+
+def _matmul_blocks(a, b, axis: int, cap: int | None = None) -> np.ndarray:
+    """``a @ b`` by the blocks of :func:`_in_blocks`, on multiples of 16 rows (``axis`` 0, of ``a``)
+    or 64 columns (1, of ``b``). In more than one block, with a ``cap`` it goes back into that
+    operand, each half's blocks through one scratch of at most ``cap`` entries; without, into a new
+    array. Blocks need not keep the whole product's bits (CHANGES.md lists the shapes whose bits
+    moved)."""
+    if _one_block(len(a) * b.shape[1], cap):
+        return a @ b
+    out = np.empty((len(a), b.shape[1])) if cap is None else (a, b)[axis]
+    _in_blocks(_matmul_lines, (a, b, out, axis), out, axis, 64 if axis else 16, cap)
+    return out
+
+
+def _matmul_lines(args, width, lo, hi) -> None:
+    """Blocks lo .. hi - 1 of ``width`` lines of :func:`_matmul_blocks` of ``args``."""
+    a, b, out, axis = args
+    inplace = out is (a, b)[axis]
+    pre = (slice(None),) * axis
+    scratch = np.empty(out[pre + (slice(0, width),)].shape) if inplace else None
+    for i in range(lo * width, min(hi * width, out.shape[axis]), width):
+        block = out[pre + (slice(i, i + width),)]
+        x = block if inplace else (a, b)[axis][pre + (slice(i, i + width),)]
+        x, y = (a, x) if axis else (x, b)
+        if scratch is None:
+            np.matmul(x, y, out=block)
+        else:  # the block is read whole before it is written
+            np.copyto(block, np.matmul(x, y, out=scratch[pre + (slice(0, block.shape[axis]),)]))
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:

@@ -35,7 +35,7 @@ from .gradient_ops import (
     _rescale,
     exact_polar,
 )
-from .matrixops import _SPLIT_MIN, _in_halves, as_matrix, schatten1_norm
+from .matrixops import _in_blocks, _one_block, as_matrix, schatten1_norm
 from .problems import QuadraticProblem
 
 __all__ = [
@@ -143,11 +143,8 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): below 128 rows
     max(4 k^2, 2 m n + k^2), as ``_ns_whiten`` holds G~ across the loop only where n >= 3k. From 128
     rows one m x n buffer (G~, where whitening, rescale, rate and the subtraction from ``w``
-    happen), a GradNorm row block and k x k arrays: 2 and a ``_BLOCK`` scratch if k is a multiple of
-    64, else 3; unblocked shapes take a second m x n buffer for the row block. ``eigh``'s LAPACK
-    workspace is not counted. Exact mode keeps its SVD and buffers (CHANGES.md). From 2^17
-    entries, Z G~ (wide blocks with n > 2m a multiple of 64) and Z itself (k a multiple of 64,
-    384 <= k <= 1024) run in two halves on two threads, through two half-size scratches.
+    happen), GradNorm's squares, 2 k x k arrays and a block scratch. ``eigh``'s LAPACK workspace
+    is not counted. Exact mode keeps its SVD and buffers (CHANGES.md).
     """
     w, g = np.asarray(w), np.asarray(g)
     if w.ndim == 2 and w.shape == g.shape and w.shape[0] > w.shape[1]:  # checked once, transposed
@@ -185,12 +182,10 @@ def adam_step(
     squared gradient (its bias correction would divide by zero) so the update
     becomes gradient descent preconditioned by diag(|G^0|^-1).
 
-    Working set beyond its inputs, for an m x n block: the three returned
-    arrays (m', nu', weights) plus one scratch row block of at most ``_BLOCK``
-    entries (all m x n if that fits in one). From 2^17 entries with blocks of
-    two rows or more, each half of the blocks runs on its own thread through a
-    scratch of half that size. ``w``, ``g`` and the state are never written;
-    with beta2 = 1 after the first step, nu' is the state's own second moment.
+    Working set beyond its inputs, for an m x n block: the three returned arrays (m', nu', weights)
+    plus one scratch row block of at most ``_BLOCK`` entries (all m x n if that fits in one). ``w``,
+    ``g`` and the state are never written; with beta2 = 1 after the first step, nu' is the state's
+    own second moment.
     """
     w, g = _checked("adam_step", "adam", w, g, cfg)
     if state.step > 0 and (state.first_moment is None or state.second_moment is None):
@@ -215,18 +210,16 @@ def _adam(
     t = step + 1
     m_new, w_new = np.empty(w.shape), np.empty(w.shape)
     nu_new = nu if cfg.adam_beta2 == 1.0 and step > 0 else np.empty(w.shape)
-    if w.size <= _BLOCK:
+    if _one_block(w.size, _BLOCK):
         _adam_block(w, g, m, nu, m_new, nu_new, w_new, np.empty(w.shape), t, cfg, lr)
     else:
-        split = w.size >= _SPLIT_MIN and 2 * w.shape[1] <= _BLOCK  # halves of >= 1 row
-        rows = max(1, _BLOCK // w.shape[1] // (1 + split))
-        args = (w, g, m, nu, m_new, nu_new, w_new, t, cfg, lr, rows)
-        _in_halves(_adam_rows, split, -(-len(w) // rows), *args)
+        _in_blocks(_adam_rows, (w, g, m, nu, m_new, nu_new, w_new, t, cfg, lr), w, 0, 1, _BLOCK)
     return w_new, OptimizerState(step=t, first_moment=m_new, second_moment=nu_new)
 
 
-def _adam_rows(w, g, m, nu, m_new, nu_new, w_new, t, cfg, lr, rows, lo, hi) -> None:
-    """:func:`_adam_block` on the blocks lo .. hi - 1 of ``rows`` rows, through one scratch."""
+def _adam_rows(args, rows, lo, hi) -> None:
+    """:func:`_adam_block` of ``args`` on blocks lo .. hi - 1 of ``rows`` rows, via one scratch."""
+    w, g, m, nu, m_new, nu_new, w_new, t, cfg, lr = args
     scratch = np.empty((rows, w.shape[1]))
     for i in range(lo * rows, min(hi * rows, len(w)), rows):
         b = slice(i, i + rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _SPLIT_MIN, _in_halves, as_matrix, make_spd, random_matrix
+from .matrixops import _matmul_blocks, as_matrix, make_spd, random_matrix
 
 __all__ = [
     "QuadraticProblem",
@@ -40,13 +40,10 @@ __all__ = [
 class QuadraticProblem:
     """1/2 Tr(W^T H W) - Tr(C^T W) with H symmetric positive definite.
 
-    H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and
-    L* = -1/2 <C, W*> are computed; the curvature steps take the problem and
-    read them from it. C defaults to the square zero matrix. The loss is
-    <W, 1/2 H W - C>, one matrix product; :meth:`loss_and_grad` shares that
-    product with the gradient H W - C. From 2^17 entries of W with n a multiple
-    of 64, H W runs in two column halves on two threads, with the same bits.
-    """
+    H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and L* = -1/2 <C, W*> are
+    computed; the curvature steps take the problem and read them from it. C defaults to the square
+    zero matrix. The loss is <W, 1/2 H W - C>, one matrix product (by blocks, CHANGES.md);
+    :meth:`loss_and_grad` shares that product with the gradient H W - C."""
 
     def __init__(self, h, c=None):
         h = as_matrix(h, "h")
@@ -88,11 +85,11 @@ class QuadraticProblem:
         w = as_matrix(w, "w", self.shape)
         # a non-finite loss from overflow on runaway iterates is the divergence signal
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._loss(w, self._hw(w))
+            return self._loss(w, _matmul_blocks(self.h, w, 1))
 
     def grad(self, w) -> np.ndarray:
         w = as_matrix(w, "w", self.shape)
-        hw = self._hw(w)
+        hw = _matmul_blocks(self.h, w, 1)
         return np.subtract(hw, self.c, out=hw)
 
     def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
@@ -100,29 +97,15 @@ class QuadraticProblem:
         product H w. Where the loss is finite, so is the gradient."""
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            hw = self._hw(w)
+            hw = _matmul_blocks(self.h, w, 1)
             loss = self._loss(w, hw)
             return loss, np.subtract(hw, self.c, out=hw)
-
-    def _hw(self, w) -> np.ndarray:
-        """H w, in two column halves from ``_SPLIT_MIN`` entries if n is a multiple of 64."""
-        if w.size < _SPLIT_MIN or w.shape[1] % 64:
-            return self.h @ w
-        hw = np.empty(w.shape)
-        _in_halves(_matmul_columns, True, w.shape[1] // 64, self.h, w, hw)
-        return hw
 
     def _loss(self, w, hw) -> float:
         return float(np.vdot(w, 0.5 * hw - self.c))
 
     def excess_loss(self, w) -> float:
         return self.loss(w) - self.l_star
-
-
-def _matmul_columns(a, b, out, lo, hi) -> None:
-    """``a @ b`` into ``out`` on columns 64 lo .. 64 hi - 1 (cuts on multiples of 64 kept the
-    whole product's bits, CHANGES.md)."""
-    np.matmul(a, b[:, 64 * lo : 64 * hi], out=out[:, 64 * lo : 64 * hi])
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,59 @@ def warm_peak_bytes():
     return _warm_peak_bytes
 
 
-def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    """Assert ``got`` has ``want``'s memory order and bits. The column-blocked Z G~ and
-    the row-blocked Z = (V f) V^T are known to keep the bits of the whole products
-    ``z @ gn`` and ``np.multiply(v, f) @ v.T`` only on the BLAS build, kernel and thread
-    count they were measured on (OpenBLAS 0.3.31, AVX-512, 1 thread): a failure names them."""
+def _assert_same_bits(got: np.ndarray, want: np.ndarray, whole=None, rtol: float = 1e-12) -> None:
+    """Assert ``got`` has ``want``'s memory order and bits. With ``whole``, the same values from
+    whole products, first assert ``got`` within ``rtol`` of it in the max norm, relative to the
+    largest entry, so that a failure says whether the result is wrong or only its bits moved (the
+    largest error measured on these tests was 7.1e-16, Z at 407 rows). Blocked products keep their
+    blocked expressions' bits only on the BLAS build, kernel and thread count they were measured on
+    (OpenBLAS 0.3.31, AVX-512, 1 thread): a failure names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    where = f"BLAS {blas}, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
+    if whole is not None:
+        error = np.max(np.abs(got - whole), initial=0.0) / np.max(np.abs(whole), initial=1.0)
+        if not error <= rtol:
+            pytest.fail(f"wrong: {error:.3g} from the whole products, above {rtol:g}; {where}")
     same = got.flags.f_contiguous == want.flags.f_contiguous
     if not (same and got.tobytes(order="A") == want.tobytes(order="A")):
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        threads = os.environ.get("OPENBLAS_NUM_THREADS")
-        pytest.fail(f"bits differ; BLAS {blas}, OPENBLAS_NUM_THREADS={threads}")
+        close = "" if whole is None else f", within {rtol:g} of the whole products"
+        pytest.fail(f"bits differ{close}; {where}")
 
 
 @pytest.fixture
 def assert_same_bits():
     """:func:`_assert_same_bits`, for the bit-identity tests of the blocked kernels."""
     return _assert_same_bits
+
+
+def _blocked_product(a, b, axis: int, cap: int | None = None, order: str = "C") -> np.ndarray:
+    """``a @ b`` as :func:`swanopt.matrixops._matmul_blocks` forms it, restated in plain numpy:
+    blocks of rows (``axis`` 0) on multiples of 16 or of columns (1) on multiples of 64, each a
+    whole product written into an ``order``-ordered result, the last one ragged. A product within
+    ``cap`` entries, or without a cap below 2^17, is one block. Otherwise a block is the most
+    lines that fit in ``cap`` entries (from 2^17 entries, half of them), or without a cap half
+    the lines."""
+    out = np.empty((len(a), b.shape[1]), order=order)
+    length, span, unit = out.shape[axis], out.shape[1 - axis], 64 if axis else 16
+    split = out.size >= 1 << 17
+    if (out.size <= cap) if cap else not split:
+        width = length
+    elif cap is None:
+        width = unit * -(-length // unit // 2)
+    else:
+        width = unit * max(1, cap // span // unit >> split)
+    for i in range(0, length, width):
+        if axis:
+            out[:, i : i + width] = a @ b[:, i : i + width]
+        else:
+            out[i : i + width] = a[i : i + width] @ b
+    return out
+
+
+@pytest.fixture
+def blocked_product():
+    """:func:`_blocked_product`, the oracle of the blocked products' bits."""
+    return _blocked_product
 
 
 @pytest.fixture

@@ -393,11 +393,11 @@ class TestGradWhitening:
         assert peak <= 5 * m * m * 8 + 2048
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
-    @pytest.mark.parametrize("m, squares", [(50, 3), (300, 2), (512, 1)])
+    @pytest.mark.parametrize("m, squares", [(50, 3), (300, 1), (512, 1)])
     def test_owned_newton_schulz_working_set(self, m, squares, order, warm_peak_bytes):
-        # beside the owned a: T, Q and Z below 128 rows; V and Z from 128; V alone and
-        # one row-block scratch when m is a multiple of 64; and the spectral path's
-        # eigenvalues and recursion vectors (4 of length m)
+        # beside the owned a: T, Q and Z below 128 rows; from 128 V and one row-block
+        # scratch (Z goes into a), and the spectral path's eigenvalues and recursion
+        # vectors (4 of length m)
         g = conditioned_gradient(2, m=m, n=2 * m)
         a0 = g @ g.T
         a = a0.copy()
@@ -406,7 +406,7 @@ class TestGradWhitening:
             np.copyto(a, a0)
             return _ns_inverse_sqrt(a, 10, 0.8, order)
 
-        scratch = _BLOCK if m >= 128 and m % 64 == 0 else 0
+        scratch = _BLOCK if m >= 128 else 0
         vectors = 4 * m if m >= 128 else 0
         assert warm_peak_bytes(owned) <= (squares * m * m + scratch + vectors) * 8 + 2048
 
@@ -423,10 +423,11 @@ class TestGradWhitening:
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [20, 127, 128, 192, 300])
     def test_public_recursion_leaves_a_read_only_input_unwritten(
-        self, m, order, assert_same_bits
+        self, m, order, assert_same_bits, blocked_product
     ):
-        # the owned body runs on a copy: the bits of the products into new arrays
-        # (below 128 rows) and of the whole product V f(lambda) V^T (from 128)
+        # the owned body runs on a copy: the bits of the products into new arrays (below
+        # 128 rows) and of (V f(lambda)) V^T by row blocks (from 128; within the tolerance
+        # of the whole product)
         g = conditioned_gradient(7, m=m, n=2 * m)
         a = g @ g.T
         before = a.tobytes()
@@ -434,26 +435,28 @@ class TestGradWhitening:
         z = newton_schulz_inverse_sqrt(a, 10, 0.8, order)
         assert a.tobytes() == before
         if m < 128:
-            want = _ns_recursion_in_new_arrays(a, 10, 0.8, order)
+            assert_same_bits(z, _ns_recursion_in_new_arrays(a, 10, 0.8, order))
         else:
             lam, v = np.linalg.eigh(a)
-            f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
-            want = np.multiply(v, f) @ v.T
-        assert_same_bits(z, want)
+            vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1))
+            assert_same_bits(z, blocked_product(vf, v.T, 0, _BLOCK), vf @ v.T)
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [128, 192, 300, 407, 512, 1024])
-    def test_owned_spectral_z_keeps_the_whole_product_bits(self, m, order, assert_same_bits):
-        # m a multiple of 64: Z by row blocks in the owned Gram matrix; other m keep the
-        # whole product V f(lambda) V^T as a new array
+    def test_owned_spectral_z_keeps_the_whole_product_bits(
+        self, m, order, assert_same_bits, blocked_product
+    ):
+        # Z by row blocks in the owned Gram matrix, the last one short at 192, 300 and 407
+        # rows (at 128 rows, one block: a new array): the blocked expression's bits, within
+        # the tolerance of the whole product V f(lambda) V^T
         g = conditioned_gradient(6, m=m, n=2 * m)
         a = g @ g.T
         lam, v = np.linalg.eigh(a)
-        f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
+        vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1))
         owned = a.copy()
         z = _ns_inverse_sqrt(owned, 10, 0.8, order)
-        assert (z is owned) == (m % 64 == 0)
-        assert_same_bits(z, np.multiply(v, f) @ v.T)
+        assert (z is owned) == (m * m > _BLOCK)
+        assert_same_bits(z, blocked_product(vf, v.T, 0, _BLOCK), vf @ v.T)
 
     @pytest.mark.parametrize(
         "fn, tall, cfg",

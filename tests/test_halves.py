@@ -1,6 +1,7 @@
 """The library's two-thread passes: each half runs in the caller's context, an error is raised
 once both halves are done, a call never waits on itself, a forked child and the interpreter's
-exit do not wait on the worker, and small blocks never start it."""
+exit do not wait on the worker, small blocks never start it and a pass of one block hands it
+nothing."""
 
 import multiprocessing
 import os
@@ -13,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swanopt import matrixops
+from swanopt import matrixops, optimizers
 from swanopt.gradient_ops import _BLOCK, GradNormConfig
-from swanopt.matrixops import _in_halves, random_matrix
+from swanopt.matrixops import _SPLIT_MIN, _in_blocks, random_matrix
 from swanopt.optimizers import OptimizerConfig, OptimizerState, adam_step, init_state, swan_step
 from swanopt.problems import MlpProblem, QuadraticProblem
 
@@ -33,14 +34,20 @@ def _wide(seed=0):
     return random_matrix(512, 2048, seed), random_matrix(512, 2048, seed + 1)
 
 
+def _rows(count):
+    """``_in_blocks``' arguments after ``fn, args`` for a pass of ``count`` one-row blocks above
+    the split threshold, over a broadcast (no memory)."""
+    return np.broadcast_to(0.0, (count, _SPLIT_MIN)), 0, 1, _SPLIT_MIN
+
+
 def test_both_halves_run_in_the_callers_errstate():
     seen = {}
 
-    def record(lo, hi):
+    def record(args, width, lo, hi):
         seen[lo] = (np.geterr()["over"], np.geterr()["invalid"], threading.get_ident())
 
     with np.errstate(over="ignore", invalid="raise"):
-        _in_halves(record, True, 3)
+        _in_blocks(record, (), *_rows(3))
     assert seen[0][:2] == seen[2][:2] == ("ignore", "raise")
     assert seen[0][2] == threading.get_ident() != seen[2][2]
 
@@ -58,22 +65,22 @@ def test_an_overflow_in_the_worker_half_follows_the_callers_errstate():
 def test_an_error_is_raised_after_both_halves_and_the_lower_ones_wins():
     ended = []
 
-    def both_fail(lo, hi):
+    def both_fail(args, width, lo, hi):
         if lo:
             time.sleep(0.2)
             ended.append(lo)
         raise ValueError(f"half from block {lo}")
 
     with pytest.raises(ValueError, match="half from block 0"):
-        _in_halves(both_fail, True, 4)
+        _in_blocks(both_fail, (), *_rows(4))
     assert ended == [2]
 
-    def upper_fails(lo, hi):
+    def upper_fails(args, width, lo, hi):
         if lo:
             raise ValueError("upper")
 
     with pytest.raises(ValueError, match="upper"):
-        _in_halves(upper_fails, True, 4)
+        _in_blocks(upper_fails, (), *_rows(4))
 
 
 def test_split_steps_raise_todays_errors():
@@ -91,10 +98,10 @@ def test_a_call_on_the_worker_thread_runs_serially():
     want = adam_step(w, g, init_state(ADAM, w.shape), ADAM)[0]
     got = {}
 
-    def nested(lo, hi):  # each half makes a call that splits
+    def nested(args, width, lo, hi):  # each half makes a call that splits
         got[lo] = adam_step(w, g, init_state(ADAM, w.shape), ADAM)[0]
 
-    caller = threading.Thread(target=_in_halves, args=(nested, True, 2), daemon=True)
+    caller = threading.Thread(target=_in_blocks, args=(nested, (), *_rows(2)), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
@@ -107,13 +114,13 @@ def test_concurrent_callers_each_run_their_own_halves():
     # blocks have run, whether its upper half went to the worker or ran serially
     runs, early = {caller: [] for caller in range(4)}, []
 
-    def record(caller, lo, hi):
+    def record(args, width, lo, hi):
         time.sleep(0.0005)
-        runs[caller].extend(range(lo, hi))
+        runs[args[0]].extend(range(lo, hi))
 
     def calls(caller):
         for i in range(50):
-            _in_halves(record, True, 5, caller)
+            _in_blocks(record, (caller,), *_rows(5))
             if sorted(runs[caller]) != sorted(list(range(5)) * (i + 1)):
                 early.append((caller, i))
 
@@ -196,3 +203,46 @@ def test_split_steps_keep_todays_working_set(warm_peak_bytes):
     assert swan <= (m * n + rows * n + 2 * m * m + _BLOCK) * 8 + 4096
     problem = QuadraticProblem.seeded(m, n, 10.0, 0)
     assert warm_peak_bytes(problem.grad, w) <= m * n * 8 + 4096
+
+
+def test_a_one_block_pass_hands_the_worker_nothing(monkeypatch):
+    # above the split threshold, a pass of one block (H w at 2048 x 64, Adam's rows at
+    # 1 x 2^17) runs in the caller alone: the worker gets no empty half
+    handed = []
+
+    class Spy:  # the worker's queue, which runs each task at once
+        def put(self, task):
+            done, context, fn, args = task
+            handed.append(args[1:])
+            done.put(context.run(fn, *args))
+
+    monkeypatch.setattr(matrixops, "_tasks", Spy())
+    QuadraticProblem.seeded(2048, 64, 10.0, 0).grad(random_matrix(2048, 64, 1))
+    row = random_matrix(1, _SPLIT_MIN, 2)
+    adam_step(row, row, init_state(ADAM, row.shape), ADAM)
+    assert handed == []
+    _in_blocks(lambda args, width, lo, hi: None, (), *_rows(2))  # two blocks: one each
+    assert handed == [(1, 1, 2)]
+
+
+def test_the_bench_block_keeps_the_split_widths(monkeypatch):
+    # at 512 x 2048 the one rule gives the widths the per-product rules gave there: Z's rows 32,
+    # Z G~'s columns 256, H w's columns 1024 and Adam's rows 8
+    widths = set()
+
+    def spy(fn, args, x, axis, unit, cap):
+        def record(args, width, lo, hi):
+            widths.add((fn.__name__, axis, width))
+            fn(args, width, lo, hi)
+
+        in_blocks(record, args, x, axis, unit, cap)
+
+    in_blocks = matrixops._in_blocks
+    monkeypatch.setattr(matrixops, "_in_blocks", spy)
+    monkeypatch.setattr(optimizers, "_in_blocks", spy)
+    w, g = _wide()
+    swan_step(w, g, SWAN)
+    adam_step(w, g, init_state(ADAM, w.shape), ADAM)
+    QuadraticProblem.seeded(512, 2048, 10.0, 0).grad(w)
+    lines = ("_matmul_lines", 0, 32), ("_matmul_lines", 1, 256), ("_matmul_lines", 1, 1024)
+    assert widths == {*lines, ("_adam_rows", 0, 8)}

@@ -5,6 +5,7 @@ from swanopt.gradient_ops import (
     _BLOCK,
     GradNormConfig,
     WhiteningConfig,
+    _ns_recursion,
     grad_norm,
     grad_whitening,
     newton_schulz_inverse_sqrt,
@@ -181,12 +182,14 @@ def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
     assert w.tobytes() == w0.tobytes() and g.tobytes() == g0.tobytes()
 
 
-def _swan_unblocked(w, g, cfg):
-    """SWAN's step as plain whole-array numpy expressions: GradNorm's squares in
-    one temporary, Z @ G~ into a new array. The oracle for the blocked kernels' bits."""
+def _swan_expressions(w, g, cfg, product=None):
+    """SWAN's step as plain numpy expressions: GradNorm's squares in one temporary, and from 128
+    rows Z = (V f) V^T and Z G~ as whole products or, with ``product`` (the ``blocked_product``
+    fixture), as the blocked kernels form them, Z G~ in G~'s memory order. Whole products are
+    the oracle of the values, blocked ones of the bits."""
     if w.shape[0] > w.shape[1]:
-        return _swan_unblocked(w.T, g.T, cfg).T
-    gcfg, wcfg, n = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape[1]
+        return _swan_expressions(w.T, g.T, cfg, product).T
+    gcfg, wcfg, (m, n) = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape
     g_tilde = g
     if cfg.ablation != "whiten_only":
         c = g - np.add.reduce(g, axis=1, keepdims=True) / n if gcfg.subtract_mean else g.copy()
@@ -197,18 +200,40 @@ def _swan_unblocked(w, g, cfg):
         scale = np.linalg.norm(g_tilde)
         gn = g_tilde / scale
         k, b, order = wcfg.iterations, wcfg.step_size, wcfg.update_order
-        delta = newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+        if m < 128:
+            delta = newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+        else:
+            lam, v = np.linalg.eigh(gn @ gn.T)
+            vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), k, b, order, np.multiply, 1))
+            if product is None:
+                delta = (vf @ v.T) @ gn
+            else:
+                layout = "F" if gn.flags.f_contiguous else "C"
+                delta = product(product(vf, v.T, 0, _BLOCK), gn, 1, m * m, layout)
         if cfg.swan_rescale:
             delta = delta * (scale / np.linalg.norm(delta))
-    return w - delta * cfg.learning_rate
+    delta = delta * cfg.learning_rate
+    return np.subtract(w, delta, out=delta)
+
+
+@pytest.fixture
+def assert_swan_bits(assert_same_bits, blocked_product):
+    """``check(got, w, g, cfg)``: ``got`` has the bits of the blocked expressions, and is within
+    ``assert_same_bits``' tolerance of the whole ones."""
+
+    def check(got, w, g, cfg):
+        want = _swan_expressions(w, g, cfg, blocked_product)
+        assert_same_bits(got, want, _swan_expressions(w, g, cfg))
+
+    return check
 
 
 SWAN_BITS_SHAPES = {
-    "swan_wide": (512, 2048),  # two 1024-column blocks of Z G~
-    "swan_tall": (2048, 512),  # F-ordered G~: Z G~ into a new array
-    "ragged_blocks": (130, 1216),  # column blocks of 192 and 256, row blocks of 26
+    "swan_wide": (512, 2048),  # Z G~ in 256-column blocks, Z in 32-row blocks
+    "swan_tall": (2048, 512),  # the same blocks, Z G~ into an F-ordered G~
+    "ragged_blocks": (130, 1216),  # Z G~ in 64-column blocks, Z in one block
     "four_blocks": (128, 1024),
-    "unblocked_n": (200, 300),  # n is not a multiple of 64
+    "unblocked_n": (200, 300),  # ragged last blocks: Z G~ 192 + 108 columns, Z 160 + 40 rows
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
     "small": (16, 64),  # n >= 3m: G~n held across the loop
     "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
@@ -220,11 +245,11 @@ SWAN_BITS_SHAPES = {
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 @pytest.mark.parametrize("case", SWAN_BITS_SHAPES)
-def test_swan_step_matches_unblocked_expressions(case, ablation, assert_same_bits):
+def test_swan_step_matches_unblocked_expressions(case, ablation, assert_swan_bits):
     shape = SWAN_BITS_SHAPES[case]
     w, g = random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1) + 0.5
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037, ablation=ablation)
-    assert_same_bits(swan_step(w, g, cfg), _swan_unblocked(w, g, cfg))
+    assert_swan_bits(swan_step(w, g, cfg), w, g, cfg)
 
 
 @pytest.mark.parametrize(
@@ -239,16 +264,19 @@ def test_swan_step_matches_unblocked_expressions(case, ablation, assert_same_bit
 )
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216), (50, 50)])
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, assert_same_bits):
+def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, assert_swan_bits):
     w, g = random_matrix(*shape, 2), 3.0 * random_matrix(*shape, 3) - 0.5
     g = np.asfortranarray(g) if layout == "F" else g
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037, **kwargs)
-    assert_same_bits(swan_step(w, g, cfg), _swan_unblocked(w, g, cfg))
+    assert_swan_bits(swan_step(w, g, cfg), w, g, cfg)
 
 
 @pytest.mark.parametrize(
     "shape",
-    [(50, 50), (64, 64), (64, 512), (512, 64), (128, 1024), (1024, 128), (512, 2048), (2048, 512)],
+    [
+        (50, 50), (64, 64), (64, 512), (512, 64), (128, 1024), (1024, 128), (512, 2048),
+        (2048, 512), (300, 1001), (1001, 300),
+    ],  # fmt: skip
     ids=[
         "quadratic",
         "square",
@@ -258,6 +286,8 @@ def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, a
         "tall_spectral",
         "swan_wide",
         "swan_tall",
+        "ragged",
+        "ragged_tall",
     ],
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -265,13 +295,12 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     # k = min(m, n), with 4 KB for small temporaries. Below 128 rows the peak is the
     # Newton-Schulz loop's 4 k x k arrays (T, Q, Z and the Gram matrix, reused for P),
     # G~ not being held across it where n < 3m, or after it G~n, Z and Z G~n. From 128 rows
-    # a G~ that _ns_whiten blocks (wide, C-ordered, n > 2m a multiple of 64) is the one
-    # m x n buffer: Z G~ goes back into it, and GradNorm squares one row block at a
-    # time. Other shapes, tall ones (F-ordered G~) among them, take a second m x n
-    # buffer (GradNorm's squares, then Z G~). Beside it, k x k arrays: 2 (the
-    # eigenvectors and the Gram matrix, reused for Z) and one scratch of <= _BLOCK
-    # entries if k is a multiple of 64, else 3. No bound is above the unblocked
-    # step's 2 m n + 5 k^2.
+    # G~ is the one m x n buffer, into which Z G~ goes back by column blocks. Beside it, first
+    # GradNorm's squares: a row block of a C-ordered (wide) G~, all m x n of an F-ordered
+    # (tall) one. Then two k x k arrays (the eigenvectors and the Gram matrix, reused for Z),
+    # one block scratch of at most _BLOCK entries (Z's rows; Z G~'s, of at most k^2, once the
+    # eigenvectors are gone) and the spectral path's 4 vectors of length k. No bound is above
+    # the unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
@@ -279,11 +308,8 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     if k < 128:
         bound = max(4 * k * k, 2 * m * n + k * k) * 8 + 4096
     else:
-        squares = 3 if k % 64 else 2
-        scratch = 0 if k % 64 else min(_BLOCK, k * k)
-        blocked = n % 64 == 0 and n > 2 * m
-        second = max(1, min(m, _BLOCK // n)) * n if blocked else m * n
-        bound = (m * n + second + squares * k * k + scratch) * 8 + 4096
+        squares = max(1, min(m, _BLOCK // n)) * n if m <= n else m * n
+        bound = (m * n + max(squares, 2 * k * k + min(_BLOCK, k * k)) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
 
@@ -461,18 +487,21 @@ def test_adam_step_memory_is_three_outputs_plus_one_block(shape, warm_peak_bytes
 
 # The two-thread passes: shapes at 2^17 entries and one row below (no split), odd block
 # counts (Adam's 19 row blocks at 300 x 1024, Z G~'s 19 column blocks at 192 x 1216, H w's
-# 17 units of 64 columns at 128 x 1088) and the bench's block and the transposes.
+# 17 units of 64 columns at 128 x 1088), the bench's block and the transposes, and ragged
+# last blocks (300 x 1001 split, 130 x 520 serial).
 SPLIT_SHAPES = [
     (128, 1024), (127, 1024), (300, 1024), (192, 1216), (128, 1088), (512, 2048), (2048, 512),
-    (1024, 128),
+    (1024, 128), (300, 1001), (130, 520),
 ]  # fmt: skip
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=str)
-def test_split_steps_keep_the_serial_and_unblocked_bits(shape, layout, cpus, assert_same_bits):
-    # with the worker on (2 CPUs) and off (1): the same bits, and those of the whole-array
-    # expressions above
+def test_split_steps_keep_the_serial_and_unblocked_bits(
+    shape, layout, cpus, assert_same_bits, assert_swan_bits
+):
+    # with the worker on (2 CPUs) and off (1): the same bits, and those of the blocked
+    # expressions above (Adam's: of the whole-array ones)
     w, g = random_matrix(*shape, 4), 3.0 * random_matrix(*shape, 5) + 0.5
     g = np.asfortranarray(g) if layout == "F" else g
     m, nu = random_matrix(*shape, 6), np.abs(random_matrix(*shape, 7))
@@ -484,7 +513,7 @@ def test_split_steps_keep_the_serial_and_unblocked_bits(shape, layout, cpus, ass
         w_new, after = adam_step(w, g, state, adam)
         runs.append((swan_step(w, g, swan), w_new, after.first_moment, after.second_moment))
     assert_same_bits(runs[0][0], runs[1][0])
-    assert_same_bits(runs[0][0], _swan_unblocked(w, g, swan))
+    assert_swan_bits(runs[0][0], w, g, swan)
     want = _adam_oracle(w, g, 3, m, nu, adam, adam.learning_rate)
     for split, serial, oracle in zip(runs[0][1:], runs[1][1:], want):
         assert split.tobytes() == serial.tobytes()

@@ -69,11 +69,17 @@ class TestQuadratic:
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize(
-        "shape", [(512, 2048), (128, 1024), (127, 1024), (128, 1088), (1024, 128)], ids=str
+        "shape",
+        [(512, 2048), (128, 1024), (127, 1024), (128, 1088), (1024, 128), (300, 1001), (1001, 300)],
+        ids=str,
     )
-    def test_split_products_keep_the_serial_and_whole_bits(self, shape, layout, cpus):
-        # H w in column halves from 2^17 entries (not at 127 x 1024), with the worker on
-        # (2 CPUs) and off (1): the bits of the whole product and of loss's expression
+    def test_split_products_keep_the_serial_and_whole_bits(
+        self, shape, layout, cpus, assert_same_bits, blocked_product
+    ):
+        # H w in column halves on multiples of 64 from 2^17 entries (not at 127 x 1024; a
+        # short upper half at 128 x 1088, 300 x 1001 and 1001 x 300), with the worker on
+        # (2 CPUs) and off (1): the bits of the blocked product and of loss's expression,
+        # within the tolerance of the whole product
         p = QuadraticProblem.seeded(*shape, 100.0, 8, c_scale=1.0)
         w = random_matrix(*shape, 9)
         w = np.asfortranarray(w) if layout == "F" else w
@@ -82,9 +88,11 @@ class TestQuadratic:
             cpus(count)
             loss, grad = p.loss_and_grad(w)
             runs.append((p.grad(w).tobytes(), p.loss(w), loss, grad.tobytes()))
-        hw = p.h @ w
-        whole, loss = np.subtract(hw, p.c).tobytes(), float(np.vdot(w, 0.5 * hw - p.c))
-        assert runs[0] == runs[1] == (whole, loss, loss, whole)
+        hw = blocked_product(p.h, w, 1)
+        grad = np.subtract(hw, p.c)
+        assert_same_bits(p.grad(w), grad, np.subtract(p.h @ w, p.c))
+        want, loss = grad.tobytes(), float(np.vdot(w, 0.5 * hw - p.c))
+        assert runs[0] == runs[1] == (want, loss, loss, want)
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
     def test_loss_and_l_star_match_the_trace_form(self, shape):
