@@ -8,7 +8,10 @@ matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy.
+input: their public entries hand them a copy. From 128 rows the update's norm
+is read from the spectrum, and SWAN's whole step runs in one m x n array and
+one k x k beside small scratch (:func:`_ns_whiten` states the rule and the
+working set; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _matmul_blocks, as_matrix
+from .matrixops import _SPLIT_MIN, _in_blocks, _matmul_blocks, _one_block, as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -42,6 +45,14 @@ _SPECTRAL_MIN_ROWS = 128
 # Elementwise passes over a large matrix run on row blocks of at most this many
 # entries, so a block's operands stay in L2 (Adam's block sweep is in CHANGES.md).
 _BLOCK = 32768
+
+# numpy's default ufunc buffer, in entries, and its smallest, for the elementwise passes that
+# run better without one (numpy's getbufsize() takes about 0.5 us a call)
+_BUFFER, _SMALL_BUFFER = 8192, 16
+
+# Below this ||G~||_F^2 the Gram matrix's products lose bits to subnormals; the spectral path then
+# takes it of G~ scaled by a power of two, as it does where the squares overflow
+_TINY = 1e-280
 
 
 @dataclass(frozen=True)
@@ -110,45 +121,82 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     statistics. A zero-variance row with ``epsilon == 0`` is rejected with the
     offending row index; with a positive epsilon such a row maps to zeros.
     """
-    return _grad_norm(as_matrix(g, "g"), cfg)
+    return _grad_norm(as_matrix(g, "g"), cfg)[0]
 
 
-def _grad_norm(g: np.ndarray, cfg: GradNormConfig, stats: list | None = None) -> np.ndarray:
-    """:func:`grad_norm` of a checked ``g`` into a new array, beside a row block of squares (m x n
-    for one block) and a broadcast buffer of min(block size, 8192) entries. Each block's (rows,
-    mean, std + epsilon) goes into an empty list ``stats``; a filled one rebuilds the same bits."""
+def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
+    """:func:`grad_norm` of a checked ``g`` into a new array, and its row statistics as m x 1
+    columns: the mean (0.0 without ``subtract_mean``) and std + epsilon, from which
+    :func:`_standardize` rebuilds any block of it with its bits. Beside the output it holds one
+    block of squares (:func:`_square_sums`) and, on C-ordered blocks, no ufunc buffer."""
     m, n = g.shape
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
     if n < 1:
         raise ValueError("grad_norm needs at least one column")
     # c, in the memory order of ``g - mean`` or ``g.copy()``, is the one m x n buffer. A C-ordered
-    # g runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
-    # Adam's); another order (a tall block's view, strided by rows) as one block, as c * c.
-    c = np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape)
-    for rows, mean, std in stats or ():  # a small wide g in halves: its broadcast buffer < Z G~n
-        h = -(-m // 2) if n > m and g.size <= np.getbufsize() and g.flags.c_contiguous else len(std)
-        for i in range(0, len(std), h):
-            r, b = slice(rows.start + i, rows.start + i + h), slice(i, i + h)
-            cb = np.subtract(g[r], mean[b] if cfg.subtract_mean else mean, out=c[r])
-            np.divide(cb, std[b], out=cb)
-    if stats:
-        return c
-    rows = max(1, min(m, _BLOCK // n) if g.flags.c_contiguous else m)
+    # c runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
+    # Adam's); an F-ordered one (a tall block's view, strided by rows) as one block, whose squares
+    # _square_sums takes by blocks of columns.
+    c, stats = _like_grad_norm(g, cfg), []
+    rows = max(1, min(m, _BLOCK // n)) if c.flags.c_contiguous else m
     sq = np.empty_like(c[:rows]) if rows < m else None
-    for i in range(0, m, rows):
+    small = rows * n >= _BUFFER > n and c.flags.c_contiguous  # rows shorter than a buffer
+    for i in range(0, max(m, 1), rows):  # an empty g has one (empty) block of statistics
         gb, cb = g[i : i + rows], c[i : i + rows]
-        sqb = None if sq is None else sq[: len(cb)]
         mean = np.add.reduce(gb, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
-        np.subtract(gb, mean, out=cb)  # x - 0.0 is x, bit for bit
-        std = np.sqrt(np.add.reduce(np.square(cb, out=sqb), axis=1, keepdims=True) / n)
+        _unbuffered(small, np.subtract, gb, mean, cb)  # x - 0.0 is x, bit for bit
+        std = np.sqrt(_square_sums(cb, None if sq is None else sq[: len(cb)]) / n)
         if cfg.epsilon == 0.0 and not std.all():
             dead = i + int(np.flatnonzero(std.ravel() == 0.0)[0])
             raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
-        np.divide(cb, np.add(std, cfg.epsilon, out=std), out=cb)
-        if stats is not None:
-            stats.append((slice(i, i + rows), mean, std))
-    return c
+        _unbuffered(small, np.divide, cb, np.add(std, cfg.epsilon, out=std), cb)
+        stats.append((mean, std))
+    if len(stats) == 1:
+        return c, *stats[0]
+    means, stds = zip(*stats)
+    return c, np.concatenate(means) if cfg.subtract_mean else 0.0, np.concatenate(stds)
+
+
+def _like_grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
+    """An empty array in the memory order of GradNorm's output for ``g``: ``g``'s with
+    ``subtract_mean``, C order without."""
+    return np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape)
+
+
+def _standardize(g: np.ndarray, mean, std: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(``g`` - ``mean``) / ``std`` into ``out``: GradNorm's subtract and divide on a block of
+    ``g`` with its row statistics, so with the bits of its first pass."""
+    return np.divide(np.subtract(g, mean, out=out), std, out=out)
+
+
+def _square_sums(c: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+    """The row sums of ``c * c`` as an m x 1 array, with the bits of the whole reduction: pairwise
+    along the rows of a C-ordered ``c`` (squared into ``sq``, a new array if None), in sequence
+    along an F-ordered one. From 2^17 entries the latter runs by blocks of columns through one
+    scratch of at most ``_BLOCK`` entries, whose first row holds the running sums."""
+    if c.flags.c_contiguous or c.size < _SPLIT_MIN:
+        return np.add.reduce(np.square(c, out=sq), axis=1, keepdims=True)
+    m, n = c.shape
+    rows, ct = max(1, _BLOCK // m - 1), c.T  # the rows of the C-ordered c^T are c's columns
+    s = np.zeros((rows + 1, m))
+    for j in range(0, n, rows):
+        block = ct[j : j + rows]
+        np.square(block, out=s[1 : len(block) + 1])
+        np.add.reduce(s[: len(block) + 1], axis=0, out=s[0])  # s[0] + each row, in order
+    return s[:1].T.copy()
+
+
+def _unbuffered(on: bool, op, x: np.ndarray, y, out: np.ndarray) -> np.ndarray:
+    """``op(x, y, out=out)``, elementwise; if ``on``, at numpy's smallest ufunc buffer. Numpy
+    buffers a broadcast or strided operand by min(size, 8192) entries, and on lines shorter than
+    that the copy is slower than the plain loop (CHANGES.md); an elementwise result has the same
+    bits either way. Reductions are left at the default buffer."""
+    if not on:
+        return op(x, y, out=out)
+    with np.errstate():  # which also restores the buffer size
+        np.setbufsize(_SMALL_BUFFER)
+        return op(x, y, out=out)
 
 
 def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
@@ -201,15 +249,21 @@ def newton_schulz_inverse_sqrt(
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P goes into ``a``
     beside 3 m x m arrays below 128 rows (T, Q, Z), and from 128 V f(lambda), beside V and then Z
-    by the row blocks of :func:`~swanopt.matrixops._matmul_blocks` (all of Z if one block)."""
+    (:func:`_v_diag_vt`)."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
         return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
     f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
-    z = np.multiply(v, f, out=a)  # V f(lambda)
-    return _matmul_blocks(z, v.T, 0, _BLOCK)  # row i of Z reads row i of V f
+    return _v_diag_vt(v, f, a)
+
+
+def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """V diag(``d``) V^T into the k x k ``out``: V d there, then its rows by the blocks of
+    :func:`~swanopt.matrixops._matmul_blocks` through one row scratch (row i of the product
+    reads row i of V d)."""
+    return _matmul_blocks(np.multiply(v, d, out=out), v.T, 0, _BLOCK)
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
@@ -247,33 +301,143 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
     return z
 
 
-def _ns_whiten(g: np.ndarray, cfg: WhiteningConfig, norm: GradNormConfig | None = None):
-    """Newton-Schulz whitening of a wide ``g``: ``(Z @ G~n, s)``, with G~ the GradNorm of ``g``
-    under ``norm`` (``g`` itself without it), s = ||G~||_F and G~n = G~ / s.
+def _ns_whiten(
+    g: np.ndarray,
+    cfg: WhiteningConfig,
+    norm: GradNormConfig | None = None,
+    rescale: bool = False,
+    lr: float = 1.0,
+    w: np.ndarray | None = None,
+) -> np.ndarray:
+    """Newton-Schulz whitening of a wide ``g``: ``w - lr D`` in a new array, or D without ``w``.
+    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ is the GradNorm of ``g`` under
+    ``norm`` (``g`` itself without it), s = ||G~||_F, G~n = G~ / s, and Z the recursion on
+    G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening` and
+    :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
 
-    The one Newton-Schulz path of :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`,
-    and the one owner of G~n. Below 128 rows (k = m) the working set is max(4 k^2, 2 m n + k^2): if
-    n < 3m, G~n is not held across the loop (the Gram matrix, reused for P, T, Q and Z) but built
-    again after it from ``g``, s and GradNorm's row statistics by the first pass's operations, so
-    with its bits; then G~n, Z and Z G~n. From 128 rows G~n stays beside the Gram matrix and
-    :func:`_ns_inverse_sqrt`'s arrays, and Z G~n goes back into it by column blocks (CHANGES.md).
-    """
-    # below 128 rows G~n is dropped for the loop if n < 3m (from 3m, Z G~n sets the peak anyway)
-    stats = [] if len(g) < _SPECTRAL_MIN_ROWS and g.shape[1] < 3 * len(g) else None
-    gn = g if norm is None else _grad_norm(g, norm, stats)
+    Below 128 rows (k = m) the loop runs on matrices, in max(4 k^2, 2 m n + k^2): if n < 3m, G~n is
+    not held across the loop (the Gram matrix, reused for P, T, Q and Z) but rebuilt after it from
+    ``g``, s and GradNorm's row statistics (:func:`_standardize`); then D = Z G~n is rescaled,
+    scaled by ``lr`` and subtracted from ``w`` in its own buffer.
+
+    From 128 rows Z = f_k(G~n G~n^T) is taken from the spectrum. The Gram matrix of G~ itself is
+    formed (:func:`_gram`) and G~ freed; one ``eigh`` gives V and lambda, s^2 = tr G~ G~^T, and
+    lambda_n = lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f =
+    f_k(lambda_n), the rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f /
+    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. One pass by
+    column blocks (:func:`_descend_columns`) then rebuilds each block of G~ from ``g`` and writes
+    ``w - Z' G~`` (or Z' G~) into the returned array, in ``g``'s memory order. Working set: one
+    m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside GradNorm's
+    squares, V while Z' is formed, and a column scratch of min(``_BLOCK``, k^2) entries, or 64
+    columns if more, per thread; ``eigh``'s LAPACK workspace is outside numpy (CHANGES.md). Where
+    s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155, the Gram matrix is
+    taken of G~ scaled by a power of two, in one more m x n array."""
+    if len(g) >= _SPECTRAL_MIN_ROWS:
+        return _ns_spectral(g, cfg, norm, rescale, lr, w)
+    rebuild = g.shape[1] < 3 * len(g)  # from n = 3m, Z G~n sets the peak anyway
+    gn, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
     scale = _fro(gn)
     if scale == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     gn = np.divide(gn, scale, out=None if gn is g else gn)
-    gram, gn = gn @ gn.T, None if stats is not None else gn
+    gram = gn @ gn.T
+    if rebuild:
+        gn = None
+    else:
+        mean = std = None  # held only to rebuild G~n
     z = _ns_inverse_sqrt(gram, cfg.iterations, cfg.step_size, cfg.update_order)
     del gram  # P's buffer, or Z's
-    if gn is None:  # G~n again; the statistics are not held for Z G~n
-        gn = g if norm is None else _grad_norm(g, norm, stats)
-        gn, stats = np.divide(gn, scale, out=None if gn is g else gn), None
-    if len(gn) < _SPECTRAL_MIN_ROWS:
-        return z @ gn, scale
-    return _matmul_blocks(z, gn, 1, z.size), scale  # Z G~n over G~n
+    if gn is None and norm is None:
+        gn = np.divide(g, scale)
+    elif gn is None:  # a small wide C-ordered g in row halves: each one's broadcast buffer is
+        m, n = g.shape  # then below Z G~n
+        h = -(-m // 2) if n > m and g.size <= _BUFFER and g.flags.c_contiguous else m
+        gn = _like_grad_norm(g, norm)
+        for i in range(0, m, h):
+            b = slice(i, i + h)
+            _standardize(g[b], mean[b] if norm.subtract_mean else mean, std[b], gn[b])
+        gn, mean, std = np.divide(gn, scale, out=gn), None, None
+    delta = z @ gn
+    del z, gn  # not held for the descent, whose tall-block subtraction takes a ufunc buffer
+    if rescale:
+        _rescale(delta, scale)
+    return delta if w is None else _descend(w, delta, lr)
+
+
+def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> np.ndarray:
+    """:func:`_ns_whiten` from 128 rows."""
+    gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # s^2 is checked below
+        gram, e = _gram(gt), 0
+    s2 = np.trace(gram)  # ||G~||_F^2
+    if s2 == 0.0:
+        raise ValueError("cannot whiten an all-zero matrix")
+    if not _TINY < s2 < np.inf:  # squares out of range (a whiten-only g): the Gram of 2^e G~
+        e = -math.frexp(max(-gt.min(), gt.max()))[1]
+        gram = None
+        gram = _gram(np.ldexp(gt, e))
+        s2 = np.trace(gram)
+    del gt  # G~, if GradNorm made it
+    lam, v = np.linalg.eigh(gram)
+    np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
+    f = _ns_recursion(lam.copy(), cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1)
+    norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
+    if norm_d == 0.0:
+        raise ValueError("rescale_update: zero-norm delta has no direction")
+    z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
+    del gram, v, lam, f  # if Z' is one block, it is a new array
+    out = np.empty_like(g)
+    _in_blocks(_descend_columns, (z, g, mean, std, w, out), out, 1, 64, min(_BLOCK, z.size))
+    return out
+
+
+def _descend_columns(args, width, lo, hi) -> None:
+    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_spectral`'s pass: each block of G~
+    rebuilt from ``g`` into one scratch (none if G~ is ``g``), Z' G~ into ``out``, then with a
+    ``w`` ``w - Z' G~`` over it. The elementwise passes run at numpy's smallest ufunc buffer
+    (:func:`_unbuffered`): on these blocks the buffers would take the place of a block."""
+    z, g, mean, std, w, out = args
+    x = None if std is None else np.empty_like(g[:, :width])
+    with np.errstate():  # which also restores the buffer size
+        np.setbufsize(_SMALL_BUFFER)
+        for i in range(lo * width, min(hi * width, out.shape[1]), width):
+            b = slice(i, i + width)
+            gt = g[:, b]
+            if x is not None:
+                gt = _standardize(gt, mean, std, x[:, : gt.shape[1]])
+            d = np.matmul(z, gt, out=out[:, b])
+            if w is not None:
+                np.subtract(w[:, b], d, out=d)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^T of a wide ``x``, whole below 2^17 entries. From there only its lower triangle, all
+    that ``eigh`` reads, by :func:`~swanopt.matrixops._in_blocks` on two row halves A over B:
+    block 0 is the two diagonal products A A^T and B B^T (the block above B A^T set to 0), block 1
+    the product B A^T below them, each half the work; the second runs on the worker if free."""
+    if _one_block(x.size, None):
+        return x @ x.T
+    gram = np.empty((len(x), len(x)))
+    _in_blocks(_gram_blocks, (x, gram), x, 0, 1, None)
+    return gram
+
+
+def _gram_blocks(args, h, lo, hi) -> None:
+    """Blocks lo .. hi - 1 of :func:`_gram` of ``args``, split at row ``h``."""
+    x, gram = args
+    top, low = x[:h], x[h:]
+    if lo == 0:
+        np.matmul(top, top.T, out=gram[:h, :h])
+        np.matmul(low, low.T, out=gram[h:, h:])
+        gram[:h, h:] = 0.0
+    if hi == 2:
+        np.matmul(low, top.T, out=gram[h:, :h])
+
+
+def _descend(w: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:
+    """``w - lr delta`` into ``delta``, which it writes."""
+    np.multiply(delta, lr, out=delta)
+    return np.subtract(w, delta, out=delta)
 
 
 def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
@@ -283,15 +447,17 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     rank-deficient input is rejected. In ``newton_schulz`` mode the input is divided by its
     Frobenius norm, the coupled recursion is run for ``cfg.iterations`` steps, and ``Z @ g`` is
     returned *at the normalized scale*; downstream rescaling (see :func:`rescale_update`) restores
-    magnitude. This mode and :func:`~swanopt.optimizers.swan_step` run the same code, so their
-    outputs agree bit for bit. Rank deficiency is not rejected here: from 128 rows the recursion
+    magnitude. This mode is :func:`~swanopt.optimizers.swan_step`'s whitening, run by the same
+    code (:func:`_ns_whiten`); from 128 rows the step folds its rate into the same pass, so
+    ``w - lr * grad_whitening(g)`` is its ``whiten_only`` step without rescale up to round-off
+    (below 128 rows, bit for bit). Rank deficiency is not rejected here: from 128 rows the recursion
     runs on the Gram spectrum clamped at 0, but below, on square GradNorm'd input, the chained
     default turns non-finite from ~28 iterations.
     """
     g = as_matrix(g, "g")
     if g.shape[0] > g.shape[1]:
         raise ValueError(f"grad_whitening needs rows <= cols, got {g.shape[0]}x{g.shape[1]}")
-    return _exact_polar(g)[0] if cfg.mode == "exact_eig" else _ns_whiten(g, cfg)[0]
+    return _exact_polar(g)[0] if cfg.mode == "exact_eig" else _ns_whiten(g, cfg)
 
 
 def orthogonalize(g) -> np.ndarray:

@@ -28,6 +28,7 @@ from .gradient_ops import (
     _BLOCK,
     GradNormConfig,
     WhiteningConfig,
+    _descend,
     _exact_polar,
     _fro,
     _grad_norm,
@@ -141,10 +142,10 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     ``whiten_only`` skips the row normalization. ``w`` and ``g`` are never written.
 
     Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): below 128 rows
-    max(4 k^2, 2 m n + k^2), as ``_ns_whiten`` holds G~ across the loop only where n >= 3k. From 128
-    rows one m x n buffer (G~, where whitening, rescale, rate and the subtraction from ``w``
-    happen), GradNorm's squares, 2 k x k arrays and a block scratch. ``eigh``'s LAPACK workspace
-    is not counted. Exact mode keeps its SVD and buffers (CHANGES.md).
+    max(4 k^2, 2 m n + k^2). From 128 rows one m x n array (G~, then the returned weights) and one
+    k x k (the Gram matrix, then Z, into which the rescale and rate fold), beside small scratch;
+    ``eigh``'s LAPACK workspace is not counted. ``gradient_ops._ns_whiten`` states the rule, and
+    CHANGES.md the numbers. Exact mode keeps its SVD and buffers.
     """
     w, g = np.asarray(w), np.asarray(g)
     if w.ndim == 2 and w.shape == g.shape and w.shape[0] > w.shape[1]:  # checked once, transposed
@@ -159,18 +160,16 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
     if w.shape[0] > w.shape[1]:
         return _swan(w.T, g.T, cfg, lr).T
     norm = None if cfg.ablation == "whiten_only" else cfg.grad_norm_cfg
+    if cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz":
+        return _ns_whiten(g, cfg.whitening_cfg, norm, cfg.swan_rescale, lr, w)  # G~'s one owner
     if cfg.ablation == "norm_only":
-        delta = _grad_norm(g, norm)
+        delta = _grad_norm(g, norm)[0]
     else:
-        if cfg.whitening_cfg.mode == "exact_eig":
-            g_tilde = g if norm is None else _grad_norm(g, norm)
-            delta, scale = _exact_polar(g_tilde)[0], _fro(g_tilde)
-        else:  # G~ is built by its one owner, which drops it for the loop where it can
-            delta, scale = _ns_whiten(g, cfg.whitening_cfg, norm)
+        g_tilde = g if norm is None else _grad_norm(g, norm)[0]
+        delta = _exact_polar(g_tilde)[0]
         if cfg.swan_rescale:
-            _rescale(delta, scale)
-    np.multiply(delta, lr, out=delta)
-    return np.subtract(w, delta, out=delta)
+            _rescale(delta, _fro(g_tilde))
+    return _descend(w, delta, lr)
 
 
 def adam_step(

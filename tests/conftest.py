@@ -28,23 +28,40 @@ def warm_peak_bytes():
     return _warm_peak_bytes
 
 
+def _where() -> str:
+    """The BLAS build and thread count, for the failure messages of the bit tests."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"BLAS {blas}, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
+
+
+def _assert_close(got: np.ndarray, whole: np.ndarray, rtol: float = 1e-12) -> None:
+    """Assert ``got`` within ``rtol`` of ``whole`` in the max norm, relative to the largest entry
+    (the largest errors measured on these tests: 7.6e-16 for H w at 1001 x 300, 6.5e-16 for a
+    SWAN step on the spectrum)."""
+    assert got.shape == whole.shape
+    error = np.max(np.abs(got - whole), initial=0.0) / np.max(np.abs(whole), initial=1.0)
+    if not error <= rtol:
+        pytest.fail(f"wrong: {error:.3g} from the whole products, above {rtol:g}; {_where()}")
+
+
+@pytest.fixture
+def assert_close():
+    """:func:`_assert_close`, for results whose bits are their own."""
+    return _assert_close
+
+
 def _assert_same_bits(got: np.ndarray, want: np.ndarray, whole=None, rtol: float = 1e-12) -> None:
     """Assert ``got`` has ``want``'s memory order and bits. With ``whole``, the same values from
-    whole products, first assert ``got`` within ``rtol`` of it in the max norm, relative to the
-    largest entry, so that a failure says whether the result is wrong or only its bits moved (the
-    largest error measured on these tests was 7.1e-16, Z at 407 rows). Blocked products keep their
+    whole products, first assert ``got`` within ``rtol`` of it (:func:`_assert_close`), so that a
+    failure says whether the result is wrong or only its bits moved. Blocked products keep their
     blocked expressions' bits only on the BLAS build, kernel and thread count they were measured on
     (OpenBLAS 0.3.31, AVX-512, 1 thread): a failure names them."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    where = f"BLAS {blas}, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
     if whole is not None:
-        error = np.max(np.abs(got - whole), initial=0.0) / np.max(np.abs(whole), initial=1.0)
-        if not error <= rtol:
-            pytest.fail(f"wrong: {error:.3g} from the whole products, above {rtol:g}; {where}")
+        _assert_close(got, whole, rtol)
     same = got.flags.f_contiguous == want.flags.f_contiguous
     if not (same and got.tobytes(order="A") == want.tobytes(order="A")):
         close = "" if whole is None else f", within {rtol:g} of the whole products"
-        pytest.fail(f"bits differ{close}; {where}")
+        pytest.fail(f"bits differ{close}; {_where()}")
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from swanopt.gradient_ops import (
     _grad_norm,
     _ns_inverse_sqrt,
     _ns_recursion,
+    _standardize,
     exact_polar,
     grad_norm,
     grad_whitening,
@@ -177,31 +178,48 @@ class TestGradNormBlocks:
         [((512, 2048), "C"), ((2048, 512), "C"), ((7, 40000), "C"), ((512, 2048), "F")],
     )
     def test_working_set_is_the_output_and_one_block(self, shape, layout, warm_peak_bytes):
-        # the m x n output and one row block of squares (F-ordered input: one
-        # block, m x n), plus numpy's ufunc buffer for the broadcast subtraction,
-        # two per-row vectors and 4 KB for small temporaries
+        # the m x n output and one block of squares: a row block of a C-ordered input, and of
+        # an F-ordered one (from 2^17 entries) a running-sum row and the columns that fit
+        # beside it in _BLOCK entries; plus numpy's ufunc buffer for the broadcast
+        # subtraction, two per-row vectors and 4 KB for small temporaries
         g = random_matrix(*shape, 7)
         g = np.asfortranarray(g) if layout == "F" else g
         (m, n), buffer = shape, np.getbufsize()
-        rows = max(1, min(m, _BLOCK // n)) if layout == "C" else m
-        assert warm_peak_bytes(grad_norm, g) <= (m * n + rows * n + buffer + 2 * m) * 8 + 4096
-
+        if layout == "C":
+            squares = max(1, min(m, _BLOCK // n)) * n
+        else:
+            squares = (max(1, _BLOCK // m - 1) + 1) * m
+        assert warm_peak_bytes(grad_norm, g) <= (m * n + squares + buffer + 2 * m) * 8 + 4096
 
     @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("shape", [(16, 64), (50, 50), (64, 8), (100, 700), (7, 40000)])
+    @pytest.mark.parametrize(
+        "shape", [(16, 64), (50, 50), (64, 8), (100, 700), (7, 40000), (512, 2048), (300, 1001)]
+    )
     def test_rebuilt_from_its_row_statistics_with_the_same_bits(
         self, shape, layout, subtract_mean, assert_same_bits
     ):
-        # one block (a C-ordered wide one in row halves), ragged row blocks and one-row
-        # blocks: the first pass's subtract and divide, from the kept (mean, std + eps)
+        # one block, ragged row blocks, one-row blocks and (F-ordered, from 2^17 entries)
+        # running sums: the first pass's subtract and divide, from the kept m x 1 (mean,
+        # std + eps), rebuild G~ whole, by row halves and by column blocks with its bits
         g = 3.0 * random_matrix(*shape, 8) - 0.5
         g = np.asfortranarray(g) if layout == "F" else g
-        cfg, stats = GradNormConfig(subtract_mean=subtract_mean), []
-        first = _grad_norm(g, cfg, stats)
-        assert sum(len(std) for _, _, std in stats) == shape[0]
-        assert_same_bits(_grad_norm(g, cfg, stats), first)
+        cfg = GradNormConfig(subtract_mean=subtract_mean)
+        first, mean, std = _grad_norm(g, cfg)
+        assert std.shape == (shape[0], 1)
+        assert mean.shape == (shape[0], 1) if subtract_mean else mean == 0.0
         assert_same_bits(first, _grad_norm_unblocked(g, cfg))
+        whole = _standardize(g, mean, std, gradient_ops._like_grad_norm(g, cfg))
+        assert_same_bits(whole, first)
+        (m, n), half = shape, -(-shape[0] // 2)
+        rows, columns = np.empty_like(first), np.empty_like(first)
+        for i in range(0, m, half):
+            b = slice(i, i + half)
+            _standardize(g[b], mean[b] if subtract_mean else mean, std[b], rows[b])
+        for j in range(0, n, 64):
+            b = slice(j, j + 64)
+            _standardize(g[:, b], mean, std, columns[:, b])
+        assert rows.tobytes(order="A") == columns.tobytes(order="A") == first.tobytes(order="A")
 
 
 def _whitening_unblocked(g, cfg):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swanopt import matrixops, optimizers
+from swanopt import gradient_ops, matrixops, optimizers
 from swanopt.gradient_ops import _BLOCK, GradNormConfig
 from swanopt.matrixops import _SPLIT_MIN, _in_blocks, random_matrix
 from swanopt.optimizers import OptimizerConfig, OptimizerState, adam_step, init_state, swan_step
@@ -192,15 +192,19 @@ def test_small_blocks_start_no_worker(monkeypatch):
 
 
 def test_split_steps_keep_todays_working_set(warm_peak_bytes):
-    # the bounds of tests/test_optimizers.py at 512 x 2048: two half-size scratches take
-    # the place of one
+    # the bounds of tests/test_optimizers.py at 512 x 2048 and its transpose: Adam's two
+    # half-size scratches take the place of one, and SWAN's column pass takes one block
+    # scratch per thread, within min(_BLOCK, k^2) + GradNorm's squares (a row block, or for the
+    # F-ordered transpose a running-sum block, of _BLOCK entries each)
     (m, n), (w, g) = (512, 2048), _wide()
     moments = random_matrix(m, n, 2), np.ones((m, n))
     state = OptimizerState(step=1, first_moment=moments[0], second_moment=moments[1])
     rows = _BLOCK // n
     assert warm_peak_bytes(adam_step, w, g, state, ADAM) <= (3 * m * n + rows * n) * 8 + 4096
-    swan = warm_peak_bytes(swan_step, w, g, SWAN)
-    assert swan <= (m * n + rows * n + 2 * m * m + _BLOCK) * 8 + 4096
+    k = min(m, n)
+    for a, b in ((w, g), (w.T.copy(), g.T.copy())):
+        swan = warm_peak_bytes(swan_step, a, b, SWAN)
+        assert swan <= (m * n + k * k + min(_BLOCK, k * k) + _BLOCK + 4 * k) * 8 + 4096
     problem = QuadraticProblem.seeded(m, n, 10.0, 0)
     assert warm_peak_bytes(problem.grad, w) <= m * n * 8 + 4096
 
@@ -226,8 +230,9 @@ def test_a_one_block_pass_hands_the_worker_nothing(monkeypatch):
 
 
 def test_the_bench_block_keeps_the_split_widths(monkeypatch):
-    # at 512 x 2048 the one rule gives the widths the per-product rules gave there: Z's rows 32,
-    # Z G~'s columns 256, H w's columns 1024 and Adam's rows 8
+    # at 512 x 2048 the one rule gives: the Gram matrix in row halves of 256, the rows of Z' in
+    # blocks of 32 and the columns of its product with G~ in blocks of 64 (its scratch within
+    # _BLOCK entries), H w's columns in blocks of 1024 and Adam's rows in blocks of 8
     widths = set()
 
     def spy(fn, args, x, axis, unit, cap):
@@ -238,11 +243,11 @@ def test_the_bench_block_keeps_the_split_widths(monkeypatch):
         in_blocks(record, args, x, axis, unit, cap)
 
     in_blocks = matrixops._in_blocks
-    monkeypatch.setattr(matrixops, "_in_blocks", spy)
-    monkeypatch.setattr(optimizers, "_in_blocks", spy)
+    for module in (matrixops, gradient_ops, optimizers):
+        monkeypatch.setattr(module, "_in_blocks", spy)
     w, g = _wide()
     swan_step(w, g, SWAN)
     adam_step(w, g, init_state(ADAM, w.shape), ADAM)
     QuadraticProblem.seeded(512, 2048, 10.0, 0).grad(w)
-    lines = ("_matmul_lines", 0, 32), ("_matmul_lines", 1, 256), ("_matmul_lines", 1, 1024)
-    assert widths == {*lines, ("_adam_rows", 0, 8)}
+    swan = ("_gram_blocks", 0, 256), ("_matmul_lines", 0, 32), ("_descend_columns", 1, 64)
+    assert widths == {*swan, ("_matmul_lines", 1, 1024), ("_adam_rows", 0, 8)}

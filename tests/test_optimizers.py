@@ -160,10 +160,18 @@ def _swan_inputs(case):
     return random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1)
 
 
+def _spectral(shape, cfg) -> bool:
+    """Whether ``swan_step`` whitens a block of ``shape`` on the spectrum: Newton-Schulz from 128
+    rows of its wide form. There the rate and the rescale fold into Z' (one pass writes w - Z' G~),
+    so its bits are its own, and the oracles hold within a relative 1e-12."""
+    spectral = cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz"
+    return spectral and min(shape) >= 128
+
+
 @pytest.mark.parametrize("case", ["wide", "tall", "square_gradnormed", "wide_spectral"])
 @pytest.mark.parametrize("mode", ["newton_schulz", "exact_eig"])
 @pytest.mark.parametrize("ablation", ABLATIONS)
-def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
+def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case, assert_close):
     w, g = _swan_inputs(case)
     w0, g0 = w.copy(), g.copy()
     cfg = OptimizerConfig(
@@ -176,19 +184,22 @@ def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case):
     want = _outcome(_swan_oracle, w, g, cfg)
     if isinstance(want, str):  # exact mode rejects the rank-deficient square block
         assert got == want
+    elif _spectral(g.shape, cfg):  # the public kernels' composition, and the whole expressions
+        assert_close(got, want)
+        assert_close(got, _swan_expressions(w, g, cfg))
     else:
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, w) and not np.shares_memory(got, g)
     assert w.tobytes() == w0.tobytes() and g.tobytes() == g0.tobytes()
 
 
-def _swan_expressions(w, g, cfg, product=None):
-    """SWAN's step as plain numpy expressions: GradNorm's squares in one temporary, and from 128
-    rows Z = (V f) V^T and Z G~ as whole products or, with ``product`` (the ``blocked_product``
-    fixture), as the blocked kernels form them, Z G~ in G~'s memory order. Whole products are
-    the oracle of the values, blocked ones of the bits."""
+def _swan_expressions(w, g, cfg):
+    """SWAN's step as plain whole-array numpy expressions: GradNorm's squares in one temporary,
+    and from 128 rows Z = (V f) V^T from the Gram matrix's spectrum, Z G~n whole and the rescale
+    by the product's own Frobenius norm. Below 128 rows (and without whitening) the oracle of the
+    bits, from there of the values."""
     if w.shape[0] > w.shape[1]:
-        return _swan_expressions(w.T, g.T, cfg, product).T
+        return _swan_expressions(w.T, g.T, cfg).T
     gcfg, wcfg, (m, n) = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape
     g_tilde = g
     if cfg.ablation != "whiten_only":
@@ -205,11 +216,7 @@ def _swan_expressions(w, g, cfg, product=None):
         else:
             lam, v = np.linalg.eigh(gn @ gn.T)
             vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), k, b, order, np.multiply, 1))
-            if product is None:
-                delta = (vf @ v.T) @ gn
-            else:
-                layout = "F" if gn.flags.f_contiguous else "C"
-                delta = product(product(vf, v.T, 0, _BLOCK), gn, 1, m * m, layout)
+            delta = (vf @ v.T) @ gn
         if cfg.swan_rescale:
             delta = delta * (scale / np.linalg.norm(delta))
     delta = delta * cfg.learning_rate
@@ -217,23 +224,35 @@ def _swan_expressions(w, g, cfg, product=None):
 
 
 @pytest.fixture
-def assert_swan_bits(assert_same_bits, blocked_product):
-    """``check(got, w, g, cfg)``: ``got`` has the bits of the blocked expressions, and is within
-    ``assert_same_bits``' tolerance of the whole ones."""
+def check_swan_step(cpus, assert_same_bits, assert_close):
+    """``check(w, g, cfg)``: ``swan_step`` has the same bits on one CPU and on two, leaves ``w``
+    and ``g`` unwritten, and matches :func:`_swan_expressions`: on the spectrum (:func:`_spectral`)
+    within a relative 1e-12 and in ``g``'s memory order, elsewhere with their bits. Returns the
+    step."""
 
-    def check(got, w, g, cfg):
-        want = _swan_expressions(w, g, cfg, blocked_product)
-        assert_same_bits(got, want, _swan_expressions(w, g, cfg))
+    def check(w, g, cfg):
+        before, runs = (w.tobytes(order="A"), g.tobytes(order="A")), []
+        for count in (1, 2):
+            cpus(count)
+            runs.append(swan_step(w, g, cfg))
+        assert (w.tobytes(order="A"), g.tobytes(order="A")) == before
+        assert_same_bits(runs[1], runs[0])
+        if _spectral(g.shape, cfg):
+            assert_close(runs[0], _swan_expressions(w, g, cfg))
+            assert runs[0].flags.c_contiguous == g.flags.c_contiguous
+        else:
+            assert_same_bits(runs[0], _swan_expressions(w, g, cfg))
+        return runs[0]
 
     return check
 
 
 SWAN_BITS_SHAPES = {
-    "swan_wide": (512, 2048),  # Z G~ in 256-column blocks, Z in 32-row blocks
-    "swan_tall": (2048, 512),  # the same blocks, Z G~ into an F-ordered G~
-    "ragged_blocks": (130, 1216),  # Z G~ in 64-column blocks, Z in one block
+    "swan_wide": (512, 2048),  # Z' G~ in 64-column blocks, Z' in 32-row blocks, the Gram in halves
+    "swan_tall": (2048, 512),  # the same blocks, from an F-ordered G~
+    "ragged_blocks": (130, 1216),  # Z' G~ in 64-column blocks, ragged, Z' in one block
     "four_blocks": (128, 1024),
-    "unblocked_n": (200, 300),  # ragged last blocks: Z G~ 192 + 108 columns, Z 160 + 40 rows
+    "unblocked_n": (200, 300),  # ragged last blocks: Z' G~ 128 + 128 + 44 columns, Z' 160 + 40 rows
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
     "small": (16, 64),  # n >= 3m: G~n held across the loop
     "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
@@ -245,11 +264,11 @@ SWAN_BITS_SHAPES = {
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 @pytest.mark.parametrize("case", SWAN_BITS_SHAPES)
-def test_swan_step_matches_unblocked_expressions(case, ablation, assert_swan_bits):
+def test_swan_step_matches_unblocked_expressions(case, ablation, check_swan_step):
     shape = SWAN_BITS_SHAPES[case]
     w, g = random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1) + 0.5
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037, ablation=ablation)
-    assert_swan_bits(swan_step(w, g, cfg), w, g, cfg)
+    check_swan_step(w, g, cfg)
 
 
 @pytest.mark.parametrize(
@@ -264,11 +283,55 @@ def test_swan_step_matches_unblocked_expressions(case, ablation, assert_swan_bit
 )
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216), (50, 50)])
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, assert_swan_bits):
+def test_swan_step_variants_match_unblocked_expressions(layout, shape, kwargs, check_swan_step):
     w, g = random_matrix(*shape, 2), 3.0 * random_matrix(*shape, 3) - 0.5
     g = np.asfortranarray(g) if layout == "F" else g
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037, **kwargs)
-    assert_swan_bits(swan_step(w, g, cfg), w, g, cfg)
+    check_swan_step(w, g, cfg)
+
+
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216), (50, 50)])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_swan_step_writes_no_input(ablation, shape, check_swan_step):
+    # read-only w and g: any write to them raises
+    w, g = random_matrix(*shape, 6), 3.0 * random_matrix(*shape, 7) + 0.5
+    w.flags.writeable = g.flags.writeable = False
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037, ablation=ablation)
+    assert check_swan_step(w, g, cfg).flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (128, 300), (40, 100), (64, 8)])
+def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(shape, assert_same_bits, assert_close):
+    # whitening's one path: below 128 rows with the same bits, from 128 within 1e-12 (there the
+    # step folds its rate into Z', where grad_whitening's Z' has none)
+    w, g = random_matrix(*shape, 8), 3.0 * random_matrix(*shape, 9) + 0.5
+    cfg = OptimizerConfig(
+        kind="swan", learning_rate=0.037, ablation="whiten_only", swan_rescale=False
+    )
+    if shape[0] > shape[1]:
+        want = (w.T - 0.037 * grad_whitening(g.T)).T
+    else:
+        want = w - 0.037 * grad_whitening(g)
+    got = swan_step(w, g, cfg)
+    if min(shape) >= 128:
+        assert_close(got, want)
+    else:
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("scale", [2.0**530, 2.0**-530], ids=["1e+160", "1e-160"])
+@pytest.mark.parametrize("shape", [(128, 300), (300, 128)])
+def test_spectral_whitening_is_scale_free_at_extreme_magnitudes(shape, scale, assert_close):
+    # an unnormalized g near 1e+-160 (whiten_only, grad_whitening) would overflow its Gram
+    # matrix or lose its bits to subnormals: the Gram is taken of g scaled by a power of two
+    g = 3.0 * random_matrix(*shape, 9) + 0.5
+    zero = np.zeros(shape)
+    for rescale in (False, True):  # with rescale the update has g's norm
+        cfg = OptimizerConfig(kind="swan", ablation="whiten_only", swan_rescale=rescale)
+        unit = scale if rescale else 1.0
+        assert_close(swan_step(zero, scale * g, cfg) / unit, swan_step(zero, g, cfg))
+    if shape[0] <= shape[1]:
+        assert_close(grad_whitening(scale * g), grad_whitening(g))
 
 
 @pytest.mark.parametrize(
@@ -295,12 +358,13 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     # k = min(m, n), with 4 KB for small temporaries. Below 128 rows the peak is the
     # Newton-Schulz loop's 4 k x k arrays (T, Q, Z and the Gram matrix, reused for P),
     # G~ not being held across it where n < 3m, or after it G~n, Z and Z G~n. From 128 rows
-    # G~ is the one m x n buffer, into which Z G~ goes back by column blocks. Beside it, first
-    # GradNorm's squares: a row block of a C-ordered (wide) G~, all m x n of an F-ordered
-    # (tall) one. Then two k x k arrays (the eigenvectors and the Gram matrix, reused for Z),
-    # one block scratch of at most _BLOCK entries (Z's rows; Z G~'s, of at most k^2, once the
-    # eigenvectors are gone) and the spectral path's 4 vectors of length k. No bound is above
-    # the unblocked step's 2 m n + 5 k^2.
+    # one m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside
+    # GradNorm's squares first: a row block of a C-ordered (wide) G~, and of an F-ordered
+    # (tall) one all m x n below 2^17 entries, from there a running-sum block. Then V beside the
+    # Gram matrix, a block scratch of at most min(_BLOCK, k^2) entries (the rows of Z', then
+    # a column block of G~ per thread) and the row statistics and spectrum, 4 vectors of length
+    # k. No bound is above the last one, m n + max(squares, 2 k^2 + min(_BLOCK, k^2)) + 4 k,
+    # nor the unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
@@ -308,10 +372,17 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     if k < 128:
         bound = max(4 * k * k, 2 * m * n + k * k) * 8 + 4096
     else:
-        squares = max(1, min(m, _BLOCK // n)) * n if m <= n else m * n
-        bound = (m * n + max(squares, 2 * k * k + min(_BLOCK, k * k)) + 4 * k) * 8 + 4096
+        squares = max(1, min(m, _BLOCK // n)) * n if m <= n else _square_sums_scratch(k, max(m, n))
+        spectral = k * k + min(_BLOCK, k * k)
+        bound = (m * n + min(spectral + squares, max(squares, spectral + k * k)) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
+
+
+def _square_sums_scratch(m, n):
+    """Entries of GradNorm's squares for an F-ordered m x n G~: all of them below 2^17, from
+    there a running-sum row and the most columns that fit beside it in _BLOCK entries."""
+    return m * n if m * n < 1 << 17 else (max(1, _BLOCK // m - 1) + 1) * m
 
 
 @pytest.mark.parametrize("shape", [(16, 47), (20, 50), (40, 100), (64, 128)])
@@ -332,16 +403,33 @@ def test_swan_step_rebuilds_small_wide_blocks_below_their_product(
     assert warm_peak_bytes(swan_step, w, g, cfg) <= (2 * m * n + k * k) * 8 + 1536
 
 
-@pytest.mark.parametrize("shape", [(50, 50), (64, 64)])
+@pytest.mark.parametrize("shape", [(50, 50), (64, 64), (512, 512)])
 def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_bytes):
-    # the paper's memory claim on the square blocks of quadratic_tune and the MLP: a
-    # warm SWAN step (G~ not held across the loop: 4 k^2) against a warm Adam step
-    # (its three returned arrays and one block)
+    # the paper's memory claim on the square blocks of quadratic_tune, the MLP and an attention
+    # projection: a warm SWAN step (below 128 rows G~ not held across the loop: 4 k^2; from 128
+    # one m x n and one k x k beside scratch) against a warm Adam step (its three returned arrays
+    # and one block)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     adam = OptimizerConfig(kind="adam", learning_rate=0.1)
     w1, state = adam_step(w, g, init_state(adam, shape), adam)
     swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
     assert swan <= warm_peak_bytes(adam_step, w1, g, state, adam) + 4096
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (512, 512)])
+def test_a_warm_swan_step_is_a_warm_sgd_step_plus_one_k_by_k(shape, count, cpus, warm_peak_bytes):
+    # the paper's memory claim at a layer's size: beside SGD's one new m x n, SWAN holds one
+    # k x k (the Gram matrix, then Z') and the column pass's scratch, one block per thread of
+    # min(_BLOCK, k^2) entries or 64 columns, with the row statistics and the spectrum (4
+    # vectors of length k) and 4 KB of small objects
+    cpus(count)
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    sgd = warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
+    swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
+    k = min(shape)
+    column = max(min(_BLOCK, k * k), 64 * k)
+    assert swan <= sgd + (k * k + count * column + 4 * k) * 8 + 4096
 
 
 @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])
@@ -486,7 +574,7 @@ def test_adam_step_memory_is_three_outputs_plus_one_block(shape, warm_peak_bytes
 
 
 # The two-thread passes: shapes at 2^17 entries and one row below (no split), odd block
-# counts (Adam's 19 row blocks at 300 x 1024, Z G~'s 19 column blocks at 192 x 1216, H w's
+# counts (Adam's 19 row blocks at 300 x 1024, Z' G~'s 19 column blocks at 192 x 1216, H w's
 # 17 units of 64 columns at 128 x 1088), the bench's block and the transposes, and ragged
 # last blocks (300 x 1001 split, 130 x 520 serial).
 SPLIT_SHAPES = [
@@ -497,25 +585,21 @@ SPLIT_SHAPES = [
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=str)
-def test_split_steps_keep_the_serial_and_unblocked_bits(
-    shape, layout, cpus, assert_same_bits, assert_swan_bits
-):
-    # with the worker on (2 CPUs) and off (1): the same bits, and those of the blocked
-    # expressions above (Adam's: of the whole-array ones)
+def test_split_steps_keep_the_serial_and_unblocked_bits(shape, layout, cpus, check_swan_step):
+    # with the worker on (2 CPUs) and off (1): the same bits, and SWAN's within 1e-12 of the
+    # whole-array expressions above (Adam's: their bits)
     w, g = random_matrix(*shape, 4), 3.0 * random_matrix(*shape, 5) + 0.5
     g = np.asfortranarray(g) if layout == "F" else g
     m, nu = random_matrix(*shape, 6), np.abs(random_matrix(*shape, 7))
-    swan = OptimizerConfig(kind="swan", learning_rate=0.037)
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
     adam = OptimizerConfig(kind="adam", learning_rate=0.013)
     state, runs = OptimizerState(step=3, first_moment=m, second_moment=nu), []
     for count in (2, 1):
         cpus(count)
         w_new, after = adam_step(w, g, state, adam)
-        runs.append((swan_step(w, g, swan), w_new, after.first_moment, after.second_moment))
-    assert_same_bits(runs[0][0], runs[1][0])
-    assert_swan_bits(runs[0][0], w, g, swan)
+        runs.append((w_new, after.first_moment, after.second_moment))
     want = _adam_oracle(w, g, 3, m, nu, adam, adam.learning_rate)
-    for split, serial, oracle in zip(runs[0][1:], runs[1][1:], want):
+    for split, serial, oracle in zip(runs[0], runs[1], want):
         assert split.tobytes() == serial.tobytes()
         assert np.array_equal(split, oracle)
 
