@@ -9,9 +9,10 @@ rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
 input: their public entries hand them a copy. From 128 rows the update's norm
-is read from the spectrum, and SWAN's whole step runs in one m x n array and
-one k x k beside small scratch (:func:`_ns_whiten` states the rule and the
-working set; CHANGES.md has the numbers).
+is read from the spectrum, GradNorm's row statistics fold into the last
+product, which reads the gradient itself, and SWAN's whole step runs in one
+m x n array and one k x k beside small scratch (:func:`_ns_whiten` states the
+rule, the working set and the rule for offset rows; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ _BUFFER, _SMALL_BUFFER = 8192, 16
 # Below this ||G~||_F^2 the Gram matrix's products lose bits to subnormals; the spectral path then
 # takes it of G~ scaled by a power of two, as it does where the squares overflow
 _TINY = 1e-280
+
+# From 128 rows a GradNorm'd step centres g before its last product where some row's |mean| / (std
+# + epsilon) exceeds this: above it, folding the means into Z'' G - u cancels too many bits
+_OFFSET = 64.0
 
 
 @dataclass(frozen=True)
@@ -324,14 +329,21 @@ def _ns_whiten(
     formed (:func:`_gram`) and G~ freed; one ``eigh`` gives V and lambda, s^2 = tr G~ G~^T, and
     lambda_n = lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f =
     f_k(lambda_n), the rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f /
-    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. One pass by
-    column blocks (:func:`_descend_columns`) then rebuilds each block of G~ from ``g`` and writes
-    ``w - Z' G~`` (or Z' G~) into the returned array, in ``g``'s memory order. Working set: one
-    m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside GradNorm's
-    squares, V while Z' is formed, and a column scratch of min(``_BLOCK``, k^2) entries, or 64
-    columns if more, per thread; ``eigh``'s LAPACK workspace is outside numpy (CHANGES.md). Where
-    s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155, the Gram matrix is
-    taken of G~ scaled by a power of two, in one more m x n array."""
+    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. GradNorm's
+    G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T, with
+    Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass (:func:`_descend_columns`)
+    on the column halves of :func:`~swanopt.matrixops._in_blocks` then reads ``g`` itself and
+    writes ``w - (Z'' g - u)`` into the returned array, in ``g``'s memory order. The fold cancels
+    in floating point, by about 2e-15 (1 + r) with r = max |mu_i| / S_i, so where r > ``_OFFSET``
+    (64, where the error measured 2.2e-15) the pass centres ``g`` into the returned array first,
+    by GradNorm's own subtract (so a constant row holds GradNorm's numerator, zero or a few ulps),
+    and multiplies it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64 columns if
+    more, through one scratch per thread. Working set: one m x n array (G~, then the result) and
+    one k x k (the Gram matrix, then Z''), beside GradNorm's squares, V and one row block of Z'
+    per thread while Z' is formed, and on offset rows the column scratch; ``eigh``'s LAPACK
+    workspace is outside numpy (CHANGES.md). Where s^2 is outside (``_TINY``, inf), as for a
+    whiten-only ``g`` near 1e+-155, the Gram matrix is taken of G~ scaled by a power of two, in
+    one more m x n array (below 128 rows :func:`_fro` scales so)."""
     if len(g) >= _SPECTRAL_MIN_ROWS:
         return _ns_spectral(g, cfg, norm, rescale, lr, w)
     rebuild = g.shape[1] < 3 * len(g)  # from n = 3m, Z G~n sets the peak anyway
@@ -386,28 +398,45 @@ def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> 
         raise ValueError("rescale_update: zero-norm delta has no direction")
     z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
     del gram, v, lam, f  # if Z' is one block, it is a new array
+    centre = u = None
+    if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g centred first
+        np.divide(z, std.T, out=z)
+        if norm.subtract_mean and np.any(np.abs(mean) > _OFFSET * std):
+            centre = mean
+        elif norm.subtract_mean:
+            u = z @ mean
     out = np.empty_like(g)
-    _in_blocks(_descend_columns, (z, g, mean, std, w, out), out, 1, 64, min(_BLOCK, z.size))
+    args = (z, g, centre, u, w, out)
+    if centre is None and _one_block(out.size, None):
+        _descend_columns(args, out.shape[1], 0, 1)
+    else:  # column halves from g, or if centred column blocks through one scratch per thread
+        cap = None if centre is None else min(_BLOCK, z.size)
+        _in_blocks(_descend_columns, args, out, 1, 64, cap)
     return out
 
 
 def _descend_columns(args, width, lo, hi) -> None:
-    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_spectral`'s pass: each block of G~
-    rebuilt from ``g`` into one scratch (none if G~ is ``g``), Z' G~ into ``out``, then with a
-    ``w`` ``w - Z' G~`` over it. The elementwise passes run at numpy's smallest ufunc buffer
-    (:func:`_unbuffered`): on these blocks the buffers would take the place of a block."""
-    z, g, mean, std, w, out = args
-    x = None if std is None else np.empty_like(g[:, :width])
+    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_spectral`'s pass: ``w - (Z'' g - u)``
+    into ``out``, read from ``g`` itself; or with a ``centre``, ``g - centre`` into ``out`` first
+    and Z'' times it into one scratch. The elementwise passes run at numpy's smallest ufunc buffer
+    (:func:`_unbuffered`)."""
+    z, g, centre, u, w, out = args
+    x = None if centre is None else np.empty_like(g[:, :width])
     with np.errstate():  # which also restores the buffer size
         np.setbufsize(_SMALL_BUFFER)
         for i in range(lo * width, min(hi * width, out.shape[1]), width):
             b = slice(i, i + width)
-            gt = g[:, b]
-            if x is not None:
-                gt = _standardize(gt, mean, std, x[:, : gt.shape[1]])
-            d = np.matmul(z, gt, out=out[:, b])
+            if x is None:
+                d = np.matmul(z, g[:, b], out=out[:, b])
+                if u is not None:
+                    np.subtract(d, u, out=d)
+            else:
+                c = np.subtract(g[:, b], centre, out=out[:, b])
+                d = np.matmul(z, c, out=x[:, : c.shape[1]])
             if w is not None:
-                np.subtract(w[:, b], d, out=d)
+                np.subtract(w[:, b], d, out=out[:, b])
+            elif x is not None:
+                np.copyto(out[:, b], d)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -468,9 +497,16 @@ def orthogonalize(g) -> np.ndarray:
 
 
 def _fro(x: np.ndarray) -> float:
-    """Frobenius norm of ``x``: the bits of ``np.linalg.norm(x)``, at less call overhead."""
+    """Frobenius norm of ``x``: the bits of ``np.linalg.norm(x)``, at less call overhead, where the
+    sum of squares s^2 lies in (``_TINY``, inf). Outside, as near 1e+-155, s^2 would overflow or
+    lose its bits to subnormals: it is then taken of ``x`` scaled by a power of two."""
     f = x.ravel(order="K")  # a view in memory order, also for a transposed ``x``
-    return math.sqrt(f @ f)
+    s2 = np.vdot(f, f)  # f @ f's bits, with no overflow warning
+    if _TINY < s2 < np.inf:
+        return math.sqrt(s2)
+    e = -math.frexp(max(-f.min(initial=0.0), f.max(initial=0.0)))[1]  # 0 for an all-zero x
+    f = np.ldexp(f, e)
+    return math.ldexp(math.sqrt(f @ f), -e)
 
 
 def _rescale(delta: np.ndarray, target_norm: float) -> np.ndarray:

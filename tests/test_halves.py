@@ -17,12 +17,20 @@ import pytest
 from swanopt import gradient_ops, matrixops, optimizers
 from swanopt.gradient_ops import _BLOCK, GradNormConfig
 from swanopt.matrixops import _SPLIT_MIN, _in_blocks, random_matrix
-from swanopt.optimizers import OptimizerConfig, OptimizerState, adam_step, init_state, swan_step
+from swanopt.optimizers import (
+    OptimizerConfig,
+    OptimizerState,
+    adam_step,
+    init_state,
+    sgd_step,
+    swan_step,
+)
 from swanopt.problems import MlpProblem, QuadraticProblem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ADAM = OptimizerConfig(kind="adam", learning_rate=0.1)
 SWAN = OptimizerConfig(kind="swan", learning_rate=0.1)
+SGD = OptimizerConfig(kind="sgd", learning_rate=0.1)
 
 
 @pytest.fixture(autouse=True)
@@ -193,9 +201,10 @@ def test_small_blocks_start_no_worker(monkeypatch):
 
 def test_split_steps_keep_todays_working_set(warm_peak_bytes):
     # the bounds of tests/test_optimizers.py at 512 x 2048 and its transpose: Adam's two
-    # half-size scratches take the place of one, and SWAN's column pass takes one block
-    # scratch per thread, within min(_BLOCK, k^2) + GradNorm's squares (a row block, or for the
-    # F-ordered transpose a running-sum block, of _BLOCK entries each)
+    # half-size scratches take the place of one, and SWAN's column halves read g itself, so its
+    # step is a warm SGD step's one m x n plus one k x k (Z''), the row statistics and the
+    # spectrum (4 vectors of length k); GradNorm's squares (a row block, or for the F-ordered
+    # transpose a running-sum block, of _BLOCK entries) and V fit within that k x k
     (m, n), (w, g) = (512, 2048), _wide()
     moments = random_matrix(m, n, 2), np.ones((m, n))
     state = OptimizerState(step=1, first_moment=moments[0], second_moment=moments[1])
@@ -203,8 +212,8 @@ def test_split_steps_keep_todays_working_set(warm_peak_bytes):
     assert warm_peak_bytes(adam_step, w, g, state, ADAM) <= (3 * m * n + rows * n) * 8 + 4096
     k = min(m, n)
     for a, b in ((w, g), (w.T.copy(), g.T.copy())):
-        swan = warm_peak_bytes(swan_step, a, b, SWAN)
-        assert swan <= (m * n + k * k + min(_BLOCK, k * k) + _BLOCK + 4 * k) * 8 + 4096
+        sgd = warm_peak_bytes(sgd_step, a, b, SGD)
+        assert warm_peak_bytes(swan_step, a, b, SWAN) <= sgd + (k * k + 4 * k) * 8 + 4096
     problem = QuadraticProblem.seeded(m, n, 10.0, 0)
     assert warm_peak_bytes(problem.grad, w) <= m * n * 8 + 4096
 
@@ -231,8 +240,8 @@ def test_a_one_block_pass_hands_the_worker_nothing(monkeypatch):
 
 def test_the_bench_block_keeps_the_split_widths(monkeypatch):
     # at 512 x 2048 the one rule gives: the Gram matrix in row halves of 256, the rows of Z' in
-    # blocks of 32 and the columns of its product with G~ in blocks of 64 (its scratch within
-    # _BLOCK entries), H w's columns in blocks of 1024 and Adam's rows in blocks of 8
+    # blocks of 32 and the columns of Z'' g in halves of 1024 (no scratch), H w's columns in
+    # halves of 1024 and Adam's rows in blocks of 8
     widths = set()
 
     def spy(fn, args, x, axis, unit, cap):
@@ -249,5 +258,5 @@ def test_the_bench_block_keeps_the_split_widths(monkeypatch):
     swan_step(w, g, SWAN)
     adam_step(w, g, init_state(ADAM, w.shape), ADAM)
     QuadraticProblem.seeded(512, 2048, 10.0, 0).grad(w)
-    swan = ("_gram_blocks", 0, 256), ("_matmul_lines", 0, 32), ("_descend_columns", 1, 64)
+    swan = ("_gram_blocks", 0, 256), ("_matmul_lines", 0, 32), ("_descend_columns", 1, 1024)
     assert widths == {*swan, ("_matmul_lines", 1, 1024), ("_adam_rows", 0, 8)}

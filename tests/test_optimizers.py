@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from swanopt import gradient_ops
 from swanopt.gradient_ops import (
     _BLOCK,
     GradNormConfig,
@@ -162,8 +165,9 @@ def _swan_inputs(case):
 
 def _spectral(shape, cfg) -> bool:
     """Whether ``swan_step`` whitens a block of ``shape`` on the spectrum: Newton-Schulz from 128
-    rows of its wide form. There the rate and the rescale fold into Z' (one pass writes w - Z' G~),
-    so its bits are its own, and the oracles hold within a relative 1e-12."""
+    rows of its wide form. There the rate, the rescale and GradNorm's statistics fold into Z'' (one
+    pass writes w - (Z'' g - u)), so its bits are its own, and the oracles hold within a relative
+    1e-12."""
     spectral = cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz"
     return spectral and min(shape) >= 128
 
@@ -248,11 +252,11 @@ def check_swan_step(cpus, assert_same_bits, assert_close):
 
 
 SWAN_BITS_SHAPES = {
-    "swan_wide": (512, 2048),  # Z' G~ in 64-column blocks, Z' in 32-row blocks, the Gram in halves
+    "swan_wide": (512, 2048),  # Z'' g in column halves, Z' in 32-row blocks, the Gram in halves
     "swan_tall": (2048, 512),  # the same blocks, from an F-ordered G~
-    "ragged_blocks": (130, 1216),  # Z' G~ in 64-column blocks, ragged, Z' in one block
+    "ragged_blocks": (130, 1216),  # Z'' g in halves of 640 and 576 columns, Z' in one block
     "four_blocks": (128, 1024),
-    "unblocked_n": (200, 300),  # ragged last blocks: Z' G~ 128 + 128 + 44 columns, Z' 160 + 40 rows
+    "unblocked_n": (200, 300),  # Z'' g whole, Z' in ragged row blocks of 160 + 40
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
     "small": (16, 64),  # n >= 3m: G~n held across the loop
     "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
@@ -300,6 +304,107 @@ def test_swan_step_writes_no_input(ablation, shape, check_swan_step):
     assert check_swan_step(w, g, cfg).flags.writeable
 
 
+FOLD_SHAPES = [(512, 2048), (2048, 512), (130, 1216)]
+
+
+def _offset_rows(shape, layout, r, seed=10):
+    """``w`` and ``g`` of ``shape`` in ``layout`` whose wide form's rows are standardized and moved
+    to means of alternating sign and magnitude ``r`` (|mean| / std = r, up to epsilon)."""
+    w, g = random_matrix(*shape, seed), random_matrix(*shape, seed + 1)
+    g = np.asfortranarray(g) if layout == "F" else g
+    rows = g if shape[0] <= shape[1] else g.T
+    c = rows - rows.mean(axis=1, keepdims=True)
+    rows[...] = c / c.std(axis=1, keepdims=True)
+    rows[::2] += r
+    rows[1::2] -= r
+    return w, g, rows
+
+
+@pytest.fixture
+def last_pass(monkeypatch):
+    """The calls of SWAN's last pass through ``gradient_ops._in_blocks``: for each, its cap (None
+    for the column halves read from ``g``, a block's entries where ``g`` is centred first) and the
+    bytes it allocates, on either thread, above what is live at its start (tracemalloc)."""
+    calls, in_blocks = [], gradient_ops._in_blocks
+
+    def spy(fn, args, x, axis, unit, cap):
+        if fn.__name__ != "_descend_columns":
+            return in_blocks(fn, args, x, axis, unit, cap)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            in_blocks(fn, args, x, axis, unit, cap)
+            calls.append((cap, tracemalloc.get_traced_memory()[1] - base))
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(gradient_ops, "_in_blocks", spy)
+    return calls
+
+
+def _fused(calls) -> bool:
+    """Whether each recorded last pass ran on column halves straight from ``g``, allocating only
+    small objects (under 8 KB: a block of 64 columns from 128 rows takes 64 KB), or else each
+    centred ``g`` first, by capped blocks through a scratch."""
+    assert calls
+    if all(cap is None and peak < 8192 for cap, peak in calls):
+        return True
+    assert all(cap is not None and peak >= 8192 for cap, peak in calls)
+    return False
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, gradient_ops._OFFSET / 2], ids=["r0", "r1", "r_half"])
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_folded_row_means_match_the_whole_expressions(
+    layout, shape, r, last_pass, check_swan_step
+):
+    # up to |mean| / std = R the means fold into Z'' g - u: within 1e-12 of the whole-array
+    # expressions on 1 and 2 CPUs, from g itself with no column scratch
+    w, g, _ = _offset_rows(shape, layout, r)
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
+    assert _fused(last_pass)
+
+
+@pytest.mark.parametrize("r", [2 * gradient_ops._OFFSET, 1e6], ids=["r_2R", "r_1e6"])
+@pytest.mark.parametrize("shape", [*FOLD_SHAPES, (200, 300)], ids=str)  # 300: a ragged last block
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_offset_rows_centre_g_first(layout, shape, r, last_pass, check_swan_step):
+    w, g, _ = _offset_rows(shape, layout, r)
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
+    assert not _fused(last_pass)
+
+
+@pytest.mark.parametrize("shape", [*FOLD_SHAPES, (200, 300)], ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_rows_constant_under_epsilon_match_centring_first(
+    layout, shape, last_pass, check_swan_step
+):
+    # std below epsilon: exactly constant rows (zero among them) and a constant plus 1e-12 noise,
+    # whose |mean| / (std + epsilon) is about 1e8 |mean|; the whole expressions centre first
+    w, g, rows = _offset_rows(shape, layout, 1.0)
+    rows[1], rows[3], rows[5], rows[7] = 0.1, -7.3, 1e3, 0.0
+    rows[9] = 5.0 + 1e-12 * rows[11]
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
+    assert not _fused(last_pass)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"grad_norm_cfg": GradNormConfig(subtract_mean=False)}, {"ablation": "whiten_only"}],
+    ids=["rms", "whiten_only"],
+)
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_steps_without_means_never_centre(layout, shape, kwargs, last_pass, check_swan_step):
+    # one row at |mean| / std = 2R, which a GradNorm'd step centres (more such rows, or larger
+    # means, would be nearly parallel without GradNorm's subtract, and ill-conditioned)
+    w, g, rows = _offset_rows(shape, layout, 0.0)
+    rows[1] += 2 * gradient_ops._OFFSET
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037, **kwargs))
+    assert _fused(last_pass)
+
+
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (128, 300), (40, 100), (64, 8)])
 def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(shape, assert_same_bits, assert_close):
     # whitening's one path: below 128 rows with the same bits, from 128 within 1e-12 (there the
@@ -320,10 +425,11 @@ def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(shape, assert_same_b
 
 
 @pytest.mark.parametrize("scale", [2.0**530, 2.0**-530], ids=["1e+160", "1e-160"])
-@pytest.mark.parametrize("shape", [(128, 300), (300, 128)])
+@pytest.mark.parametrize("shape", [(128, 300), (300, 128), (50, 60), (60, 50)])
 def test_spectral_whitening_is_scale_free_at_extreme_magnitudes(shape, scale, assert_close):
-    # an unnormalized g near 1e+-160 (whiten_only, grad_whitening) would overflow its Gram
-    # matrix or lose its bits to subnormals: the Gram is taken of g scaled by a power of two
+    # an unnormalized g near 1e+-160 (whiten_only, grad_whitening) would overflow its squares or
+    # lose their bits to subnormals: from 128 rows the Gram matrix is taken of g scaled by a power
+    # of two, below 128 rows the Frobenius norm that normalizes g before its Gram matrix
     g = 3.0 * random_matrix(*shape, 9) + 0.5
     zero = np.zeros(shape)
     for rescale in (False, True):  # with rescale the update has g's norm
@@ -361,10 +467,10 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     # one m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside
     # GradNorm's squares first: a row block of a C-ordered (wide) G~, and of an F-ordered
     # (tall) one all m x n below 2^17 entries, from there a running-sum block. Then V beside the
-    # Gram matrix, a block scratch of at most min(_BLOCK, k^2) entries (the rows of Z', then
-    # a column block of G~ per thread) and the row statistics and spectrum, 4 vectors of length
-    # k. No bound is above the last one, m n + max(squares, 2 k^2 + min(_BLOCK, k^2)) + 4 k,
-    # nor the unblocked step's 2 m n + 5 k^2.
+    # Gram matrix, a block scratch of at most min(_BLOCK, k^2) entries (the rows of Z') and the
+    # row statistics and spectrum, 4 vectors of length k; the last pass reads g itself. No
+    # bound is above the last one, m n + max(squares, 2 k^2 + min(_BLOCK, k^2)) + 4 k, nor the
+    # unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
@@ -420,16 +526,17 @@ def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_byt
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (512, 512)])
 def test_a_warm_swan_step_is_a_warm_sgd_step_plus_one_k_by_k(shape, count, cpus, warm_peak_bytes):
     # the paper's memory claim at a layer's size: beside SGD's one new m x n, SWAN holds one
-    # k x k (the Gram matrix, then Z') and the column pass's scratch, one block per thread of
-    # min(_BLOCK, k^2) entries or 64 columns, with the row statistics and the spectrum (4
-    # vectors of length k) and 4 KB of small objects
+    # k x k (the Gram matrix, then Z'') with the row statistics and the spectrum (4 vectors of
+    # length k) and 4 KB of small objects; its last pass reads g itself, with no column scratch.
+    # On a square block the peak is where Z' is formed: V beside the Gram matrix (2 k^2, one
+    # k^2 above SGD's m x n) and one row block of Z' per thread (32 rows at k = 512)
     cpus(count)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     sgd = warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
     swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
-    k = min(shape)
-    column = max(min(_BLOCK, k * k), 64 * k)
-    assert swan <= sgd + (k * k + count * column + 4 * k) * 8 + 4096
+    (m, n), k = shape, min(shape)
+    forming = 2 * k * k + count * 32 * k - m * n
+    assert swan <= sgd + (max(k * k, forming) + 4 * k) * 8 + 4096
 
 
 @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])
@@ -574,7 +681,7 @@ def test_adam_step_memory_is_three_outputs_plus_one_block(shape, warm_peak_bytes
 
 
 # The two-thread passes: shapes at 2^17 entries and one row below (no split), odd block
-# counts (Adam's 19 row blocks at 300 x 1024, Z' G~'s 19 column blocks at 192 x 1216, H w's
+# counts (Adam's 19 row blocks at 300 x 1024, Z'' g's halves of 640 and 576 at 192 x 1216, H w's
 # 17 units of 64 columns at 128 x 1088), the bench's block and the transposes, and ragged
 # last blocks (300 x 1001 split, 130 x 520 serial).
 SPLIT_SHAPES = [
