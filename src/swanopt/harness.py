@@ -222,7 +222,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         except ValueError as exc:
             raise ConfigError(f"optimizer {desc.name!r}: {exc}") from exc
     shape = problem.shape
-    w0_shared = spec.problem.init_scale * random_matrix(shape[0], shape[1], spec.seed)
+    w0_shared = random_matrix(shape[0], shape[1], spec.seed, scale=spec.problem.init_scale)
     l_star = problem.l_star
 
     trajectories: dict[str, list[TrajectoryRecord]] = {}

@@ -175,9 +175,11 @@ def schatten1_norm(a) -> float:
 
 
 def random_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded i.i.d. Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    return scale * rng.normal(size=(rows, cols))
+    """Seeded i.i.d. Gaussian matrix times ``scale``, scaled in place: one array per draw."""
+    x = np.random.default_rng(seed).normal(size=(rows, cols))
+    if scale != 1.0:
+        x *= scale
+    return x
 
 
 def sample_stiefel(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -198,13 +200,17 @@ def sample_stiefel(rows: int, cols: int, seed: int) -> np.ndarray:
 def make_spd(size: int, condition_number: float, seed: int) -> np.ndarray:
     """Seeded symmetric positive definite matrix with a prescribed condition number.
 
-    Built as ``Q diag(lam) Q.T`` with log-uniformly spaced eigenvalues spanning
-    ``[1, condition_number]`` and a random orthogonal Q from :func:`sample_stiefel`.
-    """
+    Built as ``Q diag(lam) Q.T``, symmetrized, with log-uniformly spaced eigenvalues spanning
+    ``[1, condition_number]`` and a random orthogonal Q from :func:`sample_stiefel`; the product
+    scales Q's columns, with no dense diagonal. ``QuadraticProblem.seeded`` keeps Q and lam."""
+    return _spd_factors(size, condition_number, seed)[0]
+
+
+def _spd_factors(size: int, condition_number: float, seed: int):
+    """(H, Q, lam) of :func:`make_spd`: H exactly symmetric, lam ascending from 1."""
     if not 1.0 <= condition_number < np.inf:
         raise ValueError(f"condition_number must be finite and >= 1, got {condition_number}")
     lam = np.geomspace(1.0, condition_number, size)
     q = sample_stiefel(size, size, seed).T
-    h = q @ np.diag(lam) @ q.T
-    return 0.5 * (h + h.T)
-
+    h = (q * lam) @ q.T
+    return 0.5 * (h + h.T), q, lam

@@ -18,11 +18,12 @@ All gradients are exact and every stochastic quantity takes an explicit seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _matmul_blocks, as_matrix, make_spd, random_matrix
+from .matrixops import _matmul_blocks, _spd_factors, as_matrix, random_matrix
 
 __all__ = [
     "QuadraticProblem",
@@ -40,42 +41,50 @@ __all__ = [
 class QuadraticProblem:
     """1/2 Tr(W^T H W) - Tr(C^T W) with H symmetric positive definite.
 
-    H is checked once, here, where its spectrum, the optimum W* = H^{-1} C and L* = -1/2 <C, W*> are
-    computed; the curvature steps take the problem and read them from it. C defaults to the square
-    zero matrix. The loss is <W, 1/2 H W - C>, one matrix product (by blocks, CHANGES.md);
-    :meth:`loss_and_grad` shares that product with the gradient H W - C."""
+    The closed forms come from H = Q diag(lam) Q^T: the spectrum is lam, L* = -1/2 ||lam^{-1/2}
+    Q^T C||_F^2, and the optimum W* = Q diag(1/lam) Q^T C is formed when first read; the curvature
+    steps read them from the problem. The constructor takes Q and lam from one ``eigh`` of the
+    symmetrized H, which is also its check. A :meth:`seeded` problem keeps the factors
+    :func:`make_spd` builds H from, so its spectrum is exactly the constructed lam. C defaults to
+    the square zero matrix. The loss is <W, 1/2 H W - C>, one matrix product (by blocks,
+    CHANGES.md); :meth:`loss_and_grad` shares that product with the gradient H W - C."""
 
     def __init__(self, h, c=None):
         h = as_matrix(h, "h")
         if h.shape[0] != h.shape[1] or not h.size:  # an empty h has no spectrum to check
             raise ValueError(f"h must be square and non-empty, got shape {h.shape}")
-        self.h = 0.5 * (h + h.T)
-        vals = np.linalg.eigvalsh(self.h)
-        if vals[0] <= 0.0:
-            raise ValueError(f"h is not positive definite (min eigenvalue {vals[0]:.3e})")
+        h = 0.5 * (h + h.T)
+        lam, q = np.linalg.eigh(h)
+        if lam[0] <= 0.0:
+            raise ValueError(f"h is not positive definite (min eigenvalue {lam[0]:.3e})")
+        self._factored(h, c, q, lam)
+
+    def _factored(self, h, c, q, lam) -> "QuadraticProblem":
+        """Set H, C and the closed forms from H = Q diag(lam) Q^T, lam ascending and > 0."""
         m = h.shape[0]
-        if c is None:
-            c = np.zeros((m, m))
-        c = as_matrix(c, "c")
+        c = np.zeros((m, m)) if c is None else as_matrix(c, "c")
         if c.shape[0] != m:
             raise ValueError(f"c must have {m} rows, got {c.shape[0]}")
-        self.c = c
-        self.w_star = np.linalg.solve(self.h, self.c)
-        self.l_star = float(-0.5 * np.vdot(self.c, self.w_star))
-        self.eigenvalues = vals[::-1].copy()
+        self.h, self.c, self._q, self._lam = h, c, q, lam
+        self.eigenvalues = lam[::-1].copy()
+        x = _matmul_blocks(q.T, c, 1)
+        x /= np.sqrt(lam)[:, None]
+        self.l_star = -0.5 * float(np.vdot(x, x))
+        return self
+
+    @functools.cached_property
+    def w_star(self) -> np.ndarray:
+        x = _matmul_blocks(self._q.T, self.c, 1)
+        x /= self._lam[:, None]
+        return _matmul_blocks(self._q, x, 1)
 
     @classmethod
     def seeded(
-        cls,
-        m: int,
-        n: int,
-        condition_number: float,
-        seed: int,
-        c_scale: float = 0.0,
+        cls, m: int, n: int, condition_number: float, seed: int, c_scale: float = 0.0
     ) -> "QuadraticProblem":
-        h = make_spd(m, condition_number, seed)
+        h, q, lam = _spd_factors(m, condition_number, seed)  # H exactly symmetric, lam > 0
         c = random_matrix(m, n, seed + 1, scale=c_scale) if c_scale else np.zeros((m, n))
-        return cls(h, c)
+        return cls.__new__(cls)._factored(h, c, q, lam)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -132,6 +132,21 @@ class TestSampling:
         h = make_spd(4, 10.0, 11)
         assert np.all(np.linalg.eigvalsh(h) > 0)
 
+    @pytest.mark.parametrize("size", (1, 7, 50, 512))
+    @pytest.mark.parametrize("kappa", (1.0, 1e4, 1e12))
+    @pytest.mark.parametrize("seed", (0, 13))
+    def test_make_spd_keeps_the_bytes_of_the_dense_diagonal_product(self, size, kappa, seed):
+        # Q's columns scaled by lam, bit for bit what Q diag(lam) Q^T gave, symmetrized
+        lam = np.geomspace(1.0, kappa, size)
+        q = sample_stiefel(size, size, seed).T
+        h = q @ np.diag(lam) @ q.T
+        assert make_spd(size, kappa, seed).tobytes() == (0.5 * (h + h.T)).tobytes()
+
+    @pytest.mark.parametrize("scale", (1.0, 0.7, 0.0, -2.0))
+    def test_random_matrix_is_the_scaled_draw(self, scale):
+        want = scale * np.random.default_rng(21).normal(size=(9, 13))
+        assert random_matrix(9, 13, 21, scale=scale).tobytes() == want.tobytes()
+
     def test_make_spd_rejects_bad_kappa(self):
         with pytest.raises(ValueError, match="condition_number"):
             make_spd(4, 0.5, 0)

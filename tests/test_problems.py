@@ -107,6 +107,54 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticProblem(np.diag([1.0, -2.0]))
 
+    def test_rejects_a_general_indefinite_h(self):
+        # not diagonal, so the one eigh decides; its smallest eigenvalue is about -4.0
+        a = random_matrix(6, 6, 0)
+        with pytest.raises(ValueError, match=r"h is not positive definite \(min eigenvalue -4\.0"):
+            QuadraticProblem(a + a.T, random_matrix(6, 2, 1))
+
+    # Worst ||H W* - C||_F / ||C||_F and relative error of L* against an LU solve, measured over
+    # seeds 0-2, the three shapes and both constructions (OpenBLAS 0.3.31, float64), times 10.
+    # The LU solve's own residual was 2.1e-16, 2.9e-15, 3.6e-13 and 2.5e-9 at these kappas.
+    CLOSED_FORM_BOUNDS = {1.0: (1.4e-14, 5.4e-15), 1e2: (1.1e-13, 4.8e-14),
+                          1e4: (7.2e-12, 3.6e-12), 1e8: (7.6e-8, 5.0e-8)}  # fmt: skip
+
+    @pytest.mark.parametrize("kappa", CLOSED_FORM_BOUNDS)
+    @pytest.mark.parametrize("seeded", (True, False), ids=("seeded", "general"))
+    @pytest.mark.parametrize("shape", [(5, 3), (50, 50), (64, 200)], ids=str)
+    def test_closed_forms_meet_their_error_contract(self, kappa, seeded, shape):
+        residual_bound, l_star_bound = self.CLOSED_FORM_BOUNDS[kappa]
+        for seed in range(3):
+            if seeded:
+                p = QuadraticProblem.seeded(*shape, kappa, seed, c_scale=1.0)
+            else:  # the same H through the public constructor's eigh
+                p = QuadraticProblem(make_spd(shape[0], kappa, seed), random_matrix(*shape, seed + 1))
+            c_norm = np.linalg.norm(p.c)
+            assert np.linalg.norm(p.h @ p.w_star - p.c) / c_norm <= residual_bound
+            l_star = -0.5 * np.vdot(p.c, np.linalg.solve(p.h, p.c))
+            assert abs(p.l_star - l_star) <= l_star_bound * abs(l_star)
+
+    def test_seeded_needs_no_solve_and_no_decomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a seeded problem reads its closed forms from its own factors")
+
+        for name in ("solve", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        p = QuadraticProblem.seeded(50, 80, 1e4, 3, c_scale=1.0)
+        # the spectrum is the constructed one, so gd_optimal's rate is exactly 2 / (kappa + 1)
+        assert p.eigenvalues.tobytes() == np.geomspace(1.0, 1e4, 50)[::-1].tobytes()
+        assert (p.eigenvalues[0], p.eigenvalues[-1]) == (1e4, 1.0)
+        assert p.w_star.shape == (50, 80)
+
+    @pytest.mark.parametrize("seeded", (True, False), ids=("seeded", "general"))
+    def test_w_star_is_formed_when_first_read(self, seeded):
+        p = QuadraticProblem.seeded(7, 4, 10.0, 2, c_scale=1.0)
+        if not seeded:
+            p = QuadraticProblem(p.h, p.c)
+        assert "w_star" not in vars(p)
+        w_star = p.w_star
+        assert vars(p)["w_star"] is w_star and p.w_star is w_star
+
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
     def test_rejects_an_empty_or_non_square_h(self, shape):
         message = f"h must be square and non-empty, got shape {shape}"
