@@ -241,9 +241,10 @@ def newton_schulz_inverse_sqrt(
     or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays beside ``a``
     (a copy of it, which holds P, and T, Q, Z). From 128 rows it runs on the spectrum: Z is a
     polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
-    f_k(lambda) V^T, in the copy of ``a`` and V beside one row block. The eigenvalues are
-    clamped at 0 first: on a rank-deficient ``a`` the round-off negatives are what the recursion
-    grows by about 9 b^2 per iteration. Agrees with the matrix loop to round-off.
+    f_k(lambda) V^T in the copy of ``a`` beside V (:func:`_v_diag_vt`; one row block more where f is
+    signed, as paired on eigenvalues above 3). The eigenvalues are clamped at 0 first: on a
+    rank-deficient ``a`` the round-off negatives are what the recursion grows by about 9 b^2 per
+    iteration. Agrees with the matrix loop to round-off.
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
@@ -253,8 +254,7 @@ def newton_schulz_inverse_sqrt(
 
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P goes into ``a``
-    beside 3 m x m arrays below 128 rows (T, Q, Z), and from 128 V f(lambda), beside V and then Z
-    (:func:`_v_diag_vt`)."""
+    beside 3 m x m arrays below 128 rows (T, Q, Z), and from 128 Z beside V (:func:`_v_diag_vt`)."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
         return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
@@ -265,19 +265,21 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
 
 
 def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """V diag(``d``) V^T into the k x k ``out``: V d there, then its rows by the blocks of
-    :func:`~swanopt.matrixops._matmul_blocks` through one row scratch (row i of the product
-    reads row i of V d)."""
+    """V diag(``d``) V^T into the k x k ``out``, writing V and ``d``: where ``d`` >= 0 the Gram
+    matrix of V sqrt(d) in V's buffer (:func:`_gram`: half the flops, no row scratch), else V d
+    there, times V^T by row blocks through one scratch (:func:`_matmul_blocks`)."""
+    if d.min() >= 0.0:
+        return _gram(_unbuffered(True, np.multiply, v, np.sqrt(d, out=d), v), out)
     return _matmul_blocks(np.multiply(v, d, out=out), v.T, 0, _BLOCK)
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride, spare=None):
     """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; each new P goes into
     ``p0``, which it writes. ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
     identity's diagonal every ``stride = m + 1`` flat entries, or its eigenvalues, with
     ``product=np.multiply`` and ``stride=1``. T and S share one buffer, shifted through one
-    diagonal view."""
-    t = np.empty(p0.shape)  # T, then S when chained
+    diagonal view; it, P T and Z are the three ``spare`` arrays if given, else new ones."""
+    t, u, z_buf = (np.empty(p0.shape), None, None) if spare is None else spare
     diag = t.reshape(-1)[::stride]
     chained = update_order == "chained"
 
@@ -285,7 +287,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
         np.multiply(x, -step_size, out=t)
         np.add(diag, 3.0 * step_size, out=diag)
 
-    z = u = None
+    z = None
     for i in range(1, iterations + 1):
         last = i == iterations
         shift(p0)  # T
@@ -296,7 +298,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
         if not last:
             product(t, u, out=p0)  # T (P T) or S Q
         if z is None:  # Z = I: the new Z is a copy of T or S
-            z = t.copy()
+            z = t.copy() if z_buf is None else np.positive(t, out=z_buf)
         else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
             z, u = product(t, z, out=u), z
     if z is None:  # no iterations: Z = I
@@ -329,21 +331,21 @@ def _ns_whiten(
     formed (:func:`_gram`) and G~ freed; one ``eigh`` gives V and lambda, s^2 = tr G~ G~^T, and
     lambda_n = lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f =
     f_k(lambda_n), the rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f /
-    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. GradNorm's
-    G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T, with
-    Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass (:func:`_descend_columns`)
-    on the column halves of :func:`~swanopt.matrixops._in_blocks` then reads ``g`` itself and
-    writes ``w - (Z'' g - u)`` into the returned array, in ``g``'s memory order. The fold cancels
-    in floating point, by about 2e-15 (1 + r) with r = max |mu_i| / S_i, so where r > ``_OFFSET``
-    (64, where the error measured 2.2e-15) the pass centres ``g`` into the returned array first,
-    by GradNorm's own subtract (so a constant row holds GradNorm's numerator, zero or a few ulps),
-    and multiplies it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64 columns if
-    more, through one scratch per thread. Working set: one m x n array (G~, then the result) and
-    one k x k (the Gram matrix, then Z''), beside GradNorm's squares, V and one row block of Z'
-    per thread while Z' is formed, and on offset rows the column scratch; ``eigh``'s LAPACK
-    workspace is outside numpy (CHANGES.md). Where s^2 is outside (``_TINY``, inf), as for a
-    whiten-only ``g`` near 1e+-155, the Gram matrix is taken of G~ scaled by a power of two, in
-    one more m x n array (below 128 rows :func:`_fro` scales so)."""
+    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~; Z' is the Gram
+    matrix of V sqrt(phi) where phi >= 0 (:func:`_v_diag_vt`), as for every chained step size and
+    paired up to 2/3. GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too:
+    Z' G~ = Z'' G - u 1^T, with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
+    (:func:`_descend_columns`) on the column halves of :func:`~swanopt.matrixops._in_blocks` then
+    reads ``g`` itself and writes ``w - (Z'' g - u)`` into the returned array, in ``g``'s memory
+    order. The fold cancels in floating point, by about 2e-15 (1 + r) with r = max |mu_i| / S_i, so
+    where r > ``_OFFSET`` the pass centres ``g`` into the returned array first, by GradNorm's own
+    subtract, and multiplies it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64
+    columns if more, through one scratch per thread. Working set: one m x n array (G~, then the
+    result) and one k x k (the Gram matrix, then Z' written over it, then Z''), beside GradNorm's
+    squares, V (its buffer holds V sqrt(phi)) and on offset rows the column scratch: a square block
+    needs no row scratch. Where s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near
+    1e+-155, the Gram matrix is of G~ scaled by a power of two, in one more m x n array. ``eigh``'s
+    LAPACK workspace is outside numpy; CHANGES.md has the measurements."""
     if len(g) >= _SPECTRAL_MIN_ROWS:
         return _ns_spectral(g, cfg, norm, rescale, lr, w)
     rebuild = g.shape[1] < 3 * len(g)  # from n = 3m, Z G~n sets the peak anyway
@@ -386,18 +388,18 @@ def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> 
         raise ValueError("cannot whiten an all-zero matrix")
     if not _TINY < s2 < np.inf:  # squares out of range (a whiten-only g): the Gram of 2^e G~
         e = -math.frexp(max(-gt.min(), gt.max()))[1]
-        gram = None
-        gram = _gram(np.ldexp(gt, e))
-        s2 = np.trace(gram)
+        s2 = np.trace(_gram(np.ldexp(gt, e), gram))
     del gt  # G~, if GradNorm made it
     lam, v = np.linalg.eigh(gram)
     np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
-    f = _ns_recursion(lam.copy(), cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1)
-    norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
+    lam_n, *spare = gram[:4]  # rows of the Gram matrix, which eigh has read: lambda_n, T, P T, Z
+    np.copyto(lam_n, lam)
+    f = _ns_recursion(lam, cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1, spare)
+    norm_d = math.sqrt(np.dot(f * f, lam_n)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
     if norm_d == 0.0:
         raise ValueError("rescale_update: zero-norm delta has no direction")
     z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
-    del gram, v, lam, f  # if Z' is one block, it is a new array
+    del gram, v, lam, lam_n, f, spare  # a signed Z' in one block is a new array
     centre = u = None
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g centred first
         np.divide(z, std.T, out=z)
@@ -439,16 +441,16 @@ def _descend_columns(args, width, lo, hi) -> None:
                 np.copyto(out[:, b], d)
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """x x^T of a wide ``x``, whole below 2^17 entries. From there only its lower triangle, all
-    that ``eigh`` reads, by :func:`~swanopt.matrixops._in_blocks` on two row halves A over B:
-    block 0 is the two diagonal products A A^T and B B^T (the block above B A^T set to 0), block 1
-    the product B A^T below them, each half the work; the second runs on the worker if free."""
+def _gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x x^T of a wide ``x``, whole and symmetric, into ``out`` (a new array if None): one product
+    below 2^17 entries, from there :func:`~swanopt.matrixops._in_blocks` on the rows A over B split
+    at m / sqrt(2) on a multiple of 16, each block half the work: block 0 the symmetric A A^T,
+    block 1 B A^T below it, its mirror above and B B^T; the second runs on the worker if free."""
+    out = np.empty((len(x), len(x))) if out is None else out
     if _one_block(x.size, None):
-        return x @ x.T
-    gram = np.empty((len(x), len(x)))
-    _in_blocks(_gram_blocks, (x, gram), x, 0, 1, None)
-    return gram
+        return np.matmul(x, x.T, out=out)
+    _in_blocks(_gram_blocks, (x, out), x, 0, 16 * max(1, round(len(x) / math.sqrt(512))), None)
+    return out
 
 
 def _gram_blocks(args, h, lo, hi) -> None:
@@ -457,10 +459,10 @@ def _gram_blocks(args, h, lo, hi) -> None:
     top, low = x[:h], x[h:]
     if lo == 0:
         np.matmul(top, top.T, out=gram[:h, :h])
-        np.matmul(low, low.T, out=gram[h:, h:])
-        gram[:h, h:] = 0.0
     if hi == 2:
         np.matmul(low, top.T, out=gram[h:, :h])
+        gram[:h, h:] = gram[h:, :h].T
+        np.matmul(low, low.T, out=gram[h:, h:])
 
 
 def _descend(w: np.ndarray, delta: np.ndarray, lr: float) -> np.ndarray:

@@ -143,9 +143,9 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
 
     Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): below 128 rows
     max(4 k^2, 2 m n + k^2). From 128 rows one m x n array (G~, then the returned weights) and one
-    k x k (the Gram matrix, then Z, into which the rescale, the rate and GradNorm's row statistics
-    fold), beside small scratch; ``eigh``'s LAPACK workspace is not counted.
-    ``gradient_ops._ns_whiten`` states the rule, with the one for rows far off zero mean, and
+    k x k (the Gram matrix, then Z' written over it, into which the rescale, the rate and GradNorm's
+    row statistics fold), beside V, whose buffer holds V sqrt(phi), and ``eigh``'s uncounted LAPACK
+    workspace: a square block needs no row scratch. ``gradient_ops._ns_whiten`` states the rule and
     CHANGES.md the numbers. Exact mode keeps its SVD and buffers.
     """
     w, g = np.asarray(w), np.asarray(g)

@@ -97,9 +97,7 @@ class QuadraticProblem:
             return self._loss(w, _matmul_blocks(self.h, w, 1))
 
     def grad(self, w) -> np.ndarray:
-        w = as_matrix(w, "w", self.shape)
-        hw = _matmul_blocks(self.h, w, 1)
-        return np.subtract(hw, self.c, out=hw)
+        return _matmul_blocks(self.h, as_matrix(w, "w", self.shape), 1, minus=self.c)
 
     def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
         """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one

@@ -100,6 +100,42 @@ def blocked_product():
     return _blocked_product
 
 
+def _blocked_gram(x: np.ndarray) -> np.ndarray:
+    """x x^T as :func:`swanopt.gradient_ops._gram` forms it, restated in plain numpy: whole below
+    2^17 entries; from there with the rows A over B split at h, m / sqrt(2) on a multiple of 16,
+    as the whole products A A^T, B A^T below it and B B^T, and the transpose of B A^T above."""
+    if x.size < 1 << 17:
+        return x @ x.T
+    m = len(x)
+    h = 16 * max(1, round(m / np.sqrt(512)))  # sqrt(512) = 16 sqrt(2)
+    top, low, out = x[:h], x[h:], np.empty((m, m))
+    out[:h, :h] = top @ top.T
+    out[h:, :h] = low @ top.T
+    out[:h, h:] = out[h:, :h].T
+    out[h:, h:] = low @ low.T
+    return out
+
+
+@pytest.fixture
+def blocked_gram():
+    """:func:`_blocked_gram`, the oracle of the Gram matrices' bits."""
+    return _blocked_gram
+
+
+@pytest.fixture
+def blocked_spectral():
+    """``blocked(v, d)``: V diag(d) V^T as :func:`swanopt.gradient_ops._v_diag_vt` forms it, with
+    V's memory order: where d >= 0 the Gram matrix of V sqrt(d) (:func:`_blocked_gram`), else
+    (V d) V^T by row blocks of at most 2^15 entries (:func:`_blocked_product`)."""
+
+    def blocked(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+        if d.min() >= 0.0:
+            return _blocked_gram(v * np.sqrt(d))
+        return _blocked_product(v * d, v.T, 0, 1 << 15)
+
+    return blocked
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(k)`` sets the CPU count the library reads before it runs a pass in two halves:

@@ -413,9 +413,9 @@ class TestGradWhitening:
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m, squares", [(50, 3), (300, 1), (512, 1)])
     def test_owned_newton_schulz_working_set(self, m, squares, order, warm_peak_bytes):
-        # beside the owned a: T, Q and Z below 128 rows; from 128 V and one row-block
-        # scratch (Z goes into a), and the spectral path's eigenvalues and recursion
-        # vectors (4 of length m)
+        # beside the owned a: T, Q and Z below 128 rows; from 128 V, whose buffer holds
+        # V sqrt(f) (Z goes into a as its Gram matrix, with no row scratch), and the spectral
+        # path's eigenvalues and recursion vectors (4 of length m)
         g = conditioned_gradient(2, m=m, n=2 * m)
         a0 = g @ g.T
         a = a0.copy()
@@ -424,9 +424,8 @@ class TestGradWhitening:
             np.copyto(a, a0)
             return _ns_inverse_sqrt(a, 10, 0.8, order)
 
-        scratch = _BLOCK if m >= 128 else 0
         vectors = 4 * m if m >= 128 else 0
-        assert warm_peak_bytes(owned) <= (squares * m * m + scratch + vectors) * 8 + 2048
+        assert warm_peak_bytes(owned) <= (squares * m * m + vectors) * 8 + 2048
 
     @pytest.mark.parametrize("k", [1, 2, 10])
     @pytest.mark.parametrize("order", ["chained", "paired"])
@@ -441,11 +440,11 @@ class TestGradWhitening:
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [20, 127, 128, 192, 300])
     def test_public_recursion_leaves_a_read_only_input_unwritten(
-        self, m, order, assert_same_bits, blocked_product
+        self, m, order, assert_same_bits, blocked_spectral
     ):
         # the owned body runs on a copy: the bits of the products into new arrays (below
-        # 128 rows) and of (V f(lambda)) V^T by row blocks (from 128; within the tolerance
-        # of the whole product)
+        # 128 rows) and from 128 of the Gram matrix of V sqrt(f(lambda)) (f > 0 on this
+        # spectrum; within the tolerance of the whole product V f(lambda) V^T)
         g = conditioned_gradient(7, m=m, n=2 * m)
         a = g @ g.T
         before = a.tobytes()
@@ -456,25 +455,77 @@ class TestGradWhitening:
             assert_same_bits(z, _ns_recursion_in_new_arrays(a, 10, 0.8, order))
         else:
             lam, v = np.linalg.eigh(a)
-            vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1))
-            assert_same_bits(z, blocked_product(vf, v.T, 0, _BLOCK), vf @ v.T)
+            f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
+            assert f.min() > 0.0
+            assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [128, 192, 300, 407, 512, 1024])
     def test_owned_spectral_z_keeps_the_whole_product_bits(
-        self, m, order, assert_same_bits, blocked_product
+        self, m, order, assert_same_bits, blocked_spectral
     ):
-        # Z by row blocks in the owned Gram matrix, the last one short at 192, 300 and 407
-        # rows (at 128 rows, one block: a new array): the blocked expression's bits, within
-        # the tolerance of the whole product V f(lambda) V^T
+        # Z as the Gram matrix of V sqrt(f) in the owned Gram matrix, whole below 2^17 entries
+        # and from 407 rows split at m / sqrt(2): the blocked expression's bits, within the
+        # tolerance of the whole product V f(lambda) V^T
         g = conditioned_gradient(6, m=m, n=2 * m)
         a = g @ g.T
         lam, v = np.linalg.eigh(a)
-        vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1))
+        f = _ns_recursion(np.maximum(lam, 0.0), 10, 0.8, order, np.multiply, 1)
         owned = a.copy()
         z = _ns_inverse_sqrt(owned, 10, 0.8, order)
-        assert (z is owned) == (m * m > _BLOCK)
-        assert_same_bits(z, blocked_product(vf, v.T, 0, _BLOCK), vf @ v.T)
+        assert z is owned
+        assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from(["chained", "paired"]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=64),
+    )
+    def test_the_normalized_spectrum_keeps_f_positive(self, k, order, b, lam):
+        # Z' = X X^T needs f_k(lambda) >= 0 on the trace-normalized spectrum in [0, 1]. Chained,
+        # P stays below 3 and Q = P b (3 - P) at most 9b/4 < 3, so every S is positive; paired, P
+        # stays at most max(1, 4 b^2) < 3 for b <= 2/3, so every T is. Below b = 1e-3, (3b)^k may
+        # underflow to 0 near lambda = 0, which the symmetric product still takes
+        b = b if order == "chained" else b * 2 / 3
+        lam = np.array([0.0, 1.0, *lam, *np.linspace(0.0, 1.0, 257)])
+        f = _ns_recursion(lam, k, b, order, np.multiply, 1)
+        assert f.min() > 0.0 if b >= 1e-3 else f.min() >= 0.0
+
+    def test_a_signed_paired_spectrum_takes_v_diag_vt(self, monkeypatch, assert_close):
+        # paired b = 1 on a normalized spectrum up to 0.91: f_10 reaches -219, so Z' is
+        # V diag(phi) V^T by row blocks, and the one Gram matrix formed is G's
+        g = random_matrix(160, 320, 0)
+        g[0] *= 40.0
+        grams, gram = [], gradient_ops._gram
+        monkeypatch.setattr(
+            gradient_ops, "_gram", lambda x, out=None: grams.append(x.shape) or gram(x, out)
+        )
+        got = grad_whitening(g, WhiteningConfig(step_size=1.0, update_order="paired"))
+        assert grams == [g.shape]
+        a = g @ g.T
+        s2 = np.trace(a)
+        lam, v = np.linalg.eigh(a)
+        f = _ns_recursion(np.maximum(lam, 0.0) / s2, 10, 1.0, "paired", np.multiply, 1)
+        assert f.min() < 0.0 < f.max()
+        assert_close(got, ((v * f) @ v.T) @ g / np.sqrt(s2))
+
+    def test_a_public_input_with_eigenvalues_above_3_takes_v_diag_vt(
+        self, monkeypatch, assert_same_bits, blocked_spectral
+    ):
+        # an unnormalized Gram matrix with its spectrum in [0, 3.5], paired at b = 0.5: T_1 =
+        # b (3 - lambda) < 0 above 3, so f is signed and Z = (V f) V^T by row blocks, with their
+        # bits, within 1e-12 of the whole product; no Gram matrix is formed
+        g = random_matrix(200, 400, 1)
+        a = g @ g.T
+        a *= 3.5 / np.linalg.eigvalsh(a)[-1]
+        monkeypatch.setattr(gradient_ops, "_gram", None)
+        z = newton_schulz_inverse_sqrt(a, 2, 0.5, "paired")
+        lam, v = np.linalg.eigh(a)
+        f = _ns_recursion(np.maximum(lam, 0.0), 2, 0.5, "paired", np.multiply, 1)
+        assert f.min() < 0.0 < f.max()
+        assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
 
     @pytest.mark.parametrize(
         "fn, tall, cfg",

@@ -220,7 +220,8 @@ def test_split_steps_keep_todays_working_set(warm_peak_bytes):
 
 def test_a_one_block_pass_hands_the_worker_nothing(monkeypatch):
     # above the split threshold, a pass of one block (H w at 2048 x 64, Adam's rows at
-    # 1 x 2^17) runs in the caller alone: the worker gets no empty half
+    # 1 x 2^17) runs in the caller alone: the worker gets no empty half. The gradient's
+    # subtraction after it is a pass of two row halves
     handed = []
 
     class Spy:  # the worker's queue, which runs each task at once
@@ -230,18 +231,22 @@ def test_a_one_block_pass_hands_the_worker_nothing(monkeypatch):
             done.put(context.run(fn, *args))
 
     monkeypatch.setattr(matrixops, "_tasks", Spy())
-    QuadraticProblem.seeded(2048, 64, 10.0, 0).grad(random_matrix(2048, 64, 1))
+    problem, w = QuadraticProblem.seeded(2048, 64, 10.0, 0), random_matrix(2048, 64, 1)
+    problem.loss(w)
     row = random_matrix(1, _SPLIT_MIN, 2)
     adam_step(row, row, init_state(ADAM, row.shape), ADAM)
     assert handed == []
+    problem.grad(w)
+    assert handed == [(1024, 1, 2)]
     _in_blocks(lambda args, width, lo, hi: None, (), *_rows(2))  # two blocks: one each
-    assert handed == [(1, 1, 2)]
+    assert handed == [(1024, 1, 2), (1, 1, 2)]
 
 
 def test_the_bench_block_keeps_the_split_widths(monkeypatch):
-    # at 512 x 2048 the one rule gives: the Gram matrix in row halves of 256, the rows of Z' in
-    # blocks of 32 and the columns of Z'' g in halves of 1024 (no scratch), H w's columns in
-    # halves of 1024 and Adam's rows in blocks of 8
+    # at 512 x 2048 the one rule gives: the Gram matrices of G~ and of V sqrt(phi) (Z') split
+    # at row 368 = 512 / sqrt(2) on a multiple of 16, the columns of Z'' g in halves of 1024
+    # (no scratch), H w's columns in halves of 1024 and then H w - C's rows in halves of 256,
+    # and Adam's rows in blocks of 8
     widths = set()
 
     def spy(fn, args, x, axis, unit, cap):
@@ -258,5 +263,21 @@ def test_the_bench_block_keeps_the_split_widths(monkeypatch):
     swan_step(w, g, SWAN)
     adam_step(w, g, init_state(ADAM, w.shape), ADAM)
     QuadraticProblem.seeded(512, 2048, 10.0, 0).grad(w)
-    swan = ("_gram_blocks", 0, 256), ("_matmul_lines", 0, 32), ("_descend_columns", 1, 1024)
-    assert widths == {*swan, ("_matmul_lines", 1, 1024), ("_adam_rows", 0, 8)}
+    swan = ("_gram_blocks", 0, 368), ("_descend_columns", 1, 1024)
+    grad = ("_matmul_lines", 1, 1024), ("_subtract_rows", 0, 256)
+    assert widths == {*swan, *grad, ("_adam_rows", 0, 8)}
+
+
+@pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (512, 512), (300, 1001)])
+def test_the_gram_matrix_and_the_spectral_step_keep_their_bits_on_one_cpu(shape, cpus):
+    # the blocks, and so the bits, follow from the shape alone, whether or not the worker
+    # takes one: the Gram matrix of the wide orientation, whole and symmetric, and a step
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    wide = g if shape[0] <= shape[1] else g.T
+    got = {}
+    for count in (1, 2):
+        cpus(count)
+        gram = gradient_ops._gram(wide)
+        assert np.array_equal(gram, gram.T)
+        got[count] = gram.tobytes(), swan_step(w, g, SWAN).tobytes()
+    assert got[1] == got[2]

@@ -252,11 +252,11 @@ def check_swan_step(cpus, assert_same_bits, assert_close):
 
 
 SWAN_BITS_SHAPES = {
-    "swan_wide": (512, 2048),  # Z'' g in column halves, Z' in 32-row blocks, the Gram in halves
+    "swan_wide": (512, 2048),  # Z'' g in column halves, both Gram matrices split at row 368
     "swan_tall": (2048, 512),  # the same blocks, from an F-ordered G~
-    "ragged_blocks": (130, 1216),  # Z'' g in halves of 640 and 576 columns, Z' in one block
+    "ragged_blocks": (130, 1216),  # Z'' g in halves of 640 and 576 columns, Z' in one product
     "four_blocks": (128, 1024),
-    "unblocked_n": (200, 300),  # Z'' g whole, Z' in ragged row blocks of 160 + 40
+    "unblocked_n": (200, 300),  # Z'' g whole, Z' in one product
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
     "small": (16, 64),  # n >= 3m: G~n held across the loop
     "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
@@ -467,10 +467,10 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     # one m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside
     # GradNorm's squares first: a row block of a C-ordered (wide) G~, and of an F-ordered
     # (tall) one all m x n below 2^17 entries, from there a running-sum block. Then V beside the
-    # Gram matrix, a block scratch of at most min(_BLOCK, k^2) entries (the rows of Z') and the
-    # row statistics and spectrum, 4 vectors of length k; the last pass reads g itself. No
-    # bound is above the last one, m n + max(squares, 2 k^2 + min(_BLOCK, k^2)) + 4 k, nor the
-    # unblocked step's 2 m n + 5 k^2.
+    # Gram matrix (Z' is the Gram matrix of V sqrt(phi), with no row scratch) and the row
+    # statistics and spectrum, 4 vectors of length k; the last pass reads g itself. No bound is
+    # above the last one, m n + max(squares, 2 k^2) + 4 k, nor the unblocked step's
+    # 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
@@ -479,8 +479,7 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
         bound = max(4 * k * k, 2 * m * n + k * k) * 8 + 4096
     else:
         squares = max(1, min(m, _BLOCK // n)) * n if m <= n else _square_sums_scratch(k, max(m, n))
-        spectral = k * k + min(_BLOCK, k * k)
-        bound = (m * n + min(spectral + squares, max(squares, spectral + k * k)) + 4 * k) * 8 + 4096
+        bound = (m * n + min(k * k + squares, max(squares, 2 * k * k)) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
 
@@ -537,6 +536,19 @@ def test_a_warm_swan_step_is_a_warm_sgd_step_plus_one_k_by_k(shape, count, cpus,
     (m, n), k = shape, min(shape)
     forming = 2 * k * k + count * 32 * k - m * n
     assert swan <= sgd + (max(k * k, forming) + 4 * k) * 8 + 4096
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("k", [512, 1024])
+def test_a_warm_square_swan_step_forms_z_with_no_row_scratch(k, count, cpus, warm_peak_bytes):
+    # Z' is the Gram matrix of V sqrt(phi), in V's buffer, written over the Gram matrix of G~:
+    # beside SGD's one new k x k, SWAN's peak is V beside the Gram matrix with the row
+    # statistics and the spectrum (4 vectors of length k), and no row block of Z' per thread
+    cpus(count)
+    w, g = random_matrix(k, k, 0), random_matrix(k, k, 1)
+    sgd = warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
+    swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
+    assert swan <= sgd + (k * k + 4 * k) * 8 + 4096
 
 
 @pytest.mark.parametrize("shape", [(64, 512), (512, 64), (1024, 128)])
