@@ -273,13 +273,13 @@ def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _matmul_blocks(np.multiply(v, d, out=out), v.T, 0, _BLOCK)
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride, spare=None):
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
     """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; each new P goes into
     ``p0``, which it writes. ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
     identity's diagonal every ``stride = m + 1`` flat entries, or its eigenvalues, with
     ``product=np.multiply`` and ``stride=1``. T and S share one buffer, shifted through one
-    diagonal view; it, P T and Z are the three ``spare`` arrays if given, else new ones."""
-    t, u, z_buf = (np.empty(p0.shape), None, None) if spare is None else spare
+    diagonal view."""
+    t = np.empty(p0.shape)  # T, then S when chained
     diag = t.reshape(-1)[::stride]
     chained = update_order == "chained"
 
@@ -287,7 +287,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, spar
         np.multiply(x, -step_size, out=t)
         np.add(diag, 3.0 * step_size, out=diag)
 
-    z = None
+    z = u = None
     for i in range(1, iterations + 1):
         last = i == iterations
         shift(p0)  # T
@@ -298,7 +298,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, spar
         if not last:
             product(t, u, out=p0)  # T (P T) or S Q
         if z is None:  # Z = I: the new Z is a copy of T or S
-            z = t.copy() if z_buf is None else np.positive(t, out=z_buf)
+            z = t.copy()
         else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
             z, u = product(t, z, out=u), z
     if z is None:  # no iterations: Z = I
@@ -382,7 +382,7 @@ def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> 
     """:func:`_ns_whiten` from 128 rows."""
     gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
     with np.errstate(over="ignore", invalid="ignore"):  # s^2 is checked below
-        gram, e = _gram(gt), 0
+        gram, e = _gram(gt, np.empty((len(gt), len(gt)))), 0
     s2 = np.trace(gram)  # ||G~||_F^2
     if s2 == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
@@ -392,14 +392,12 @@ def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> 
     del gt  # G~, if GradNorm made it
     lam, v = np.linalg.eigh(gram)
     np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
-    lam_n, *spare = gram[:4]  # rows of the Gram matrix, which eigh has read: lambda_n, T, P T, Z
-    np.copyto(lam_n, lam)
-    f = _ns_recursion(lam, cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1, spare)
-    norm_d = math.sqrt(np.dot(f * f, lam_n)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
+    f = _ns_recursion(lam.copy(), cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1)
+    norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
     if norm_d == 0.0:
         raise ValueError("rescale_update: zero-norm delta has no direction")
     z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
-    del gram, v, lam, lam_n, f, spare  # a signed Z' in one block is a new array
+    del gram, v, lam, f  # a signed Z' in one block is a new array
     centre = u = None
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g centred first
         np.divide(z, std.T, out=z)
@@ -441,12 +439,11 @@ def _descend_columns(args, width, lo, hi) -> None:
                 np.copyto(out[:, b], d)
 
 
-def _gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x x^T of a wide ``x``, whole and symmetric, into ``out`` (a new array if None): one product
-    below 2^17 entries, from there :func:`~swanopt.matrixops._in_blocks` on the rows A over B split
-    at m / sqrt(2) on a multiple of 16, each block half the work: block 0 the symmetric A A^T,
-    block 1 B A^T below it, its mirror above and B B^T; the second runs on the worker if free."""
-    out = np.empty((len(x), len(x))) if out is None else out
+def _gram(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x x^T of a wide ``x``, whole and symmetric, into the m x m ``out``: one product below 2^17
+    entries, from there :func:`~swanopt.matrixops._in_blocks` on the rows A over B split at
+    m / sqrt(2) on a multiple of 16, each block half the work: block 0 the symmetric A A^T, block 1
+    B A^T below it, its mirror above and B B^T; the second runs on the worker if free."""
     if _one_block(x.size, None):
         return np.matmul(x, x.T, out=out)
     _in_blocks(_gram_blocks, (x, out), x, 0, 16 * max(1, round(len(x) / math.sqrt(512))), None)

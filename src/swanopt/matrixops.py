@@ -85,26 +85,31 @@ def _one_block(size: int, cap: int | None) -> bool:
     return size < _SPLIT_MIN if cap is None else size <= cap
 
 
-def _matmul_blocks(a, b, axis: int, cap: int | None = None, minus=None) -> np.ndarray:
+def _matmul_blocks(a, b, axis: int, cap: int | None = None) -> np.ndarray:
     """``a @ b`` by the blocks of :func:`_in_blocks`, on multiples of 16 rows (``axis`` 0, of ``a``)
     or 64 columns (1, of ``b``). In more than one block, with a ``cap`` it goes back into that
     operand, each half's blocks through one scratch of at most ``cap`` entries; without, into a new
-    array, less ``minus`` if given, by a pass on row halves (contiguous: no ufunc buffer). Blocks
-    need not keep the whole product's bits (CHANGES.md lists the shapes whose bits moved)."""
+    array. Blocks need not keep the whole product's bits (CHANGES.md lists the shapes whose bits
+    moved)."""
     if _one_block(len(a) * b.shape[1], cap):
-        out = a @ b
-        return out if minus is None else np.subtract(out, minus, out=out)
+        return a @ b
     out = np.empty((len(a), b.shape[1])) if cap is None else (a, b)[axis]
     _in_blocks(_matmul_lines, (a, b, out, axis), out, axis, 64 if axis else 16, cap)
-    if minus is not None:
-        _in_blocks(_subtract_rows, (out, minus), out, 0, 1, None)
     return out
 
 
+def _subtract(a, c) -> np.ndarray:
+    """``a - c`` into ``a``, whole in one block, else on row halves (contiguous: unbuffered)."""
+    if _one_block(a.size, None):
+        return np.subtract(a, c, out=a)
+    _in_blocks(_subtract_rows, (a, c), a, 0, 1, None)
+    return a
+
+
 def _subtract_rows(args, width, lo, hi) -> None:
-    """Blocks lo .. hi - 1 of ``width`` rows of ``out - minus`` into ``out``, for ``args``."""
-    (out, minus), rows = args, slice(lo * width, hi * width)
-    np.subtract(out[rows], minus[rows], out=out[rows])
+    """Blocks lo .. hi - 1 of ``width`` rows of :func:`_subtract` of ``args``."""
+    (a, c), rows = args, slice(lo * width, hi * width)
+    np.subtract(a[rows], c[rows], out=a[rows])
 
 
 def _matmul_lines(args, width, lo, hi) -> None:

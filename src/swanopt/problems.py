@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _matmul_blocks, _spd_factors, as_matrix, random_matrix
+from .matrixops import _matmul_blocks, _spd_factors, _subtract, as_matrix, random_matrix
 
 __all__ = [
     "QuadraticProblem",
@@ -97,7 +97,7 @@ class QuadraticProblem:
             return self._loss(w, _matmul_blocks(self.h, w, 1))
 
     def grad(self, w) -> np.ndarray:
-        return _matmul_blocks(self.h, as_matrix(w, "w", self.shape), 1, minus=self.c)
+        return _subtract(_matmul_blocks(self.h, as_matrix(w, "w", self.shape), 1), self.c)
 
     def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
         """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one
@@ -105,8 +105,7 @@ class QuadraticProblem:
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             hw = _matmul_blocks(self.h, w, 1)
-            loss = self._loss(w, hw)
-            return loss, np.subtract(hw, self.c, out=hw)
+            return self._loss(w, hw), _subtract(hw, self.c)
 
     def _loss(self, w, hw) -> float:
         return float(np.vdot(w, 0.5 * hw - self.c))
