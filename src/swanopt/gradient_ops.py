@@ -8,11 +8,12 @@ matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy. From 128 rows the update's norm
-is read from the spectrum, GradNorm's row statistics fold into the last
-product, which reads the gradient itself, and SWAN's whole step runs in one
-m x n array and one k x k beside small scratch (:func:`_ns_whiten` states the
-rule, the working set and the rule for offset rows; CHANGES.md has the numbers).
+input: their public entries hand them a copy. At every size GradNorm's row
+statistics, the rescale and the rate fold into Z'', whose last product reads the
+gradient itself: SWAN's step holds one m x n array beside the k x k Gram matrix,
+and below 128 rows beside the loop's two more k x k arrays, so a square block
+peaks at 3 k^2 (:func:`_ns_whiten` states the rule, the working set and the rule
+for offset rows; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _TINY = 1e-280
 # From 128 rows a GradNorm'd step centres g before its last product where some row's |mean| / (std
 # + epsilon) exceeds this: above it, folding the means into Z'' G - u cancels too many bits
 _OFFSET = 64.0
+
+# The chained recursion carries Z's scale (3b)^k as a float and folds it into Z where it leaves
+# (1 / _SIGMA, _SIGMA): unfolded it would overflow from k ~ 810 at the default b = 0.8
+_SIGMA = 1e150
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,11 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
 
 
 def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
-    """:func:`grad_norm` of a checked ``g`` into a new array, and its row statistics as m x 1
-    columns: the mean (0.0 without ``subtract_mean``) and std + epsilon, from which
-    :func:`_standardize` rebuilds any block of it with its bits. Beside the output it holds one
-    block of squares (:func:`_square_sums`) and, on C-ordered blocks, no ufunc buffer."""
+    """:func:`grad_norm` of a checked ``g`` into a new array (``g``'s memory order with
+    ``subtract_mean``, C order without), and its row statistics as m x 1 columns: the mean (0.0
+    without ``subtract_mean``) and std + epsilon, which Newton-Schulz whitening folds into Z''.
+    Beside the output it holds one block of squares (:func:`_square_sums`) and, on C-ordered
+    blocks, no ufunc buffer."""
     m, n = g.shape
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
@@ -143,7 +149,7 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
     # c runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
     # Adam's); an F-ordered one (a tall block's view, strided by rows) as one block, whose squares
     # _square_sums takes by blocks of columns.
-    c, stats = _like_grad_norm(g, cfg), []
+    c, stats = np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape), []
     rows = max(1, min(m, _BLOCK // n)) if c.flags.c_contiguous else m
     sq = np.empty_like(c[:rows]) if rows < m else None
     small = rows * n >= _BUFFER > n and c.flags.c_contiguous  # rows shorter than a buffer
@@ -161,18 +167,6 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
         return c, *stats[0]
     means, stds = zip(*stats)
     return c, np.concatenate(means) if cfg.subtract_mean else 0.0, np.concatenate(stds)
-
-
-def _like_grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
-    """An empty array in the memory order of GradNorm's output for ``g``: ``g``'s with
-    ``subtract_mean``, C order without."""
-    return np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape)
-
-
-def _standardize(g: np.ndarray, mean, std: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(``g`` - ``mean``) / ``std`` into ``out``: GradNorm's subtract and divide on a block of
-    ``g`` with its row statistics, so with the bits of its first pass."""
-    return np.divide(np.subtract(g, mean, out=out), std, out=out)
 
 
 def _square_sums(c: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
@@ -237,10 +231,11 @@ def newton_schulz_inverse_sqrt(
     ``chained`` sets Z <- S Z, P <- S Q with Q = P T and S = b (3I - Q).
 
     ``a`` is a Gram matrix (symmetric positive semidefinite) and is not written. Below 128 rows
-    the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1 is T_1
-    or S_1 itself; the last P, and paired its P T, are not read), in 4 m x m arrays beside ``a``
-    (a copy of it, which holds P, and T, Q, Z). From 128 rows it runs on the spectrum: Z is a
-    polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
+    the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1 is I + N_1
+    or T_1 itself; the last P, and paired its P T, are not read), chained in 3 m x m arrays (a copy
+    of ``a``, which holds P / 3, and N and Z, whose scale (3b)^k is carried as a float;
+    :func:`_ns_recursion`), paired in 4 (P, T, P T and Z). From 128 rows it runs on the spectrum: Z
+    is a polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
     f_k(lambda) V^T in the copy of ``a`` beside V (:func:`_v_diag_vt`; one row block more where f is
     signed, as paired on eigenvalues above 3). The eigenvalues are clamped at 0 first: on a
     rank-deficient ``a`` the round-off negatives are what the recursion grows by about 9 b^2 per
@@ -254,14 +249,16 @@ def newton_schulz_inverse_sqrt(
 
 def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P goes into ``a``
-    beside 3 m x m arrays below 128 rows (T, Q, Z), and from 128 Z beside V (:func:`_v_diag_vt`)."""
+    beside 2 m x m arrays below 128 rows (N and Z; paired 3: T, P T and Z), and from 128 Z
+    beside V (:func:`_v_diag_vt`)."""
     m = len(a)
     if m < _SPECTRAL_MIN_ROWS:
-        return _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
+        z, sigma = _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
+        return np.multiply(z, sigma, out=z)
     lam, v = np.linalg.eigh(a)
     np.maximum(lam, 0.0, out=lam)
-    f = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
-    return _v_diag_vt(v, f, a)
+    f, sigma = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
+    return _v_diag_vt(v, np.multiply(f, sigma, out=f), a)
 
 
 def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -273,39 +270,49 @@ def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _matmul_blocks(np.multiply(v, d, out=out), v.T, 0, _BLOCK)
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0``, Z = I; each new P goes into
-    ``p0``, which it writes. ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the
-    identity's diagonal every ``stride = m + 1`` flat entries, or its eigenvalues, with
-    ``product=np.multiply`` and ``stride=1``. T and S share one buffer, shifted through one
-    diagonal view."""
-    t = np.empty(p0.shape)  # T, then S when chained
-    diag = t.reshape(-1)[::stride]
-    chained = update_order == "chained"
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0):
+    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / ``s2`` and Z = I, as (Z / sigma,
+    sigma); each new P goes into ``p0``, which it writes. ``p0`` is either the Gram matrix, with
+    ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or its
+    eigenvalues, with ``product=np.multiply`` and ``stride=1``.
 
-    def shift(x):  # b (3I - x) into t: 3b is added on the diagonal (no identity matrix)
-        np.multiply(x, -step_size, out=t)
-        np.add(diag, 3.0 * step_size, out=diag)
-
-    z = u = None
-    for i in range(1, iterations + 1):
-        last = i == iterations
-        shift(p0)  # T
-        if chained or not last:  # paired, P T only feeds the next P
-            u = product(p0, t, out=u)  # P T, which is Q = Z Y' when chained
-        if chained:
-            shift(u)  # S
-        if not last:
-            product(t, u, out=p0)  # T (P T) or S Q
-        if z is None:  # Z = I: the new Z is a copy of T or S
-            z = t.copy()
-        else:  # T Z or S Z into Q's buffer; the old Z's becomes the spare
-            z, u = product(t, z, out=u), z
+    Paired, T = b (3I - P) gives Z <- T Z and P <- T (P T) in four arrays (P, T, P T, Z), and
+    sigma = 1. Chained, with P~ = P / 3 and N = 3b (P~^2 - P~), the half-steps are Q = P T = -3N and
+    S = b (3I - Q) = 3b (I + N), so Z <- S Z = 3b (Z + N Z) and P~ <- S Q / 3 = -3b (N + N^2): three
+    arrays (P~, N, Z), and the scale sigma = (3b)^k carried as a float, folded into Z where it
+    leaves (1 / ``_SIGMA``, ``_SIGMA``)."""
+    b, shape, z, sigma = step_size, p0.shape, None, 1.0
+    if update_order == "paired":
+        p, t = np.divide(p0, s2, out=p0), np.empty(shape)  # T
+        diag, u = t.reshape(-1)[::stride], None
+        for i in range(1, iterations + 1):
+            np.multiply(p, -b, out=t)  # b (3I - P): 3b is added on the diagonal
+            np.add(diag, 3.0 * b, out=diag)
+            if i < iterations:  # P T only feeds the next P
+                u = product(p, t, out=u)
+                product(t, u, out=p)
+            if z is None:  # Z = I: the new Z is a copy of T
+                z = t.copy()
+            else:  # T Z into P T's buffer; the old Z's becomes the spare
+                z, u = product(t, z, out=u), z
+    else:
+        p, n = np.divide(p0, 3.0 * s2, out=p0), np.empty(shape)  # P~, N
+        for i in range(1, iterations + 1):
+            np.multiply(np.subtract(product(p, p, out=n), p, out=n), 3.0 * b, out=n)
+            sigma *= 3.0 * b
+            if z is not None:  # N Z through P~'s buffer
+                np.add(z, product(n, z, out=p), out=z)
+            if i < iterations:
+                np.multiply(np.add(product(n, n, out=p), n, out=p), -3.0 * b, out=p)
+            if z is None:  # Z = I: the new Z is I + N, in N's buffer
+                z, n = n, np.empty(shape) if i < iterations else None
+                z.reshape(-1)[::stride] += 1.0
+            if not 1.0 / _SIGMA < sigma < _SIGMA:
+                z, sigma = np.multiply(z, sigma, out=z), 1.0
     if z is None:  # no iterations: Z = I
-        t.fill(0.0)
-        diag.fill(1.0)
-        z = t
-    return z
+        z = np.zeros(shape)
+        z.reshape(-1)[::stride] = 1.0
+    return z, sigma
 
 
 def _ns_whiten(
@@ -322,104 +329,84 @@ def _ns_whiten(
     G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening` and
     :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
 
-    Below 128 rows (k = m) the loop runs on matrices, in max(4 k^2, 2 m n + k^2): if n < 3m, G~n is
-    not held across the loop (the Gram matrix, reused for P, T, Q and Z) but rebuilt after it from
-    ``g``, s and GradNorm's row statistics (:func:`_standardize`); then D = Z G~n is rescaled,
-    scaled by ``lr`` and subtracted from ``w`` in its own buffer.
+    The Gram matrix of G~ itself is formed (:func:`_gram`) and G~ freed; s^2 = tr G~ G~^T. Where
+    s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155, it is the Gram matrix
+    of G~ scaled by a power of two, in one more m x n array. Z is then made in one of two ways:
 
-    From 128 rows Z = f_k(G~n G~n^T) is taken from the spectrum. The Gram matrix of G~ itself is
-    formed (:func:`_gram`) and G~ freed; one ``eigh`` gives V and lambda, s^2 = tr G~ G~^T, and
-    lambda_n = lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f =
-    f_k(lambda_n), the rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f /
-    sqrt(sum f^2 lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~; Z' is the Gram
-    matrix of V sqrt(phi) where phi >= 0 (:func:`_v_diag_vt`), as for every chained step size and
-    paired up to 2/3. GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too:
-    Z' G~ = Z'' G - u 1^T, with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
+    * below 128 rows (k = m) by the matrix loop on P = G~n G~n^T, written over the Gram matrix, as
+      Z / sigma (:func:`_ns_recursion`; 3 k x k arrays chained, 4 paired). Without ``rescale``,
+      Z' = lr sigma / s (Z / sigma), so that lr D = Z' G~; with it Z' = Z / sigma, and the rescale
+      and ``lr`` are read off D = Z' G~ after the pass below, by ||D||_F.
+    * from 128 rows from the spectrum: one ``eigh`` gives V and lambda, and lambda_n = lambda / s^2,
+      clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the rescale, s and
+      ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2 lambda_n) if ``rescale``
+      and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of V sqrt(phi) where phi >= 0
+      (:func:`_v_diag_vt`), as for every chained step size and paired up to 2/3.
+
+    GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T,
+    with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
     (:func:`_descend_columns`) on the column halves of :func:`~swanopt.matrixops._in_blocks` then
-    reads ``g`` itself and writes ``w - (Z'' g - u)`` into the returned array, in ``g``'s memory
-    order. The fold cancels in floating point, by about 2e-15 (1 + r) with r = max |mu_i| / S_i, so
-    where r > ``_OFFSET`` the pass centres ``g`` into the returned array first, by GradNorm's own
-    subtract, and multiplies it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64
-    columns if more, through one scratch per thread. Working set: one m x n array (G~, then the
-    result) and one k x k (the Gram matrix, then Z' written over it, then Z''), beside GradNorm's
-    squares, V (its buffer holds V sqrt(phi)) and on offset rows the column scratch: a square block
-    needs no row scratch. Where s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near
-    1e+-155, the Gram matrix is of G~ scaled by a power of two, in one more m x n array. ``eigh``'s
-    LAPACK workspace is outside numpy; CHANGES.md has the measurements."""
-    if len(g) >= _SPECTRAL_MIN_ROWS:
-        return _ns_spectral(g, cfg, norm, rescale, lr, w)
-    rebuild = g.shape[1] < 3 * len(g)  # from n = 3m, Z G~n sets the peak anyway
-    gn, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
-    scale = _fro(gn)
-    if scale == 0.0:
-        raise ValueError("cannot whiten an all-zero matrix")
-    gn = np.divide(gn, scale, out=None if gn is g else gn)
-    gram = gn @ gn.T
-    if rebuild:
-        gn = None
-    else:
-        mean = std = None  # held only to rebuild G~n
-    z = _ns_inverse_sqrt(gram, cfg.iterations, cfg.step_size, cfg.update_order)
-    del gram  # P's buffer, or Z's
-    if gn is None and norm is None:
-        gn = np.divide(g, scale)
-    elif gn is None:  # a small wide C-ordered g in row halves: each one's broadcast buffer is
-        m, n = g.shape  # then below Z G~n
-        h = -(-m // 2) if n > m and g.size <= _BUFFER and g.flags.c_contiguous else m
-        gn = _like_grad_norm(g, norm)
-        for i in range(0, m, h):
-            b = slice(i, i + h)
-            _standardize(g[b], mean[b] if norm.subtract_mean else mean, std[b], gn[b])
-        gn, mean, std = np.divide(gn, scale, out=gn), None, None
-    delta = z @ gn
-    del z, gn  # not held for the descent, whose tall-block subtraction takes a ufunc buffer
-    if rescale:
-        _rescale(delta, scale)
-    return delta if w is None else _descend(w, delta, lr)
-
-
-def _ns_spectral(g, cfg: WhiteningConfig, norm, rescale: bool, lr: float, w) -> np.ndarray:
-    """:func:`_ns_whiten` from 128 rows."""
+    reads ``g`` itself and writes ``w - (Z'' g - u)`` (or D, to be rescaled) into the returned
+    array, in ``g``'s memory order. The fold cancels in floating point, by about 2e-15 (1 + r) with
+    r = max |mu_i| / S_i, so where r > ``_OFFSET`` the pass centres ``g`` into the returned array
+    first, by GradNorm's own subtract, and multiplies it in place by column blocks of
+    min(``_BLOCK``, k^2) entries, or 64 columns if more, through one scratch per thread. Working
+    set: one m x n array (G~, then the result) and the k x k Gram matrix, then Z'' (over it from 128
+    rows), beside GradNorm's squares, the loop's N and Z below 128 rows (a square block peaks at 3
+    k^2), V from 128 (its buffer holds V sqrt(phi); no row scratch) and on offset rows the column
+    scratch. ``eigh``'s LAPACK workspace is outside numpy; CHANGES.md has the measurements."""
     gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
     with np.errstate(over="ignore", invalid="ignore"):  # s^2 is checked below
         gram, e = _gram(gt, np.empty((len(gt), len(gt)))), 0
-    s2 = np.trace(gram)  # ||G~||_F^2
+    s2 = gram.trace()  # ||G~||_F^2
     if s2 == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
     if not _TINY < s2 < np.inf:  # squares out of range (a whiten-only g): the Gram of 2^e G~
         e = -math.frexp(max(-gt.min(), gt.max()))[1]
-        s2 = np.trace(_gram(np.ldexp(gt, e), gram))
+        s2 = _gram(np.ldexp(gt, e), gram).trace()
     del gt  # G~, if GradNorm made it
-    lam, v = np.linalg.eigh(gram)
-    np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
-    f = _ns_recursion(lam.copy(), cfg.iterations, cfg.step_size, cfg.update_order, np.multiply, 1)
-    norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else math.ldexp(math.sqrt(s2), -e)  # or s
-    if norm_d == 0.0:
-        raise ValueError("rescale_update: zero-norm delta has no direction")
-    z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
-    del gram, v, lam, f  # a signed Z' in one block is a new array
+    s = math.ldexp(math.sqrt(s2), -e)  # ||G~||_F
+    it, small = (cfg.iterations, cfg.step_size, cfg.update_order), len(gram) < _SPECTRAL_MIN_ROWS
+    late = small and rescale  # the rescale and lr read off D after the pass, not folded into Z'
+    if small:
+        z, sigma = _ns_recursion(gram, *it, np.matmul, len(gram) + 1, s2)
+        if not late:
+            np.multiply(z, lr * sigma / s, out=z)
+    else:
+        lam, v = np.linalg.eigh(gram)
+        np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
+        f, sigma = _ns_recursion(lam.copy(), *it, np.multiply, 1)
+        norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else s / sigma
+        if norm_d == 0.0:
+            raise ValueError("rescale_update: zero-norm delta has no direction")
+        z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
+        del v, lam, f  # a signed Z' in one block is a new array
+    del gram
     centre = u = None
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g centred first
         np.divide(z, std.T, out=z)
-        if norm.subtract_mean and np.any(np.abs(mean) > _OFFSET * std):
+        if norm.subtract_mean and (abs(mean) > _OFFSET * std).any():
             centre = mean
         elif norm.subtract_mean:
             u = z @ mean
     out = np.empty_like(g)
-    args = (z, g, centre, u, w, out)
+    args = (z, g, centre, u, None if late else w, out)
     if centre is None and _one_block(out.size, None):
         _descend_columns(args, out.shape[1], 0, 1)
     else:  # column halves from g, or if centred column blocks through one scratch per thread
         cap = None if centre is None else min(_BLOCK, z.size)
         _in_blocks(_descend_columns, args, out, 1, 64, cap)
-    return out
+    if not late:
+        return out
+    _rescale(out, lr * s)  # lr D from D = Z'' g - u
+    return out if w is None else np.subtract(w, out, out=out)
 
 
 def _descend_columns(args, width, lo, hi) -> None:
-    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_spectral`'s pass: ``w - (Z'' g - u)``
-    into ``out``, read from ``g`` itself; or with a ``centre``, ``g - centre`` into ``out`` first
-    and Z'' times it into one scratch. The elementwise passes run at numpy's smallest ufunc buffer
-    (:func:`_unbuffered`)."""
+    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_whiten`'s pass: ``w - (Z'' g - u)``,
+    or ``Z'' g - u`` without ``w``, into ``out``, read from ``g`` itself; or with a ``centre``,
+    ``g - centre`` into ``out`` first and Z'' times it into one scratch. The elementwise passes run
+    at numpy's smallest ufunc buffer (:func:`_unbuffered`)."""
     z, g, centre, u, w, out = args
     x = None if centre is None else np.empty_like(g[:, :width])
     with np.errstate():  # which also restores the buffer size
@@ -476,11 +463,12 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     Frobenius norm, the coupled recursion is run for ``cfg.iterations`` steps, and ``Z @ g`` is
     returned *at the normalized scale*; downstream rescaling (see :func:`rescale_update`) restores
     magnitude. This mode is :func:`~swanopt.optimizers.swan_step`'s whitening, run by the same
-    code (:func:`_ns_whiten`); from 128 rows the step folds its rate into the same pass, so
-    ``w - lr * grad_whitening(g)`` is its ``whiten_only`` step without rescale up to round-off
-    (below 128 rows, bit for bit). Rank deficiency is not rejected here: from 128 rows the recursion
-    runs on the Gram spectrum clamped at 0, but below, on square GradNorm'd input, the chained
-    default turns non-finite from ~28 iterations.
+    code (:func:`_ns_whiten`), where the step folds its rate into Z', so
+    ``w - lr * grad_whitening(g)`` is its ``whiten_only`` step without rescale up to round-off.
+    Rank deficiency is not rejected
+    here: from 128 rows the recursion runs on the Gram spectrum clamped at 0, but below, on square
+    GradNorm'd input, the chained default turns non-finite from 29-30 iterations (on 5, 2 and 4
+    of seeds 0-5 at 50, 64 and 100 rows; finite to 60 on the others).
     """
     g = as_matrix(g, "g")
     if g.shape[0] > g.shape[1]:

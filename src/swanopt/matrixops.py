@@ -178,14 +178,13 @@ def sym_eig(a) -> SymEigDecomp:
 def schatten1_norm(a) -> float:
     """Nuclear norm: sum of singular values.
 
-    Computed from the eigenvalues of the Gram matrix (the smaller of
-    ``a a.T`` / ``a.T a``) through :func:`sym_eig`; tests cross-check it
-    against an independent bidiagonalization SVD.
+    Computed from the eigenvalues alone of the Gram matrix (the smaller of
+    ``a a.T`` / ``a.T a``, exactly symmetric) by ``np.linalg.eigvalsh``; tests
+    cross-check it against an independent bidiagonalization SVD.
     """
     a = as_matrix(a, "a")
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    vals = sym_eig(gram).eigenvalues
-    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
+    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))))
 
 
 def random_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> np.ndarray:

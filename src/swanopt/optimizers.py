@@ -141,12 +141,12 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     not copies) before the one input check. Ablations: ``norm_only`` skips whitening,
     ``whiten_only`` skips the row normalization. ``w`` and ``g`` are never written.
 
-    Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): below 128 rows
-    max(4 k^2, 2 m n + k^2). From 128 rows one m x n array (G~, then the returned weights) and one
-    k x k (the Gram matrix, then Z' written over it, into which the rescale, the rate and GradNorm's
-    row statistics fold), beside V, whose buffer holds V sqrt(phi), and ``eigh``'s uncounted LAPACK
-    workspace: a square block needs no row scratch. ``gradient_ops._ns_whiten`` states the rule and
-    CHANGES.md the numbers. Exact mode keeps its SVD and buffers.
+    Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): one m x n array
+    (G~, then the returned weights) and one k x k (the Gram matrix, then Z'', into which the
+    rescale, the rate and GradNorm's row statistics fold), beside GradNorm's squares and, below 128
+    rows, the loop's two more k x k arrays (a square block peaks at 3 k^2), from 128 V, whose
+    buffer holds V sqrt(phi), and ``eigh``'s uncounted LAPACK workspace. ``gradient_ops._ns_whiten``
+    states the rule and CHANGES.md the numbers. Exact mode keeps its SVD and buffers.
     """
     w, g = np.asarray(w), np.asarray(g)
     if w.ndim == 2 and w.shape == g.shape and w.shape[0] > w.shape[1]:  # checked once, transposed

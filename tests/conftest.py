@@ -145,3 +145,113 @@ def cpus(monkeypatch):
         monkeypatch.setattr(matrixops, "_cpus", lambda pid: range(k))
 
     return set_count
+
+
+def _ns_loop(p: np.ndarray, k: int, b: float, order: str, s2: float = 1.0) -> tuple:
+    """(Z / sigma, sigma) of :func:`swanopt.gradient_ops._ns_recursion` on an m x m ``p`` whose P
+    is ``p`` / ``s2``, restated in plain numpy with each product into a new array (``p`` is not
+    written). Paired: T = b (3I - P), then P <- T (P T) and Z <- T Z, with sigma = 1. Chained, in
+    the three-buffer form: P~ = P / 3 and N = 3b (P~^2 - P~), then Z <- Z + N Z (Z_1 = I + N) and
+    P~ <- -3b (N + N^2), with sigma = (3b)^k, folded into Z where it leaves (1e-150, 1e150)."""
+    diagonal = slice(None, None, len(p) + 1)
+    z, sigma = None, 1.0
+    if order == "paired":
+        p = p / s2
+        for i in range(1, k + 1):
+            t = np.multiply(p, -b)
+            t.reshape(-1)[diagonal] += 3.0 * b
+            if i < k:
+                p = t @ (p @ t)
+            z = t.copy() if z is None else t @ z
+        return z, sigma
+    p = p / (3.0 * s2)
+    for i in range(1, k + 1):
+        n = (p @ p - p) * (3.0 * b)
+        sigma *= 3.0 * b
+        if z is not None:
+            z = z + n @ z
+        if i < k:
+            p = (n @ n + n) * (-3.0 * b)
+        if z is None:
+            z = n.copy()
+            z.reshape(-1)[diagonal] += 1.0
+        if not 1e-150 < sigma < 1e150:
+            z, sigma = z * sigma, 1.0
+    return z, sigma
+
+
+@pytest.fixture
+def ns_loop():
+    """:func:`_ns_loop`, the oracle of the matrix loop's bits."""
+    return _ns_loop
+
+
+def _width(n: int, cap: int | None, m: int) -> int:
+    """The width in columns of :func:`swanopt.matrixops._in_blocks`' blocks over the columns of an
+    m x ``n`` pass on multiples of 64: all of them in one block below 2^17 entries without a cap;
+    else the most that fit in ``cap`` entries (halved from 2^17), or without a cap half of them."""
+    split = m * n >= 1 << 17
+    if cap is None:
+        return 64 * -(-n // 64 // 2) if split else n
+    return 64 * max(1, cap // m // 64 >> split)
+
+
+def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.ndarray:
+    """:func:`swanopt.gradient_ops._ns_whiten` of a wide ``g`` below 128 rows, restated in plain
+    numpy: G~ with its row statistics (under GradNormConfig ``norm``, or ``g`` itself without),
+    s^2 = tr G~ G~^T (of 2^e G~ where out of (1e-280, inf)), Z / sigma from :func:`_ns_loop` on the
+    Gram matrix over s^2, then Z'' = c (Z / sigma) S^-1 with c = lr sigma / s, or 1 with
+    ``rescale``, u = Z'' mu, and one pass by the column blocks of the library over ``g``: ``w - (Z''
+    g - u)``, or where some |mu_i| > 64 (std_i + epsilon) Z'' (g - mu). With ``rescale`` the pass
+    writes D = Z'' g - u, and the step is w - lr s D / ||D||_F. Without ``w``, D."""
+    gt, mean, std = g, 0.0, None
+    if norm is not None:
+        n = g.shape[1]
+        mean = np.add.reduce(g, axis=1, keepdims=True) / n if norm.subtract_mean else 0.0
+        gt = np.subtract(g, mean, out=np.empty_like(g) if norm.subtract_mean else np.empty(g.shape))
+        std = np.sqrt(np.add.reduce(gt * gt, axis=1, keepdims=True) / n) + norm.epsilon
+        gt = np.divide(gt, std, out=gt)
+    e = 0
+    gram = _blocked_gram(gt)
+    s2 = np.trace(gram)
+    if not 1e-280 < s2 < np.inf:
+        e = -np.frexp(max(-gt.min(), gt.max()))[1]
+        gram = _blocked_gram(np.ldexp(gt, e))
+        s2 = np.trace(gram)
+    s = np.ldexp(np.sqrt(s2), -e)
+    z, sigma = _ns_loop(gram, cfg.iterations, cfg.step_size, cfg.update_order, s2)
+    if not rescale:
+        z = z * (lr * sigma / s)
+    centre = u = None
+    if std is not None:
+        z = z / std.T
+        if norm.subtract_mean and np.any(np.abs(mean) > 64.0 * std):
+            centre = mean
+        elif norm.subtract_mean:
+            u = z @ mean
+    out, m, n = np.empty_like(g), *g.shape
+    width = _width(n, None if centre is None else min(1 << 15, z.size), m)
+    for i in range(0, n, width):
+        b = slice(i, i + width)
+        if centre is None:
+            d = np.matmul(z, g[:, b], out=out[:, b])
+            if u is not None:
+                d -= u
+        else:
+            c = np.subtract(g[:, b], centre, out=out[:, b])
+            d = np.matmul(z, c, out=np.empty_like(g[:, :width])[:, : c.shape[1]])
+        if w is not None and not rescale:
+            out[:, b] = w[:, b] - d
+        else:
+            out[:, b] = d
+    if rescale:
+        out *= lr * s / np.linalg.norm(out)
+        if w is not None:
+            out = np.subtract(w, out, out=out)
+    return out
+
+
+@pytest.fixture
+def folded_tail():
+    """:func:`_folded_tail`, the oracle of the bits of Newton-Schulz whitening below 128 rows."""
+    return _folded_tail

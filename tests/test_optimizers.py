@@ -11,7 +11,6 @@ from swanopt.gradient_ops import (
     _ns_recursion,
     grad_norm,
     grad_whitening,
-    newton_schulz_inverse_sqrt,
     rescale_update,
 )
 from swanopt import optimizers
@@ -163,19 +162,34 @@ def _swan_inputs(case):
     return random_matrix(*shape, 0), 3.0 * random_matrix(*shape, 1)
 
 
+def _newton_schulz(cfg) -> bool:
+    """Whether ``swan_step`` whitens by Newton-Schulz. At every size the rate, the rescale (from
+    128 rows) and GradNorm's statistics fold into Z'' (one pass writes w - (Z'' g - u)), so its bits
+    are its own, and the oracles of the whole arrays hold within a relative 1e-12."""
+    return cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz"
+
+
 def _spectral(shape, cfg) -> bool:
     """Whether ``swan_step`` whitens a block of ``shape`` on the spectrum: Newton-Schulz from 128
-    rows of its wide form. There the rate, the rescale and GradNorm's statistics fold into Z'' (one
-    pass writes w - (Z'' g - u)), so its bits are its own, and the oracles hold within a relative
-    1e-12."""
-    spectral = cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz"
-    return spectral and min(shape) >= 128
+    rows of its wide form."""
+    return _newton_schulz(cfg) and min(shape) >= 128
+
+
+def _small_step(folded_tail, w, g, cfg):
+    """``swan_step`` by Newton-Schulz below 128 rows as the folded tail restates it (conftest), a
+    tall block transposed: the oracle of its bits."""
+    if w.shape[0] > w.shape[1]:
+        return _small_step(folded_tail, w.T, g.T, cfg).T
+    norm = None if cfg.ablation == "whiten_only" else cfg.grad_norm_cfg
+    return folded_tail(w, g, norm, cfg.whitening_cfg, cfg.swan_rescale, cfg.learning_rate)
 
 
 @pytest.mark.parametrize("case", ["wide", "tall", "square_gradnormed", "wide_spectral"])
 @pytest.mark.parametrize("mode", ["newton_schulz", "exact_eig"])
 @pytest.mark.parametrize("ablation", ABLATIONS)
-def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case, assert_close):
+def test_swan_step_matches_kernel_composition_and_is_pure(
+    ablation, mode, case, assert_close, folded_tail
+):
     w, g = _swan_inputs(case)
     w0, g0 = w.copy(), g.copy()
     cfg = OptimizerConfig(
@@ -188,9 +202,12 @@ def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case, 
     want = _outcome(_swan_oracle, w, g, cfg)
     if isinstance(want, str):  # exact mode rejects the rank-deficient square block
         assert got == want
-    elif _spectral(g.shape, cfg):  # the public kernels' composition, and the whole expressions
+    elif _newton_schulz(cfg):  # the public kernels' composition, and the whole expressions
         assert_close(got, want)
         assert_close(got, _swan_expressions(w, g, cfg))
+        if not _spectral(g.shape, cfg):  # below 128 rows the folded tail's bits
+            assert got.tobytes() == _small_step(folded_tail, w, g, cfg).tobytes()
+        assert not np.shares_memory(got, w) and not np.shares_memory(got, g)
     else:
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, w) and not np.shares_memory(got, g)
@@ -199,9 +216,9 @@ def test_swan_step_matches_kernel_composition_and_is_pure(ablation, mode, case, 
 
 def _swan_expressions(w, g, cfg):
     """SWAN's step as plain whole-array numpy expressions: GradNorm's squares in one temporary,
-    and from 128 rows Z = (V f) V^T from the Gram matrix's spectrum, Z G~n whole and the rescale
-    by the product's own Frobenius norm. Below 128 rows (and without whitening) the oracle of the
-    bits, from there of the values."""
+    Z from the plain coupled Y/Z recursion below 128 rows and from 128 Z = (V f) V^T from the Gram
+    matrix's spectrum, Z G~n whole and the rescale by the product's own Frobenius norm. Without
+    Newton-Schulz the oracle of the bits, with it of the values."""
     if w.shape[0] > w.shape[1]:
         return _swan_expressions(w.T, g.T, cfg).T
     gcfg, wcfg, (m, n) = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape
@@ -216,11 +233,19 @@ def _swan_expressions(w, g, cfg):
         gn = g_tilde / scale
         k, b, order = wcfg.iterations, wcfg.step_size, wcfg.update_order
         if m < 128:
-            delta = newton_schulz_inverse_sqrt(gn @ gn.T, k, b, order) @ gn
+            eye3, y, z = 3.0 * np.eye(m), gn @ gn.T, np.eye(m)
+            for _ in range(k):
+                if order == "paired":
+                    t = eye3 - z @ y
+                    y, z = b * (y @ t), b * (t @ z)
+                else:
+                    y = b * (y @ (eye3 - z @ y))
+                    z = b * ((eye3 - z @ y) @ z)
+            delta = z @ gn
         else:
             lam, v = np.linalg.eigh(gn @ gn.T)
-            vf = np.multiply(v, _ns_recursion(np.maximum(lam, 0.0), k, b, order, np.multiply, 1))
-            delta = (vf @ v.T) @ gn
+            f, sigma = _ns_recursion(np.maximum(lam, 0.0), k, b, order, np.multiply, 1)
+            delta = ((v * (f * sigma)) @ v.T) @ gn
         if cfg.swan_rescale:
             delta = delta * (scale / np.linalg.norm(delta))
     delta = delta * cfg.learning_rate
@@ -228,11 +253,11 @@ def _swan_expressions(w, g, cfg):
 
 
 @pytest.fixture
-def check_swan_step(cpus, assert_same_bits, assert_close):
+def check_swan_step(cpus, assert_same_bits, assert_close, folded_tail):
     """``check(w, g, cfg)``: ``swan_step`` has the same bits on one CPU and on two, leaves ``w``
-    and ``g`` unwritten, and matches :func:`_swan_expressions`: on the spectrum (:func:`_spectral`)
-    within a relative 1e-12 and in ``g``'s memory order, elsewhere with their bits. Returns the
-    step."""
+    and ``g`` unwritten, and matches :func:`_swan_expressions`: by Newton-Schulz within a relative
+    1e-12, on the spectrum (:func:`_spectral`) in ``g``'s memory order and below 128 rows with the
+    bits of the folded tail (:func:`_small_step`), elsewhere with their bits. Returns the step."""
 
     def check(w, g, cfg):
         before, runs = (w.tobytes(order="A"), g.tobytes(order="A")), []
@@ -244,6 +269,9 @@ def check_swan_step(cpus, assert_same_bits, assert_close):
         if _spectral(g.shape, cfg):
             assert_close(runs[0], _swan_expressions(w, g, cfg))
             assert runs[0].flags.c_contiguous == g.flags.c_contiguous
+        elif _newton_schulz(cfg):
+            want = _small_step(folded_tail, w, g, cfg)
+            assert_same_bits(runs[0], want, _swan_expressions(w, g, cfg))
         else:
             assert_same_bits(runs[0], _swan_expressions(w, g, cfg))
         return runs[0]
@@ -258,9 +286,9 @@ SWAN_BITS_SHAPES = {
     "four_blocks": (128, 1024),
     "unblocked_n": (200, 300),  # Z'' g whole, Z' in one product
     "one_row_blocks": (3, 50000),  # GradNorm blocks of one row
-    "small": (16, 64),  # n >= 3m: G~n held across the loop
-    "halves": (40, 100),  # G~n rebuilt after the loop, in two row halves
-    "quadratic": (50, 50),  # G~n rebuilt after the loop in one block
+    "small": (16, 64),  # below 128 rows: G~ dropped for the loop, the pass reads g itself
+    "halves": (40, 100),
+    "quadratic": (50, 50),
     "square": (64, 64),
     "square_100": (100, 100),
 }
@@ -375,6 +403,19 @@ def test_offset_rows_centre_g_first(layout, shape, r, last_pass, check_swan_step
     assert not _fused(last_pass)
 
 
+@pytest.mark.parametrize(
+    "r", [gradient_ops._OFFSET / 2, 2 * gradient_ops._OFFSET], ids=["r_half", "r_2R"]
+)
+@pytest.mark.parametrize("shape", [(16, 64), (50, 50), (64, 8), (64, 8192)], ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_small_blocks_keep_the_offset_rule(layout, shape, r, last_pass, check_swan_step):
+    # below 128 rows too the means fold into Z'' g - u up to R, and above it g is centred first
+    # by capped column blocks: the folded tail's bits, within 1e-12 of the whole expressions
+    w, g, _ = _offset_rows(shape, layout, r)
+    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
+    assert any(cap is not None for cap, _ in last_pass) == (r > gradient_ops._OFFSET)
+
+
 @pytest.mark.parametrize("shape", [*FOLD_SHAPES, (200, 300)], ids=str)
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_rows_constant_under_epsilon_match_centring_first(
@@ -406,9 +447,11 @@ def test_steps_without_means_never_centre(layout, shape, kwargs, last_pass, chec
 
 
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (128, 300), (40, 100), (64, 8)])
-def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(shape, assert_same_bits, assert_close):
-    # whitening's one path: below 128 rows with the same bits, from 128 within 1e-12 (there the
-    # step folds its rate into Z', where grad_whitening's Z' has none)
+def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(
+    shape, assert_same_bits, assert_close, folded_tail
+):
+    # whitening's one path, within 1e-12: the step folds its rate into Z', where
+    # grad_whitening's Z' has none; below 128 rows with the bits of the folded tail
     w, g = random_matrix(*shape, 8), 3.0 * random_matrix(*shape, 9) + 0.5
     cfg = OptimizerConfig(
         kind="swan", learning_rate=0.037, ablation="whiten_only", swan_rescale=False
@@ -421,7 +464,7 @@ def test_whiten_only_swan_step_is_w_minus_lr_grad_whitening(shape, assert_same_b
     if min(shape) >= 128:
         assert_close(got, want)
     else:
-        assert_same_bits(got, want)
+        assert_same_bits(got, _small_step(folded_tail, w, g, cfg), want)
 
 
 @pytest.mark.parametrize("scale", [2.0**530, 2.0**-530], ids=["1e+160", "1e-160"])
@@ -462,9 +505,10 @@ def test_spectral_whitening_is_scale_free_at_extreme_magnitudes(shape, scale, as
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
     # k = min(m, n), with 4 KB for small temporaries. Below 128 rows the peak is the
-    # Newton-Schulz loop's 4 k x k arrays (T, Q, Z and the Gram matrix, reused for P),
-    # G~ not being held across it where n < 3m, or after it G~n, Z and Z G~n. From 128 rows
-    # one m x n array (G~, then the result) and one k x k (the Gram matrix, then Z'), beside
+    # Newton-Schulz loop's 3 k x k arrays (the Gram matrix, reused for P / 3, N and Z), G~
+    # not being held across it, or GradNorm's output and squares, or after the loop Z'' and
+    # the result. From 128 rows one m x n array (G~, then the result) and one k x k (the Gram
+    # matrix, then Z'), beside
     # GradNorm's squares first: a row block of a C-ordered (wide) G~, and of an F-ordered
     # (tall) one all m x n below 2^17 entries, from there a running-sum block. Then V beside the
     # Gram matrix (Z' is the Gram matrix of V sqrt(phi), with no row scratch) and the row
@@ -476,7 +520,7 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
     swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
     if k < 128:
-        bound = max(4 * k * k, 2 * m * n + k * k) * 8 + 4096
+        bound = max(3 * k * k, 2 * m * n + k * k) * 8 + 4096
     else:
         squares = max(1, min(m, _BLOCK // n)) * n if m <= n else _square_sums_scratch(k, max(m, n))
         bound = (m * n + min(k * k + squares, max(squares, 2 * k * k)) + 4 * k) * 8 + 4096
@@ -494,14 +538,13 @@ def _square_sums_scratch(m, n):
 @pytest.mark.parametrize(
     "grad_norm_cfg", [GradNormConfig(), GradNormConfig(subtract_mean=False)], ids=["std", "rms"]
 )
-def test_swan_step_rebuilds_small_wide_blocks_below_their_product(
+def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(
     grad_norm_cfg, shape, warm_peak_bytes
 ):
-    # 1.5m < n < 3m: Z G~n's 2 m n + k^2 sets the peak, and G~n is rebuilt after the loop.
-    # A broadcast buffers min(size, 8192) entries, so rebuilt in one block it would take a
-    # second m x n buffer beside G~n and Z, and with its iterator's 1.1 KB would put the
-    # peak above that product. In row halves it stays within it, plus small objects (the
-    # row statistics and views)
+    # 1.5m < n < 3m: GradNorm's output beside its squares, 2 m n, sets the peak; the Gram
+    # matrix of G~ is formed beside G~ (m n + k^2), the loop holds 3 k^2 without G~, and the
+    # last pass writes D = Z'' g - u into the one new m x n beside Z'', reading g itself, with
+    # the rescale and the rate applied in place. Plus small objects (the row statistics)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
     (m, n), k = shape, min(shape)
@@ -511,14 +554,32 @@ def test_swan_step_rebuilds_small_wide_blocks_below_their_product(
 @pytest.mark.parametrize("shape", [(50, 50), (64, 64), (512, 512)])
 def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_bytes):
     # the paper's memory claim on the square blocks of quadratic_tune, the MLP and an attention
-    # projection: a warm SWAN step (below 128 rows G~ not held across the loop: 4 k^2; from 128
-    # one m x n and one k x k beside scratch) against a warm Adam step (its three returned arrays
-    # and one block)
+    # projection: a warm SWAN step against a warm Adam step (its three returned arrays and one
+    # block, 4 k^2 below 2^15 entries). Below 128 rows SWAN's peak is the loop's 3 k^2 (G~ not
+    # held across it) beside GradNorm's row statistics (2 k doubles), held for Z'' and u: one
+    # k^2 below Adam's, up to those and 1 KB of small objects. From 128 one m x n and one k x k
+    # beside scratch
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     adam = OptimizerConfig(kind="adam", learning_rate=0.1)
     w1, state = adam_step(w, g, init_state(adam, shape), adam)
     swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
-    assert swan <= warm_peak_bytes(adam_step, w1, g, state, adam) + 4096
+    adam_peak, k = warm_peak_bytes(adam_step, w1, g, state, adam), shape[0]
+    if k < 128:
+        assert swan <= adam_peak - (k * k - 2 * k) * 8 + 1024
+    else:
+        assert swan <= adam_peak + 4096
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("shape", [(64, 8192), (100, 4096), (8192, 64)])
+def test_a_warm_small_wide_swan_step_is_one_m_by_n(shape, count, cpus, warm_peak_bytes):
+    # below 128 rows with n >> m: G~ is freed once its Gram matrix is formed, and the one new
+    # m x n is the result, written by the last pass (column halves read from g itself); beside it
+    # GradNorm's squares (a row block of _BLOCK entries), or the loop's k x k arrays and Z''
+    cpus(count)
+    w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
+    swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
+    assert swan <= 1.1 * shape[0] * shape[1] * 8
 
 
 @pytest.mark.parametrize("count", [1, 2])
