@@ -8,12 +8,12 @@ matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy. At every size GradNorm's row
-statistics, the rescale and the rate fold into Z'', whose last product reads the
-gradient itself: SWAN's step holds one m x n array beside the k x k Gram matrix,
-and below 128 rows beside the loop's two more k x k arrays, so a square block
-peaks at 3 k^2 (:func:`_ns_whiten` states the rule, the working set and the rule
-for offset rows; CHANGES.md has the numbers).
+input: their public entries hand them a copy. GradNorm's row statistics, the
+rescale and the rate fold into Z'' (from 128 rows one Gram matrix, shifted if
+signed), whose one pass reads g (on offset rows, g centred in the result): the
+step holds one m x n array beside the k x k Gram matrix, and below 128 rows the
+loop's two more, so a square block peaks at 3 k^2 (:func:`_ns_whiten` states
+the rule and the working set; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _SPLIT_MIN, _in_blocks, _matmul_blocks, _one_block, as_matrix
+from .matrixops import _SPLIT_MIN, _in_blocks, _one_block, as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -236,11 +236,12 @@ def newton_schulz_inverse_sqrt(
     of ``a``, which holds P / 3, and N and Z, whose scale (3b)^k is carried as a float;
     :func:`_ns_recursion`), paired in 4 (P, T, P T and Z). From 128 rows it runs on the spectrum: Z
     is a polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
-    f_k(lambda) V^T in the copy of ``a`` beside V (:func:`_v_diag_vt`; one row block more where f is
-    signed, as paired on eigenvalues above 3). The eigenvalues are clamped at 0 first: on a
+    f_k(lambda) V^T in the copy of ``a`` beside V, one Gram matrix also where f is signed (paired
+    on eigenvalues above 3; :func:`_v_diag_vt`). The eigenvalues are clamped at 0 first: on a
     rank-deficient ``a`` the round-off negatives are what the recursion grows by about 9 b^2 per
-    iteration. Agrees with the matrix loop to round-off.
+    iteration. Agrees with the matrix loop to round-off. Arguments as :class:`WhiteningConfig`'s.
     """
+    WhiteningConfig(iterations, step_size, update_order=update_order)  # checks the arguments
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
         raise ValueError("newton_schulz_inverse_sqrt needs a square matrix")
@@ -262,12 +263,14 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
 
 
 def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """V diag(``d``) V^T into the k x k ``out``, writing V and ``d``: where ``d`` >= 0 the Gram
-    matrix of V sqrt(d) in V's buffer (:func:`_gram`: half the flops, no row scratch), else V d
-    there, times V^T by row blocks through one scratch (:func:`_matmul_blocks`)."""
-    if d.min() >= 0.0:
-        return _gram(_unbuffered(True, np.multiply, v, np.sqrt(d, out=d), v), out)
-    return _matmul_blocks(np.multiply(v, d, out=out), v.T, 0, _BLOCK)
+    """V diag(``d``) V^T into the k x k ``out``, writing V and ``d``. V is orthogonal, so this is
+    the Gram matrix of V sqrt(d + c) (in V's buffer, :func:`_gram`: half the flops, no row scratch)
+    less c I, with c = max(0, -min d): 0 unless ``d`` is signed (then about 1e-14 of round-off)."""
+    c = max(0.0, -d.min())
+    np.sqrt(np.add(d, c, out=d), out=d)
+    z = _gram(_unbuffered(True, np.multiply, v, d, v), out)
+    z.reshape(-1)[:: len(z) + 1] -= c
+    return z
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0):
@@ -309,9 +312,6 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1
                 z.reshape(-1)[::stride] += 1.0
             if not 1.0 / _SIGMA < sigma < _SIGMA:
                 z, sigma = np.multiply(z, sigma, out=z), 1.0
-    if z is None:  # no iterations: Z = I
-        z = np.zeros(shape)
-        z.reshape(-1)[::stride] = 1.0
     return z, sigma
 
 
@@ -340,21 +340,21 @@ def _ns_whiten(
     * from 128 rows from the spectrum: one ``eigh`` gives V and lambda, and lambda_n = lambda / s^2,
       clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the rescale, s and
       ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2 lambda_n) if ``rescale``
-      and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of V sqrt(phi) where phi >= 0
-      (:func:`_v_diag_vt`), as for every chained step size and paired up to 2/3.
+      and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of V sqrt(phi + c) less c I
+      (:func:`_v_diag_vt`); c = max(0, -min phi) is 0 chained and paired up to b = 2/3.
 
     GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T,
     with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
     (:func:`_descend_columns`) on the column halves of :func:`~swanopt.matrixops._in_blocks` then
     reads ``g`` itself and writes ``w - (Z'' g - u)`` (or D, to be rescaled) into the returned
     array, in ``g``'s memory order. The fold cancels in floating point, by about 2e-15 (1 + r) with
-    r = max |mu_i| / S_i, so where r > ``_OFFSET`` the pass centres ``g`` into the returned array
-    first, by GradNorm's own subtract, and multiplies it in place by column blocks of
-    min(``_BLOCK``, k^2) entries, or 64 columns if more, through one scratch per thread. Working
-    set: one m x n array (G~, then the result) and the k x k Gram matrix, then Z'' (over it from 128
-    rows), beside GradNorm's squares, the loop's N and Z below 128 rows (a square block peaks at 3
-    k^2), V from 128 (its buffer holds V sqrt(phi); no row scratch) and on offset rows the column
-    scratch. ``eigh``'s LAPACK workspace is outside numpy; CHANGES.md has the measurements."""
+    r = max |mu_i| / S_i, so where r > ``_OFFSET`` G - mu 1^T goes into the returned array first,
+    by GradNorm's own subtract, and the pass reads it in place by column blocks of min(``_BLOCK``,
+    k^2) entries, or 64 columns if more, each copied by numpy's matmul. Working set: one m x n
+    array (G~, then the result) and the k x k Gram matrix, then Z'' (over it from 128 rows),
+    beside GradNorm's squares, the loop's N and Z below 128 rows (a square block peaks at 3 k^2),
+    V from 128 (its buffer holds V sqrt(phi + c); no row scratch) and on offset rows one column
+    block per thread. ``eigh``'s LAPACK workspace is outside numpy; CHANGES.md has the numbers."""
     gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
     with np.errstate(over="ignore", invalid="ignore"):  # s^2 is checked below
         gram, e = _gram(gt, np.empty((len(gt), len(gt)))), 0
@@ -380,21 +380,20 @@ def _ns_whiten(
         if norm_d == 0.0:
             raise ValueError("rescale_update: zero-norm delta has no direction")
         z = _v_diag_vt(v, np.multiply(f, lr / norm_d, out=f), gram)  # Z', over the Gram matrix
-        del v, lam, f  # a signed Z' in one block is a new array
+        del v, lam, f  # V's buffer, before the result is allocated
     del gram
-    centre = u = None
-    if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g centred first
+    out = u = None
+    if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g - mu into the result
         np.divide(z, std.T, out=z)
         if norm.subtract_mean and (abs(mean) > _OFFSET * std).any():
-            centre = mean
+            g = out = _unbuffered(True, np.subtract, g, mean, np.empty_like(g))
         elif norm.subtract_mean:
             u = z @ mean
-    out = np.empty_like(g)
-    args = (z, g, centre, u, None if late else w, out)
-    if centre is None and _one_block(out.size, None):
+    out = np.empty_like(g) if out is None else out
+    args, cap = (z, g, u, None if late else w, out), min(_BLOCK, z.size) if g is out else None
+    if _one_block(out.size, cap):
         _descend_columns(args, out.shape[1], 0, 1)
-    else:  # column halves from g, or if centred column blocks through one scratch per thread
-        cap = None if centre is None else min(_BLOCK, z.size)
+    else:  # column halves from g, or capped column blocks from the centred result
         _in_blocks(_descend_columns, args, out, 1, 64, cap)
     if not late:
         return out
@@ -404,26 +403,19 @@ def _ns_whiten(
 
 def _descend_columns(args, width, lo, hi) -> None:
     """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_whiten`'s pass: ``w - (Z'' g - u)``,
-    or ``Z'' g - u`` without ``w``, into ``out``, read from ``g`` itself; or with a ``centre``,
-    ``g - centre`` into ``out`` first and Z'' times it into one scratch. The elementwise passes run
-    at numpy's smallest ufunc buffer (:func:`_unbuffered`)."""
-    z, g, centre, u, w, out = args
-    x = None if centre is None else np.empty_like(g[:, :width])
+    or ``Z'' g - u`` without ``w`` (u = 0 if None), into ``out``. ``g`` may be ``out`` itself, each
+    block of which numpy's matmul copies before it writes it. The elementwise passes run at numpy's
+    smallest ufunc buffer (:func:`_unbuffered`)."""
+    z, g, u, w, out = args
     with np.errstate():  # which also restores the buffer size
         np.setbufsize(_SMALL_BUFFER)
         for i in range(lo * width, min(hi * width, out.shape[1]), width):
             b = slice(i, i + width)
-            if x is None:
-                d = np.matmul(z, g[:, b], out=out[:, b])
-                if u is not None:
-                    np.subtract(d, u, out=d)
-            else:
-                c = np.subtract(g[:, b], centre, out=out[:, b])
-                d = np.matmul(z, c, out=x[:, : c.shape[1]])
+            d = np.matmul(z, g[:, b], out=out[:, b])
+            if u is not None:
+                np.subtract(d, u, out=d)
             if w is not None:
-                np.subtract(w[:, b], d, out=out[:, b])
-            elif x is not None:
-                np.copyto(out[:, b], d)
+                np.subtract(w[:, b], d, out=d)
 
 
 def _gram(x: np.ndarray, out: np.ndarray) -> np.ndarray:

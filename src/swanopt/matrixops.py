@@ -32,8 +32,11 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix", shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Validate and convert input to a finite 2-D float64 array (of ``shape``, if given)."""
-    m = np.asarray(a, dtype=np.float64)
+    """Validate and convert real input to a finite 2-D float64 array (of ``shape``, if given)."""
+    m = np.asarray(a)
+    if m.dtype.kind == "c":  # float64 conversion would drop the imaginary part with a warning
+        raise ValueError(f"{name} must be real, got dtype {m.dtype}")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if shape is not None and m.shape != shape:
@@ -85,16 +88,14 @@ def _one_block(size: int, cap: int | None) -> bool:
     return size < _SPLIT_MIN if cap is None else size <= cap
 
 
-def _matmul_blocks(a, b, axis: int, cap: int | None = None) -> np.ndarray:
-    """``a @ b`` by the blocks of :func:`_in_blocks`, on multiples of 16 rows (``axis`` 0, of ``a``)
-    or 64 columns (1, of ``b``). In more than one block, with a ``cap`` it goes back into that
-    operand, each half's blocks through one scratch of at most ``cap`` entries; without, into a new
-    array. Blocks need not keep the whole product's bits (CHANGES.md lists the shapes whose bits
+def _matmul_blocks(a, b) -> np.ndarray:
+    """``a @ b`` into a new array by the blocks of :func:`_in_blocks` on multiples of 64 columns
+    of ``b``. Blocks need not keep the whole product's bits (CHANGES.md lists the shapes whose bits
     moved)."""
-    if _one_block(len(a) * b.shape[1], cap):
+    if _one_block(len(a) * b.shape[1], None):
         return a @ b
-    out = np.empty((len(a), b.shape[1])) if cap is None else (a, b)[axis]
-    _in_blocks(_matmul_lines, (a, b, out, axis), out, axis, 64 if axis else 16, cap)
+    out = np.empty((len(a), b.shape[1]))
+    _in_blocks(_matmul_columns, (a, b, out), out, 1, 64, None)
     return out
 
 
@@ -112,20 +113,11 @@ def _subtract_rows(args, width, lo, hi) -> None:
     np.subtract(a[rows], c[rows], out=a[rows])
 
 
-def _matmul_lines(args, width, lo, hi) -> None:
-    """Blocks lo .. hi - 1 of ``width`` lines of :func:`_matmul_blocks` of ``args``."""
-    a, b, out, axis = args
-    inplace = out is (a, b)[axis]
-    pre = (slice(None),) * axis
-    scratch = np.empty(out[pre + (slice(0, width),)].shape) if inplace else None
-    for i in range(lo * width, min(hi * width, out.shape[axis]), width):
-        block = out[pre + (slice(i, i + width),)]
-        x = block if inplace else (a, b)[axis][pre + (slice(i, i + width),)]
-        x, y = (a, x) if axis else (x, b)
-        if scratch is None:
-            np.matmul(x, y, out=block)
-        else:  # the block is read whole before it is written
-            np.copyto(block, np.matmul(x, y, out=scratch[pre + (slice(0, block.shape[axis]),)]))
+def _matmul_columns(args, width, lo, hi) -> None:
+    """Blocks lo .. hi - 1 of ``width`` columns of :func:`_matmul_blocks` of ``args``."""
+    a, b, out = args
+    for i in range(lo * width, min(hi * width, out.shape[1]), width):
+        np.matmul(a, b[:, i : i + width], out=out[:, i : i + width])
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:

@@ -144,9 +144,9 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     Working set beyond its inputs, at the Newton-Schulz default and k = min(m, n): one m x n array
     (G~, then the returned weights) and one k x k (the Gram matrix, then Z'', into which the
     rescale, the rate and GradNorm's row statistics fold), beside GradNorm's squares and, below 128
-    rows, the loop's two more k x k arrays (a square block peaks at 3 k^2), from 128 V, whose
-    buffer holds V sqrt(phi), and ``eigh``'s uncounted LAPACK workspace. ``gradient_ops._ns_whiten``
-    states the rule and CHANGES.md the numbers. Exact mode keeps its SVD and buffers.
+    rows, the loop's two more k x k arrays (a square block peaks at 3 k^2), from 128 V, whose buffer
+    holds V sqrt(phi + c) at any step size, and ``eigh``'s uncounted LAPACK workspace. The rule is
+    ``gradient_ops._ns_whiten``'s, the numbers CHANGES.md's. Exact mode keeps its SVD and buffers.
     """
     w, g = np.asarray(w), np.asarray(g)
     if w.ndim == 2 and w.shape == g.shape and w.shape[0] > w.shape[1]:  # checked once, transposed

@@ -67,16 +67,16 @@ class QuadraticProblem:
             raise ValueError(f"c must have {m} rows, got {c.shape[0]}")
         self.h, self.c, self._q, self._lam = h, c, q, lam
         self.eigenvalues = lam[::-1].copy()
-        x = _matmul_blocks(q.T, c, 1)
+        x = _matmul_blocks(q.T, c)
         x /= np.sqrt(lam)[:, None]
         self.l_star = -0.5 * float(np.vdot(x, x))
         return self
 
     @functools.cached_property
     def w_star(self) -> np.ndarray:
-        x = _matmul_blocks(self._q.T, self.c, 1)
+        x = _matmul_blocks(self._q.T, self.c)
         x /= self._lam[:, None]
-        return _matmul_blocks(self._q, x, 1)
+        return _matmul_blocks(self._q, x)
 
     @classmethod
     def seeded(
@@ -94,17 +94,17 @@ class QuadraticProblem:
         w = as_matrix(w, "w", self.shape)
         # a non-finite loss from overflow on runaway iterates is the divergence signal
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._loss(w, _matmul_blocks(self.h, w, 1))
+            return self._loss(w, _matmul_blocks(self.h, w))
 
     def grad(self, w) -> np.ndarray:
-        return _subtract(_matmul_blocks(self.h, as_matrix(w, "w", self.shape), 1), self.c)
+        return _subtract(_matmul_blocks(self.h, as_matrix(w, "w", self.shape)), self.c)
 
     def loss_and_grad(self, w) -> tuple[float, np.ndarray]:
         """``(loss(w), grad(w))``, bit for bit, from one check of ``w`` and one
         product H w. Where the loss is finite, so is the gradient."""
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            hw = _matmul_blocks(self.h, w, 1)
+            hw = _matmul_blocks(self.h, w)
             return self._loss(w, hw), _subtract(hw, self.c)
 
     def _loss(self, w, hw) -> float:

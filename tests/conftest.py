@@ -70,27 +70,16 @@ def assert_same_bits():
     return _assert_same_bits
 
 
-def _blocked_product(a, b, axis: int, cap: int | None = None, order: str = "C") -> np.ndarray:
+def _blocked_product(a, b, order: str = "C") -> np.ndarray:
     """``a @ b`` as :func:`swanopt.matrixops._matmul_blocks` forms it, restated in plain numpy:
-    blocks of rows (``axis`` 0) on multiples of 16 or of columns (1) on multiples of 64, each a
-    whole product written into an ``order``-ordered result, the last one ragged. A product within
-    ``cap`` entries, or without a cap below 2^17, is one block. Otherwise a block is the most
-    lines that fit in ``cap`` entries (from 2^17 entries, half of them), or without a cap half
-    the lines."""
+    blocks of columns on multiples of 64, each a whole product written into an ``order``-ordered
+    result, the last one ragged. A product below 2^17 entries is one block; from there a block is
+    half the columns."""
     out = np.empty((len(a), b.shape[1]), order=order)
-    length, span, unit = out.shape[axis], out.shape[1 - axis], 64 if axis else 16
-    split = out.size >= 1 << 17
-    if (out.size <= cap) if cap else not split:
-        width = length
-    elif cap is None:
-        width = unit * -(-length // unit // 2)
-    else:
-        width = unit * max(1, cap // span // unit >> split)
-    for i in range(0, length, width):
-        if axis:
-            out[:, i : i + width] = a @ b[:, i : i + width]
-        else:
-            out[i : i + width] = a[i : i + width] @ b
+    n = out.shape[1]
+    width = 64 * -(-n // 64 // 2) if out.size >= 1 << 17 else n
+    for i in range(0, n, width):
+        out[:, i : i + width] = a @ b[:, i : i + width]
     return out
 
 
@@ -124,14 +113,15 @@ def blocked_gram():
 
 @pytest.fixture
 def blocked_spectral():
-    """``blocked(v, d)``: V diag(d) V^T as :func:`swanopt.gradient_ops._v_diag_vt` forms it, with
-    V's memory order: where d >= 0 the Gram matrix of V sqrt(d) (:func:`_blocked_gram`), else
-    (V d) V^T by row blocks of at most 2^15 entries (:func:`_blocked_product`)."""
+    """``blocked(v, d)``: V diag(d) V^T as :func:`swanopt.gradient_ops._v_diag_vt` forms it: the
+    Gram matrix of V sqrt(d + c) (:func:`_blocked_gram`) less c on its diagonal, with
+    c = max(0, -min d), 0 unless d is signed."""
 
     def blocked(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-        if d.min() >= 0.0:
-            return _blocked_gram(v * np.sqrt(d))
-        return _blocked_product(v * d, v.T, 0, 1 << 15)
+        c = max(0.0, -d.min())
+        z = _blocked_gram(v * np.sqrt(d + c))
+        z[np.diag_indices(len(z))] -= c
+        return z
 
     return blocked
 
@@ -188,12 +178,13 @@ def ns_loop():
 
 def _width(n: int, cap: int | None, m: int) -> int:
     """The width in columns of :func:`swanopt.matrixops._in_blocks`' blocks over the columns of an
-    m x ``n`` pass on multiples of 64: all of them in one block below 2^17 entries without a cap;
-    else the most that fit in ``cap`` entries (halved from 2^17), or without a cap half of them."""
+    m x ``n`` pass on multiples of 64: all of them in one block within ``cap`` entries, or without
+    a cap below 2^17; else the most that fit in ``cap`` entries (halved from 2^17), or without a cap
+    half of them."""
     split = m * n >= 1 << 17
     if cap is None:
         return 64 * -(-n // 64 // 2) if split else n
-    return 64 * max(1, cap // m // 64 >> split)
+    return n if m * n <= cap else 64 * max(1, cap // m // 64 >> split)
 
 
 def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.ndarray:
@@ -201,9 +192,10 @@ def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.
     numpy: G~ with its row statistics (under GradNormConfig ``norm``, or ``g`` itself without),
     s^2 = tr G~ G~^T (of 2^e G~ where out of (1e-280, inf)), Z / sigma from :func:`_ns_loop` on the
     Gram matrix over s^2, then Z'' = c (Z / sigma) S^-1 with c = lr sigma / s, or 1 with
-    ``rescale``, u = Z'' mu, and one pass by the column blocks of the library over ``g``: ``w - (Z''
-    g - u)``, or where some |mu_i| > 64 (std_i + epsilon) Z'' (g - mu). With ``rescale`` the pass
-    writes D = Z'' g - u, and the step is w - lr s D / ||D||_F. Without ``w``, D."""
+    ``rescale``, u = Z'' mu, and one pass by the column blocks of the library: ``w - (Z'' g - u)``,
+    or where some |mu_i| > 64 (std_i + epsilon) ``w - Z'' (g - mu)``, g - mu formed whole first.
+    With ``rescale`` the pass writes D = Z'' g - u, and the step is w - lr s D / ||D||_F. Without
+    ``w``, D."""
     gt, mean, std = g, 0.0, None
     if norm is not None:
         n = g.shape[1]
@@ -230,16 +222,13 @@ def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.
         elif norm.subtract_mean:
             u = z @ mean
     out, m, n = np.empty_like(g), *g.shape
+    x = g if centre is None else g - centre
     width = _width(n, None if centre is None else min(1 << 15, z.size), m)
     for i in range(0, n, width):
         b = slice(i, i + width)
-        if centre is None:
-            d = np.matmul(z, g[:, b], out=out[:, b])
-            if u is not None:
-                d -= u
-        else:
-            c = np.subtract(g[:, b], centre, out=out[:, b])
-            d = np.matmul(z, c, out=np.empty_like(g[:, :width])[:, : c.shape[1]])
+        d = np.matmul(z, x[:, b], out=out[:, b])
+        if u is not None:
+            d -= u
         if w is not None and not rescale:
             out[:, b] = w[:, b] - d
         else:

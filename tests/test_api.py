@@ -4,6 +4,7 @@ import ast
 import importlib
 import pkgutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,16 @@ def test_entry_point_checks_w(name):
     bad[1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_rejects_complex_w(name):
+    # float64 conversion would drop the imaginary part with only a ComplexWarning
+    call, shape = ENTRY_POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"w must be real, got dtype complex128"):
+            call(np.full(shape, 0.5 + 0.5j))
 
 
 def _modules():

@@ -519,8 +519,8 @@ class TestGradWhitening:
         assert f.min() > 0.0 if b >= 1e-3 else f.min() >= 0.0
 
     def test_a_signed_paired_spectrum_takes_v_diag_vt(self, monkeypatch, assert_close):
-        # paired b = 1 on a normalized spectrum up to 0.91: f_10 reaches -219, so Z' is
-        # V diag(phi) V^T by row blocks, and the one Gram matrix formed is G's
+        # paired b = 1 on a normalized spectrum up to 0.91: f_10 reaches -219, so Z' is the
+        # Gram matrix of V sqrt(phi + c) less c I, one more Gram matrix than G's
         g = random_matrix(160, 320, 0)
         g[0] *= 40.0
         grams, gram = [], gradient_ops._gram
@@ -528,7 +528,7 @@ class TestGradWhitening:
             gradient_ops, "_gram", lambda x, out: grams.append(x.shape) or gram(x, out)
         )
         got = grad_whitening(g, WhiteningConfig(step_size=1.0, update_order="paired"))
-        assert grams == [g.shape]
+        assert grams == [g.shape, (160, 160)]
         a = g @ g.T
         s2 = np.trace(a)
         lam, v = np.linalg.eigh(a)
@@ -540,17 +540,42 @@ class TestGradWhitening:
         self, monkeypatch, assert_same_bits, blocked_spectral
     ):
         # an unnormalized Gram matrix with its spectrum in [0, 3.5], paired at b = 0.5: T_1 =
-        # b (3 - lambda) < 0 above 3, so f is signed and Z = (V f) V^T by row blocks, with their
-        # bits, within 1e-12 of the whole product; no Gram matrix is formed
+        # b (3 - lambda) < 0 above 3, so f is signed and Z is the one Gram matrix formed, of
+        # V sqrt(f + c), less c I: its bits, within 1e-12 of the whole product V f V^T
         g = random_matrix(200, 400, 1)
         a = g @ g.T
         a *= 3.5 / np.linalg.eigvalsh(a)[-1]
-        monkeypatch.setattr(gradient_ops, "_gram", None)
+        grams, gram = [], gradient_ops._gram
+        monkeypatch.setattr(
+            gradient_ops, "_gram", lambda x, out: grams.append(x.shape) or gram(x, out)
+        )
         z = newton_schulz_inverse_sqrt(a, 2, 0.5, "paired")
+        assert grams == [a.shape]
         lam, v = np.linalg.eigh(a)
         f = f_k(np.maximum(lam, 0.0), 2, 0.5, "paired")
         assert f.min() < 0.0 < f.max()
         assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
+
+    @pytest.mark.parametrize(
+        "shape, seed, k, b",
+        [((160, 320), 0, 10, 1.0), ((512, 2048), 0, 10, 1.0), ((200, 400), 1, 2, 0.5)],
+        ids=["paired_b1_160x320", "paired_b1_512x2048", "public_eigenvalues_to_3.5"],
+    )
+    def test_a_signed_spectrum_is_within_1e_12_of_v_diag_vt(self, shape, seed, k, b, assert_close):
+        # paired b = 1 on the trace-normalized spectrum of G with one row scaled by 40, as the
+        # spectral step runs it, and b = 0.5 on a public Gram matrix with eigenvalues up to 3.5:
+        # f is signed, and the Gram matrix of V sqrt(f + c) less c I is within 1e-12 of
+        # V diag(f) V^T (largest error measured: 1.7e-14)
+        g = random_matrix(*shape, seed)
+        if b == 1.0:
+            g[0] *= 40.0
+        a = g @ g.T
+        a /= np.trace(a) if b == 1.0 else np.linalg.eigvalsh(a)[-1] / 3.5
+        lam, v = np.linalg.eigh(a)
+        f = f_k(np.maximum(lam, 0.0), k, b, "paired")
+        assert f.min() < 0.0 < f.max()
+        z = gradient_ops._v_diag_vt(v.copy(), f.copy(), np.empty_like(a))
+        assert_close(z, (v * f) @ v.T)
 
     @pytest.mark.parametrize(
         "fn, tall, cfg",
@@ -600,16 +625,19 @@ class TestGradWhitening:
             assert len(calls) == 3 * k - unread
 
     @pytest.mark.parametrize(
-        "a, message",
+        "a, args, message",
         [
-            (np.ones((2, 3)), "newton_schulz_inverse_sqrt needs a square matrix"),
-            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "a contains non-finite entries"),
-            (np.ones(3), "a must be 2-D, got ndim=1"),
+            (np.ones((2, 3)), (10, 0.8), "newton_schulz_inverse_sqrt needs a square matrix"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), (10, 0.8), "a contains non-finite entries"),
+            (np.ones(3), (10, 0.8), "a must be 2-D, got ndim=1"),
+            (np.eye(2), (10, 0.8, "bogus"), "update_order must be one of"),
+            (np.eye(2), (0, 0.8), "iterations must be >= 1, got 0"),
+            (np.eye(2), (10, 5.0), "step_size must be in (0, 1], got 5.0"),
         ],
     )
-    def test_newton_schulz_rejects_bad_input(self, a, message):
+    def test_newton_schulz_rejects_bad_input(self, a, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            newton_schulz_inverse_sqrt(a, 10, 0.8)
+            newton_schulz_inverse_sqrt(a, *args)
 
     def test_chained_defaults_bounded_and_improving(self):
         for seed in range(5):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from swanopt import gradient_ops, matrixops, optimizers
-from swanopt.gradient_ops import _BLOCK, GradNormConfig
+from swanopt.gradient_ops import _BLOCK, GradNormConfig, WhiteningConfig
 from swanopt.matrixops import _SPLIT_MIN, _in_blocks, random_matrix
 from swanopt.optimizers import (
     OptimizerConfig,
@@ -264,20 +264,30 @@ def test_the_bench_block_keeps_the_split_widths(monkeypatch):
     adam_step(w, g, init_state(ADAM, w.shape), ADAM)
     QuadraticProblem.seeded(512, 2048, 10.0, 0).grad(w)
     swan = ("_gram_blocks", 0, 368), ("_descend_columns", 1, 1024)
-    grad = ("_matmul_lines", 1, 1024), ("_subtract_rows", 0, 256)
+    grad = ("_matmul_columns", 1, 1024), ("_subtract_rows", 0, 256)
     assert widths == {*swan, *grad, ("_adam_rows", 0, 8)}
 
 
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (512, 512), (300, 1001)])
 def test_the_gram_matrix_and_the_spectral_step_keep_their_bits_on_one_cpu(shape, cpus):
     # the blocks, and so the bits, follow from the shape alone, whether or not the worker
-    # takes one: the Gram matrix of the wide orientation, whole and symmetric, and a step
+    # takes one: the Gram matrix of the wide orientation, whole and symmetric, a step, a step
+    # on offset rows (g centred into the result, read in place) and a paired b = 1 step (a
+    # signed spectrum: the shifted Gram matrix)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     wide = g if shape[0] <= shape[1] else g.T
+    offset = g.copy()
+    rows = offset if shape[0] <= shape[1] else offset.T
+    rows[::2] += 1e3
+    rows[1::2] -= 1e3
+    paired = OptimizerConfig(
+        kind="swan", whitening_cfg=WhiteningConfig(step_size=1.0, update_order="paired")
+    )
     got = {}
     for count in (1, 2):
         cpus(count)
         gram = gradient_ops._gram(wide, np.empty((len(wide), len(wide))))
         assert np.array_equal(gram, gram.T)
-        got[count] = gram.tobytes(), swan_step(w, g, SWAN).tobytes()
+        steps = swan_step(w, g, SWAN), swan_step(w, offset, SWAN), swan_step(w, g, paired)
+        got[count] = gram.tobytes(), *(step.tobytes() for step in steps)
     assert got[1] == got[2]

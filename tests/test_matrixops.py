@@ -163,6 +163,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="2-D"):
             as_matrix(np.ones(3))
 
+    def test_rejects_complex_and_keeps_float64_input(self):
+        with pytest.raises(ValueError, match=r"g must be real, got dtype complex64"):
+            as_matrix(np.ones((2, 2), dtype=np.complex64), "g")
+        x = random_matrix(2, 3, 0)
+        assert as_matrix(x) is x
+        assert as_matrix([[1, 2]]).dtype == np.float64
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match=r"w must be \(3, 4\), got shape \(2, 2\)"):
             as_matrix(random_matrix(2, 2, 1), "w", (3, 4))

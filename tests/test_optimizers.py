@@ -351,8 +351,9 @@ def _offset_rows(shape, layout, r, seed=10):
 @pytest.fixture
 def last_pass(monkeypatch):
     """The calls of SWAN's last pass through ``gradient_ops._in_blocks``: for each, its cap (None
-    for the column halves read from ``g``, a block's entries where ``g`` is centred first) and the
-    bytes it allocates, on either thread, above what is live at its start (tracemalloc)."""
+    for the column halves read from ``g``, a block's entries where ``g`` is centred into the result
+    first) and the bytes it allocates, on either thread, above what is live at its start
+    (tracemalloc)."""
     calls, in_blocks = [], gradient_ops._in_blocks
 
     def spy(fn, args, x, axis, unit, cap):
@@ -373,7 +374,7 @@ def last_pass(monkeypatch):
 def _fused(calls) -> bool:
     """Whether each recorded last pass ran on column halves straight from ``g``, allocating only
     small objects (under 8 KB: a block of 64 columns from 128 rows takes 64 KB), or else each
-    centred ``g`` first, by capped blocks through a scratch."""
+    read the centred ``g`` in the result by capped blocks, each of which numpy's matmul copies."""
     assert calls
     if all(cap is None and peak < 8192 for cap, peak in calls):
         return True
@@ -410,10 +411,16 @@ def test_offset_rows_centre_g_first(layout, shape, r, last_pass, check_swan_step
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_small_blocks_keep_the_offset_rule(layout, shape, r, last_pass, check_swan_step):
     # below 128 rows too the means fold into Z'' g - u up to R, and above it g is centred first
-    # by capped column blocks: the folded tail's bits, within 1e-12 of the whole expressions
+    # and read in place by capped column blocks: the folded tail's bits, within 1e-12 of the
+    # whole expressions. A square block's pass is within its cap of k^2 entries: one block, run
+    # whole without _in_blocks
     w, g, _ = _offset_rows(shape, layout, r)
     check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037))
-    assert any(cap is not None for cap, _ in last_pass) == (r > gradient_ops._OFFSET)
+    centred = r > gradient_ops._OFFSET
+    if centred and shape[0] == shape[1]:
+        assert last_pass == []
+    else:
+        assert any(cap is not None for cap, _ in last_pass) == centred
 
 
 @pytest.mark.parametrize("shape", [*FOLD_SHAPES, (200, 300)], ids=str)
@@ -610,6 +617,27 @@ def test_a_warm_square_swan_step_forms_z_with_no_row_scratch(k, count, cpus, war
     w, g = random_matrix(k, k, 0), random_matrix(k, k, 1)
     sgd = warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
     swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
+    assert swan <= sgd + (k * k + 8 * k) * 8 + 4096
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_warm_signed_square_swan_step_keeps_the_unsigned_bound(count, cpus, warm_peak_bytes):
+    # paired b = 1 signs phi on the spectrum of this step (checked below), with one row of g
+    # scaled by 40 as in the signed whitening tests: Z' is still one Gram matrix, of
+    # V sqrt(phi + c) less c I, so the step keeps the bound of the unsigned step above, with no
+    # row block of Z' per thread
+    cpus(count)
+    k = 512
+    w, g = random_matrix(k, k, 0), random_matrix(k, k, 1)
+    g[0] *= 40.0
+    whitening = WhiteningConfig(step_size=1.0, update_order="paired")
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.1, whitening_cfg=whitening)
+    gt = grad_norm(g)
+    lam = np.maximum(np.linalg.eigvalsh(gt @ gt.T) / np.vdot(gt, gt), 0.0)
+    f, _ = _ns_recursion(lam, 10, 1.0, "paired", np.multiply, 1)
+    assert f.min() < 0.0 < f.max()
+    sgd = warm_peak_bytes(sgd_step, w, g, OptimizerConfig(kind="sgd", learning_rate=0.1))
+    swan = warm_peak_bytes(swan_step, w, g, cfg)
     assert swan <= sgd + (k * k + 8 * k) * 8 + 4096
 
 

@@ -88,7 +88,7 @@ class TestQuadratic:
             cpus(count)
             loss, grad = p.loss_and_grad(w)
             runs.append((p.grad(w).tobytes(), p.loss(w), loss, grad.tobytes()))
-        hw = blocked_product(p.h, w, 1)
+        hw = blocked_product(p.h, w)
         grad = np.subtract(hw, p.c)
         assert_same_bits(p.grad(w), grad, np.subtract(p.h @ w, p.c))
         want, loss = grad.tobytes(), float(np.vdot(w, 0.5 * hw - p.c))
