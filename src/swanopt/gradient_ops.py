@@ -8,22 +8,24 @@ matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy. GradNorm's row statistics, the
-rescale and the rate fold into Z'' (from 128 rows one Gram matrix, shifted if
-signed), whose one pass reads g (on offset rows, g centred in the result): the
-step holds one m x n array beside the k x k Gram matrix, and below 128 rows the
-loop's two more, so a square block peaks at 3 k^2 (:func:`_ns_whiten` states
-the rule and the working set; CHANGES.md has the numbers).
+input: their public entries hand them a copy. GradNorm is one centred copy C
+of g and its row statistics (:func:`_row_stats`); whitening scales C's Gram
+matrix by them and folds them, the rescale and the rate into Z'', whose one
+pass reads g: the step holds one m x n array beside the k x k Gram matrix, and
+below 128 rows the loop's two more, so a square block peaks at 3 k^2
+(:func:`_ns_whiten` states the rule; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixops import _SPLIT_MIN, _in_blocks, _one_block, as_matrix
+from .matrixops import _in_blocks, _one_block, as_matrix
 
 __all__ = [
     "GradNormConfig",
@@ -48,12 +50,8 @@ _SPECTRAL_MIN_ROWS = 128
 # entries, so a block's operands stay in L2 (Adam's block sweep is in CHANGES.md).
 _BLOCK = 32768
 
-# numpy's default ufunc buffer, in entries, and its smallest, for the elementwise passes that
-# run better without one (numpy's getbufsize() takes about 0.5 us a call)
-_BUFFER, _SMALL_BUFFER = 8192, 16
-
-# Below this ||G~||_F^2 the Gram matrix's products lose bits to subnormals; the spectral path then
-# takes it of G~ scaled by a power of two, as it does where the squares overflow
+# Below this ||C||_F^2 the Gram matrix's products lose bits to subnormals; whitening then takes it
+# of C scaled by a power of two, as it does where the squares overflow
 _TINY = 1e-280
 
 # From 128 rows a GradNorm'd step centres g before its last product where some row's |mean| / (std
@@ -112,6 +110,8 @@ class WhiteningConfig:
     update_order: str = "chained"
 
     def __post_init__(self):
+        if isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.step_size <= 1.0:
@@ -131,71 +131,49 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     statistics. A zero-variance row with ``epsilon == 0`` is rejected with the
     offending row index; with a positive epsilon such a row maps to zeros.
     """
-    return _grad_norm(as_matrix(g, "g"), cfg)[0]
+    return _grad_norm(as_matrix(g, "g"), cfg)
 
 
-def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
-    """:func:`grad_norm` of a checked ``g`` into a new array (``g``'s memory order with
-    ``subtract_mean``, C order without), and its row statistics as m x 1 columns: the mean (0.0
-    without ``subtract_mean``) and std + epsilon, which Newton-Schulz whitening folds into Z''.
-    Beside the output it holds one block of squares (:func:`_square_sums`) and, on C-ordered
-    blocks, no ufunc buffer."""
-    m, n = g.shape
+def _unbuffered(fn):
+    """``fn`` at numpy's smallest ufunc buffer, in the worker too (it runs in the caller's context).
+    Numpy buffers a broadcast operand, as GradNorm's m x 1 statistics, by min(size, 8192) entries:
+    slower on short lines, as large as a small array (CHANGES.md), with the same bits."""
+
+    def unbuffered(*args):
+        size = np.setbufsize(16)  # entries: numpy's smallest
+        try:
+            return fn(*args)
+        finally:
+            np.setbufsize(size)
+
+    return functools.wraps(fn)(unbuffered)
+
+
+@_unbuffered
+def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
+    """:func:`grad_norm` of a checked ``g``: G~ = C / S (:func:`_row_stats`), in C if it is new."""
+    c, _, s = _row_stats(g, cfg)
+    return np.divide(c, s, out=None if c is g else c)
+
+
+def _row_stats(g: np.ndarray, cfg: GradNormConfig) -> tuple:
+    """GradNorm's one rule, for a checked ``g``: (C, mu, S), with the m x 1 row means mu (0.0,
+    and C ``g`` itself, without ``subtract_mean``), C = g - mu 1^T in ``g``'s memory order and
+    S = std + epsilon, std from C's row sums of squares by one row-wise dot, which allocates no
+    m x n buffer. G~ = C / S (:func:`_grad_norm`); whitening scales C's Gram matrix instead."""
+    n = g.shape[1]
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
     if n < 1:
         raise ValueError("grad_norm needs at least one column")
-    # c, in the memory order of ``g - mean`` or ``g.copy()``, is the one m x n buffer. A C-ordered
-    # c runs by blocks of whole rows, squared into one scratch (sliced for a short last block, as
-    # Adam's); an F-ordered one (a tall block's view, strided by rows) as one block, whose squares
-    # _square_sums takes by blocks of columns.
-    c, stats = np.empty_like(g) if cfg.subtract_mean else np.empty(g.shape), []
-    rows = max(1, min(m, _BLOCK // n)) if c.flags.c_contiguous else m
-    sq = np.empty_like(c[:rows]) if rows < m else None
-    small = rows * n >= _BUFFER > n and c.flags.c_contiguous  # rows shorter than a buffer
-    for i in range(0, max(m, 1), rows):  # an empty g has one (empty) block of statistics
-        gb, cb = g[i : i + rows], c[i : i + rows]
-        mean = np.add.reduce(gb, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
-        _unbuffered(small, np.subtract, gb, mean, cb)  # x - 0.0 is x, bit for bit
-        std = np.sqrt(_square_sums(cb, None if sq is None else sq[: len(cb)]) / n)
-        if cfg.epsilon == 0.0 and not std.all():
-            dead = i + int(np.flatnonzero(std.ravel() == 0.0)[0])
-            raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
-        _unbuffered(small, np.divide, cb, np.add(std, cfg.epsilon, out=std), cb)
-        stats.append((mean, std))
-    if len(stats) == 1:
-        return c, *stats[0]
-    means, stds = zip(*stats)
-    return c, np.concatenate(means) if cfg.subtract_mean else 0.0, np.concatenate(stds)
-
-
-def _square_sums(c: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
-    """The row sums of ``c * c`` as an m x 1 array, with the bits of the whole reduction: pairwise
-    along the rows of a C-ordered ``c`` (squared into ``sq``, a new array if None), in sequence
-    along an F-ordered one. From 2^17 entries the latter runs by blocks of columns through one
-    scratch of at most ``_BLOCK`` entries, whose first row holds the running sums."""
-    if c.flags.c_contiguous or c.size < _SPLIT_MIN:
-        return np.add.reduce(np.square(c, out=sq), axis=1, keepdims=True)
-    m, n = c.shape
-    rows, ct = max(1, _BLOCK // m - 1), c.T  # the rows of the C-ordered c^T are c's columns
-    s = np.zeros((rows + 1, m))
-    for j in range(0, n, rows):
-        block = ct[j : j + rows]
-        np.square(block, out=s[1 : len(block) + 1])
-        np.add.reduce(s[: len(block) + 1], axis=0, out=s[0])  # s[0] + each row, in order
-    return s[:1].T.copy()
-
-
-def _unbuffered(on: bool, op, x: np.ndarray, y, out: np.ndarray) -> np.ndarray:
-    """``op(x, y, out=out)``, elementwise; if ``on``, at numpy's smallest ufunc buffer. Numpy
-    buffers a broadcast or strided operand by min(size, 8192) entries, and on lines shorter than
-    that the copy is slower than the plain loop (CHANGES.md); an elementwise result has the same
-    bits either way. Reductions are left at the default buffer."""
-    if not on:
-        return op(x, y, out=out)
-    with np.errstate():  # which also restores the buffer size
-        np.setbufsize(_SMALL_BUFFER)
-        return op(x, y, out=out)
+    mean = np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
+    c = np.subtract(g, mean, out=np.empty_like(g)) if cfg.subtract_mean else g
+    std = np.divide(np.einsum("ij,ij->i", c, c)[:, None], n)  # row sums of squares, by a dot
+    np.sqrt(std, out=std)
+    if cfg.epsilon == 0.0 and not std.all():
+        dead = int(np.argmin(std))  # the first zero
+        raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
+    return c, mean, np.add(std, cfg.epsilon, out=std)
 
 
 def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
@@ -262,31 +240,34 @@ def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
     return _v_diag_vt(v, np.multiply(f, sigma, out=f), a)
 
 
+@_unbuffered
 def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     """V diag(``d``) V^T into the k x k ``out``, writing V and ``d``. V is orthogonal, so this is
     the Gram matrix of V sqrt(d + c) (in V's buffer, :func:`_gram`: half the flops, no row scratch)
     less c I, with c = max(0, -min d): 0 unless ``d`` is signed (then about 1e-14 of round-off)."""
     c = max(0.0, -d.min())
     np.sqrt(np.add(d, c, out=d), out=d)
-    z = _gram(_unbuffered(True, np.multiply, v, d, v), out)
+    z = _gram(np.multiply(v, d, out=v), out)
     z.reshape(-1)[:: len(z) + 1] -= c
     return z
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / ``s2`` and Z = I, as (Z / sigma,
-    sigma); each new P goes into ``p0``, which it writes. ``p0`` is either the Gram matrix, with
-    ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or its
-    eigenvalues, with ``product=np.multiply`` and ``stride=1``.
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0, q=1.0):
+    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / (s2 q q^T), ``q`` a float or an
+    m x 1 column, and Z = I, as (Z / sigma, sigma); each new P goes into ``p0``, which it writes.
+    ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the identity's diagonal every
+    ``stride = m + 1`` flat entries, or its eigenvalues, with ``product=np.multiply`` and
+    ``stride=1``.
 
     Paired, T = b (3I - P) gives Z <- T Z and P <- T (P T) in four arrays (P, T, P T, Z), and
     sigma = 1. Chained, with P~ = P / 3 and N = 3b (P~^2 - P~), the half-steps are Q = P T = -3N and
     S = b (3I - Q) = 3b (I + N), so Z <- S Z = 3b (Z + N Z) and P~ <- S Q / 3 = -3b (N + N^2): three
     arrays (P~, N, Z), and the scale sigma = (3b)^k carried as a float, folded into Z where it
     leaves (1 / ``_SIGMA``, ``_SIGMA``)."""
-    b, shape, z, sigma = step_size, p0.shape, None, 1.0
-    if update_order == "paired":
-        p, t = np.divide(p0, s2, out=p0), np.empty(shape)  # T
+    b, shape, z, sigma, paired = step_size, p0.shape, None, 1.0, update_order == "paired"
+    p = np.divide(p0, (1.0 if paired else 3.0) * s2 * q * np.transpose(q), out=p0)  # P, or P~
+    if paired:
+        t = np.empty(shape)  # T
         diag, u = t.reshape(-1)[::stride], None
         for i in range(1, iterations + 1):
             np.multiply(p, -b, out=t)  # b (3I - P): 3b is added on the diagonal
@@ -299,7 +280,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1
             else:  # T Z into P T's buffer; the old Z's becomes the spare
                 z, u = product(t, z, out=u), z
     else:
-        p, n = np.divide(p0, 3.0 * s2, out=p0), np.empty(shape)  # P~, N
+        n = np.empty(shape)
         for i in range(1, iterations + 1):
             np.multiply(np.subtract(product(p, p, out=n), p, out=n), 3.0 * b, out=n)
             sigma *= 3.0 * b
@@ -315,6 +296,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1
     return z, sigma
 
 
+@_unbuffered
 def _ns_whiten(
     g: np.ndarray,
     cfg: WhiteningConfig,
@@ -324,56 +306,57 @@ def _ns_whiten(
     w: np.ndarray | None = None,
 ) -> np.ndarray:
     """Newton-Schulz whitening of a wide ``g``: ``w - lr D`` in a new array, or D without ``w``.
-    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ is the GradNorm of ``g`` under
-    ``norm`` (``g`` itself without it), s = ||G~||_F, G~n = G~ / s, and Z the recursion on
-    G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening` and
-    :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
+    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ = S^-1 C is the GradNorm of ``g``
+    under ``norm`` (:func:`_row_stats`; ``g`` itself, S = I, without), s = ||G~||_F, G~n = G~ / s,
+    and Z the recursion on P = G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening`
+    and :func:`~swanopt.optimizers.swan_step`. G~ is never formed: C's Gram matrix is, by
+    :func:`_gram`, C is freed, and P is that Gram matrix over s^2 S S^T, s^2 = sum_i (C C^T)_ii /
+    S_i^2. Where ||C||_F^2 is outside (``_TINY``, inf), as where C's squares leave the floats near
+    |g| = 1e+-155, it is the Gram matrix of 2^e C, in C's buffer (a new one if C is g), and s^2 4^e
+    times the sum.
 
-    The Gram matrix of G~ itself is formed (:func:`_gram`) and G~ freed; s^2 = tr G~ G~^T. Where
-    s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155, it is the Gram matrix
-    of G~ scaled by a power of two, in one more m x n array. Z is then made in one of two ways:
-
-    * below 128 rows (k = m) by the matrix loop on P = G~n G~n^T, written over the Gram matrix, as
-      Z / sigma (:func:`_ns_recursion`; 3 k x k arrays chained, 4 paired). Without ``rescale``,
+    * below 128 rows (k = m) the matrix loop on P, written over the Gram matrix, gives Z / sigma
+      (:func:`_ns_recursion`; 3 k x k arrays chained, 4 paired). Without ``rescale``,
       Z' = lr sigma / s (Z / sigma), so that lr D = Z' G~; with it Z' = Z / sigma, and the rescale
       and ``lr`` are read off D = Z' G~ after the pass below, by ||D||_F.
-    * from 128 rows from the spectrum: one ``eigh`` gives V and lambda, and lambda_n = lambda / s^2,
-      clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the rescale, s and
-      ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2 lambda_n) if ``rescale``
-      and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of V sqrt(phi + c) less c I
-      (:func:`_v_diag_vt`); c = max(0, -min phi) is 0 chained and paired up to b = 2/3.
+    * from 128 rows one ``eigh`` of the Gram matrix over S S^T gives V and lambda, and lambda_n =
+      lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the
+      rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2
+      lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of
+      V sqrt(phi + c) less c I (:func:`_v_diag_vt`); c = max(0, -min phi) is 0 chained and paired
+      up to b = 2/3.
 
-    GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T,
-    with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
+    GradNorm folds in too: Z' G~ = Z'' G - u 1^T, with Z'' = Z' S^-1 and u = Z'' mu. One pass
     (:func:`_descend_columns`) on the column halves of :func:`~swanopt.matrixops._in_blocks` then
     reads ``g`` itself and writes ``w - (Z'' g - u)`` (or D, to be rescaled) into the returned
     array, in ``g``'s memory order. The fold cancels in floating point, by about 2e-15 (1 + r) with
-    r = max |mu_i| / S_i, so where r > ``_OFFSET`` G - mu 1^T goes into the returned array first,
-    by GradNorm's own subtract, and the pass reads it in place by column blocks of min(``_BLOCK``,
-    k^2) entries, or 64 columns if more, each copied by numpy's matmul. Working set: one m x n
-    array (G~, then the result) and the k x k Gram matrix, then Z'' (over it from 128 rows),
-    beside GradNorm's squares, the loop's N and Z below 128 rows (a square block peaks at 3 k^2),
-    V from 128 (its buffer holds V sqrt(phi + c); no row scratch) and on offset rows one column
-    block per thread. ``eigh``'s LAPACK workspace is outside numpy; CHANGES.md has the numbers."""
-    gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm(g, norm)
-    with np.errstate(over="ignore", invalid="ignore"):  # s^2 is checked below
-        gram, e = _gram(gt, np.empty((len(gt), len(gt)))), 0
-    s2 = gram.trace()  # ||G~||_F^2
+    r = max |mu_i| / S_i, so where r > ``_OFFSET`` G - mu 1^T goes into the returned array first
+    and the pass reads it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64 columns
+    if more, each copied by numpy's matmul. Working set: one m x n array (C, none if C is g; then
+    the result) and the k x k Gram matrix, then Z'' (over it from 128 rows), beside S S^T, the
+    loop's N and Z below 128 rows (a square block peaks at 3 k^2), V from 128 (its buffer holds
+    V sqrt(phi + c)) and on offset rows one column block per thread. ``eigh``'s LAPACK workspace is
+    outside numpy; CHANGES.md has the numbers."""
+    c, mean, std = (g, 0.0, None) if norm is None else _row_stats(g, norm)
+    q, e = 1.0 if std is None else std, 0  # Gram(G~) = Gram(C) / (q q^T)
+    with np.errstate(over="ignore", invalid="ignore"):  # the range is checked below
+        gram = _gram(c, np.empty((len(c), len(c))))
+    if not _TINY < gram.trace() < np.inf:  # ||C||_F^2 out of range: the Gram matrix of 2^e C
+        e = -math.frexp(max(-c.min(initial=0.0), c.max(initial=0.0)))[1]
+        _gram(np.ldexp(c, e, out=None if c is g else c), gram)  # in C's buffer
+    del c
+    s2 = gram.trace() if std is None else np.vdot(gram.diagonal(), np.reciprocal(np.square(std)))
     if s2 == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
-    if not _TINY < s2 < np.inf:  # squares out of range (a whiten-only g): the Gram of 2^e G~
-        e = -math.frexp(max(-gt.min(), gt.max()))[1]
-        s2 = _gram(np.ldexp(gt, e), gram).trace()
-    del gt  # G~, if GradNorm made it
     s = math.ldexp(math.sqrt(s2), -e)  # ||G~||_F
     it, small = (cfg.iterations, cfg.step_size, cfg.update_order), len(gram) < _SPECTRAL_MIN_ROWS
     late = small and rescale  # the rescale and lr read off D after the pass, not folded into Z'
     if small:
-        z, sigma = _ns_recursion(gram, *it, np.matmul, len(gram) + 1, s2)
+        z, sigma = _ns_recursion(gram, *it, np.matmul, len(gram) + 1, s2, q)
         if not late:
             np.multiply(z, lr * sigma / s, out=z)
     else:
-        lam, v = np.linalg.eigh(gram)
+        lam, v = np.linalg.eigh(np.divide(gram, q * np.transpose(q), out=gram))
         np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
         f, sigma = _ns_recursion(lam.copy(), *it, np.multiply, 1)
         norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else s / sigma
@@ -386,7 +369,7 @@ def _ns_whiten(
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g - mu into the result
         np.divide(z, std.T, out=z)
         if norm.subtract_mean and (abs(mean) > _OFFSET * std).any():
-            g = out = _unbuffered(True, np.subtract, g, mean, np.empty_like(g))
+            g = out = np.subtract(g, mean, out=np.empty_like(g))
         elif norm.subtract_mean:
             u = z @ mean
     out = np.empty_like(g) if out is None else out
@@ -404,18 +387,15 @@ def _ns_whiten(
 def _descend_columns(args, width, lo, hi) -> None:
     """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_whiten`'s pass: ``w - (Z'' g - u)``,
     or ``Z'' g - u`` without ``w`` (u = 0 if None), into ``out``. ``g`` may be ``out`` itself, each
-    block of which numpy's matmul copies before it writes it. The elementwise passes run at numpy's
-    smallest ufunc buffer (:func:`_unbuffered`)."""
+    block of which numpy's matmul copies before it writes it."""
     z, g, u, w, out = args
-    with np.errstate():  # which also restores the buffer size
-        np.setbufsize(_SMALL_BUFFER)
-        for i in range(lo * width, min(hi * width, out.shape[1]), width):
-            b = slice(i, i + width)
-            d = np.matmul(z, g[:, b], out=out[:, b])
-            if u is not None:
-                np.subtract(d, u, out=d)
-            if w is not None:
-                np.subtract(w[:, b], d, out=d)
+    for i in range(lo * width, min(hi * width, out.shape[1]), width):
+        b = slice(i, i + width)
+        d = np.matmul(z, g[:, b], out=out[:, b])
+        if u is not None:
+            np.subtract(d, u, out=d)
+        if w is not None:
+            np.subtract(w[:, b], d, out=d)
 
 
 def _gram(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -457,10 +437,10 @@ def grad_whitening(g, cfg: WhiteningConfig = WhiteningConfig()) -> np.ndarray:
     magnitude. This mode is :func:`~swanopt.optimizers.swan_step`'s whitening, run by the same
     code (:func:`_ns_whiten`), where the step folds its rate into Z', so
     ``w - lr * grad_whitening(g)`` is its ``whiten_only`` step without rescale up to round-off.
-    Rank deficiency is not rejected
-    here: from 128 rows the recursion runs on the Gram spectrum clamped at 0, but below, on square
-    GradNorm'd input, the chained default turns non-finite from 29-30 iterations (on 5, 2 and 4
-    of seeds 0-5 at 50, 64 and 100 rows; finite to 60 on the others).
+    Rank deficiency is not rejected here: from 128 rows the recursion runs on the Gram spectrum
+    clamped at 0, but below, on square GradNorm'd input, the chained default turns non-finite
+    from 28-30 iterations (on 5, 3 and 4 of seeds 0-5 at 50, 64 and 100 rows; finite to 60 on
+    the others).
     """
     g = as_matrix(g, "g")
     if g.shape[0] > g.shape[1]:

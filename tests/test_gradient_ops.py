@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from swanopt import gradient_ops
 from swanopt.gradient_ops import (
-    _BLOCK,
     GradNormConfig,
     WhiteningConfig,
-    _grad_norm,
     _ns_inverse_sqrt,
     _ns_recursion,
+    _row_stats,
     exact_polar,
     grad_norm,
     grad_whitening,
@@ -122,9 +121,10 @@ class TestGradNorm:
     def test_output_row_statistics(self, seed):
         g = random_matrix(5, 9, seed)
         out = grad_norm(g, NOEPS)
-        # bit-identical to the textbook form with numpy's own std
-        ref = (g - g.mean(axis=1, keepdims=True)) / g.std(axis=1, keepdims=True)
-        assert np.array_equal(out, ref)
+        # bit-identical to the textbook form with the row sums of squares as a row-wise dot, and
+        # within 1e-15 of it with numpy's own std
+        assert np.array_equal(out, _grad_norm_unblocked(g, NOEPS))
+        assert np.max(np.abs(out - _textbook(g, NOEPS))) <= 1e-15
         assert np.max(np.abs(out.mean(axis=1))) <= 1e-12
         assert np.max(np.abs(out.std(axis=1) - 1.0)) <= 1e-9
 
@@ -150,21 +150,26 @@ class TestGradNorm:
 
 
 def _grad_norm_unblocked(g, cfg):
-    """GradNorm as plain whole-array numpy expressions, its squares in one
-    temporary: the oracle for the row-blocked kernel's bits. A dead row under
+    """GradNorm as plain whole-array numpy expressions, in ``g``'s memory order, with the row
+    sums of squares as one row-wise dot: the oracle of the kernel's bits. A dead row under
     epsilon = 0 gives the index of the first one."""
     n = g.shape[1]
-    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g.copy()
-    std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
+    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g
+    std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n)
     dead = np.flatnonzero(std.ravel() == 0.0)
     if cfg.epsilon == 0.0 and dead.size:
         return int(dead[0])
     return c / (std + cfg.epsilon)
 
 
-# C-ordered input runs in row blocks of _BLOCK // n rows: one block, ragged
-# ones (46 + 46 + 8 and 46 + 1) and one-row blocks for n > _BLOCK; F-ordered
-# input runs as one block
+def _textbook(g, cfg):
+    """GradNorm with numpy's own mean and std (root mean square without ``subtract_mean``)."""
+    if cfg.subtract_mean:
+        return (g - g.mean(axis=1, keepdims=True)) / (g.std(axis=1, keepdims=True) + cfg.epsilon)
+    return g / (np.sqrt(np.mean(g * g, axis=1, keepdims=True)) + cfg.epsilon)
+
+
+# one short block, many short and a few very long rows, an empty one, in both memory orders
 GRAD_NORM_SHAPES = [
     (50, 50), (100, 700), (47, 700), (512, 2048), (2048, 512), (7, 40000), (1, 40000), (0, 5)
 ]
@@ -174,17 +179,21 @@ class TestGradNormBlocks:
     @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("shape", GRAD_NORM_SHAPES)
-    def test_matches_unblocked_expressions(self, shape, layout, subtract_mean, assert_same_bits):
+    def test_matches_unblocked_expressions(
+        self, shape, layout, subtract_mean, assert_same_bits, assert_close
+    ):
         g = 3.0 * random_matrix(*shape, 5) + 0.5
         g = np.asfortranarray(g) if layout == "F" else g  # as a tall block's transposed view
         cfg = GradNormConfig(subtract_mean=subtract_mean)
-        assert_same_bits(grad_norm(g, cfg), _grad_norm_unblocked(g, cfg))
+        got = grad_norm(g, cfg)
+        assert_same_bits(got, _grad_norm_unblocked(g, cfg))
+        assert_close(got, _textbook(g, cfg))
 
     @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("dead", [(0, 99), (45, 60), (93, 99), (99,)])
     def test_epsilon_zero_names_the_first_dead_row(self, dead, layout, subtract_mean):
-        g = random_matrix(100, 700, 6)  # row blocks 0-45, 46-91 and 92-99
+        g = random_matrix(100, 700, 6)
         g[list(dead)] = 2.0 if subtract_mean else 0.0
         g = np.asfortranarray(g) if layout == "F" else g
         cfg = GradNormConfig(subtract_mean=subtract_mean, epsilon=0.0)
@@ -194,21 +203,22 @@ class TestGradNormBlocks:
 
     @pytest.mark.parametrize(
         "shape, layout",
-        [((512, 2048), "C"), ((2048, 512), "C"), ((7, 40000), "C"), ((512, 2048), "F")],
+        [
+            ((512, 2048), "C"),
+            ((2048, 512), "C"),
+            ((7, 40000), "C"),
+            ((512, 2048), "F"),
+            ((64, 8192), "F"),  # an 8192 x 64 block's transposed view
+        ],
     )
     def test_working_set_is_the_output_and_one_block(self, shape, layout, warm_peak_bytes):
-        # the m x n output and one block of squares: a row block of a C-ordered input, and of
-        # an F-ordered one (from 2^17 entries) a running-sum row and the columns that fit
-        # beside it in _BLOCK entries; plus numpy's ufunc buffer for the broadcast
-        # subtraction, two per-row vectors and 4 KB for small temporaries
+        # the m x n output, which is C and then G~ = C / S in place, beside three per-row vectors
+        # (the means, the row sums of squares and std) and 4 KB for small temporaries: no
+        # squares and, at the smallest buffer, no ufunc buffer
         g = random_matrix(*shape, 7)
         g = np.asfortranarray(g) if layout == "F" else g
-        (m, n), buffer = shape, np.getbufsize()
-        if layout == "C":
-            squares = max(1, min(m, _BLOCK // n)) * n
-        else:
-            squares = (max(1, _BLOCK // m - 1) + 1) * m
-        assert warm_peak_bytes(grad_norm, g) <= (m * n + squares + buffer + 2 * m) * 8 + 4096
+        m, n = shape
+        assert warm_peak_bytes(grad_norm, g) <= (m * n + 3 * m) * 8 + 4096
 
     @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
@@ -218,16 +228,18 @@ class TestGradNormBlocks:
     def test_rebuilt_from_its_row_statistics_with_the_same_bits(
         self, shape, layout, subtract_mean, assert_same_bits, assert_close
     ):
-        # one block, ragged row blocks, one-row blocks and (F-ordered, from 2^17 entries)
-        # running sums: the kept m x 1 (mean, std + eps) that Z'' folds in are G~'s own, so
-        # (g - mean) / std rebuilds G~ whole, by row halves and by column blocks with its bits
+        # the m x 1 (mean, std + eps) that Z'' folds in are G~'s own, so (g - mean) / std
+        # rebuilds G~ whole, by row halves and by column blocks with its bits
         g = 3.0 * random_matrix(*shape, 8) - 0.5
         g = np.asfortranarray(g) if layout == "F" else g
         cfg = GradNormConfig(subtract_mean=subtract_mean)
-        first, mean, std = _grad_norm(g, cfg)
+        first = grad_norm(g, cfg)
+        c, mean, std = _row_stats(g, cfg)
         assert std.shape == (shape[0], 1)
         assert mean.shape == (shape[0], 1) if subtract_mean else mean == 0.0
+        assert (c is g) == (not subtract_mean)
         assert_same_bits(first, _grad_norm_unblocked(g, cfg))
+        assert_close(first, _textbook(g, cfg))
         whole = np.divide(np.subtract(g, mean, out=np.empty_like(first)), std)
         assert_same_bits(whole, first)
         assert_close(whole, (g - g.mean(axis=1, keepdims=True) * subtract_mean) / std)
@@ -632,6 +644,8 @@ class TestGradWhitening:
             (np.ones(3), (10, 0.8), "a must be 2-D, got ndim=1"),
             (np.eye(2), (10, 0.8, "bogus"), "update_order must be one of"),
             (np.eye(2), (0, 0.8), "iterations must be >= 1, got 0"),
+            (np.eye(2), (2.5, 0.8), "iterations must be an integer, got 2.5"),
+            (np.eye(2), (True, 0.8), "iterations must be an integer, got True"),
             (np.eye(2), (10, 5.0), "step_size must be in (0, 1], got 5.0"),
         ],
     )
@@ -726,3 +740,12 @@ class TestConfigValidation:
     def test_bad_whitening_config(self, kwargs):
         with pytest.raises(ValueError):
             WhiteningConfig(**kwargs)
+
+    @pytest.mark.parametrize("iterations", [2.5, True, False, "10", np.float64(3.0)])
+    def test_iterations_must_be_an_integer(self, iterations):
+        # a float reached range() in the recursion, and True ran one iteration
+        with pytest.raises(ValueError, match=re.escape(f"got {iterations!r}")):
+            WhiteningConfig(iterations=iterations)
+
+    def test_numpy_integer_iterations_are_accepted(self):
+        assert WhiteningConfig(iterations=np.int64(3)).iterations == 3

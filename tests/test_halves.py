@@ -203,8 +203,7 @@ def test_split_steps_keep_todays_working_set(warm_peak_bytes):
     # the bounds of tests/test_optimizers.py at 512 x 2048 and its transpose: Adam's two
     # half-size scratches take the place of one, and SWAN's column halves read g itself, so its
     # step is a warm SGD step's one m x n plus one k x k (Z''), the row statistics and the
-    # spectrum (4 vectors of length k); GradNorm's squares (a row block, or for the F-ordered
-    # transpose a running-sum block, of _BLOCK entries) and V fit within that k x k
+    # spectrum (4 vectors of length k); GradNorm holds no squares, and V fits within that k x k
     (m, n), (w, g) = (512, 2048), _wide()
     moments = random_matrix(m, n, 2), np.ones((m, n))
     state = OptimizerState(step=1, first_moment=moments[0], second_moment=moments[1])

@@ -215,17 +215,18 @@ def test_swan_step_matches_kernel_composition_and_is_pure(
 
 
 def _swan_expressions(w, g, cfg):
-    """SWAN's step as plain whole-array numpy expressions: GradNorm's squares in one temporary,
-    Z from the plain coupled Y/Z recursion below 128 rows and from 128 Z = (V f) V^T from the Gram
-    matrix's spectrum, Z G~n whole and the rescale by the product's own Frobenius norm. Without
-    Newton-Schulz the oracle of the bits, with it of the values."""
+    """SWAN's step as plain whole-array numpy expressions: G~ = C / S, in ``g``'s memory order,
+    with C's row sums of squares as one row-wise dot, Z from the plain coupled Y/Z recursion below
+    128 rows and from 128 Z = (V f) V^T from the Gram matrix's spectrum, Z G~n whole and the
+    rescale by the product's own Frobenius norm. Without Newton-Schulz the oracle of the bits, with
+    it of the values."""
     if w.shape[0] > w.shape[1]:
         return _swan_expressions(w.T, g.T, cfg).T
     gcfg, wcfg, (m, n) = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape
     g_tilde = g
     if cfg.ablation != "whiten_only":
-        c = g - np.add.reduce(g, axis=1, keepdims=True) / n if gcfg.subtract_mean else g.copy()
-        std = np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True) / n)
+        c = g - np.add.reduce(g, axis=1, keepdims=True) / n if gcfg.subtract_mean else g
+        std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n)
         g_tilde = c / (std + gcfg.epsilon)
     delta = g_tilde
     if cfg.ablation != "norm_only":
@@ -511,34 +512,20 @@ def test_spectral_whitening_is_scale_free_at_extreme_magnitudes(shape, scale, as
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
-    # k = min(m, n), with 4 KB for small temporaries. Below 128 rows the peak is the
-    # Newton-Schulz loop's 3 k x k arrays (the Gram matrix, reused for P / 3, N and Z), G~
-    # not being held across it, or GradNorm's output and squares, or after the loop Z'' and
-    # the result. From 128 rows one m x n array (G~, then the result) and one k x k (the Gram
-    # matrix, then Z'), beside
-    # GradNorm's squares first: a row block of a C-ordered (wide) G~, and of an F-ordered
-    # (tall) one all m x n below 2^17 entries, from there a running-sum block. Then V beside the
-    # Gram matrix (Z' is the Gram matrix of V sqrt(phi), with no row scratch) and the row
-    # statistics and spectrum, 4 vectors of length k; the last pass reads g itself. No bound is
-    # above the last one, m n + max(squares, 2 k^2) + 4 k, nor the unblocked step's
-    # 2 m n + 5 k^2.
+    # k = min(m, n), with 4 KB for small temporaries. One m x n array (GradNorm's centred C,
+    # then the result) beside one k x k (the Gram matrix of C, then Z' or Z''), with the row
+    # statistics and spectrum, 4 vectors of length k; GradNorm holds no squares and the last
+    # pass reads g itself. Below 128 rows the Newton-Schulz loop's 3 k x k arrays (the Gram
+    # matrix, reused for P / 3, N and Z) may peak above that, C not being held across it; from
+    # 128 V beside the Gram matrix (Z' is the Gram matrix of V sqrt(phi), with no row scratch)
+    # fits in m n + k^2. No bound is above the unblocked step's 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
-    if k < 128:
-        bound = max(3 * k * k, 2 * m * n + k * k) * 8 + 4096
-    else:
-        squares = max(1, min(m, _BLOCK // n)) * n if m <= n else _square_sums_scratch(k, max(m, n))
-        bound = (m * n + min(k * k + squares, max(squares, 2 * k * k)) + 4 * k) * 8 + 4096
+    bound = (max(3 * k * k if k < 128 else 0, m * n + k * k) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
-
-
-def _square_sums_scratch(m, n):
-    """Entries of GradNorm's squares for an F-ordered m x n G~: all of them below 2^17, from
-    there a running-sum row and the most columns that fit beside it in _BLOCK entries."""
-    return m * n if m * n < 1 << 17 else (max(1, _BLOCK // m - 1) + 1) * m
 
 
 @pytest.mark.parametrize("shape", [(16, 47), (20, 50), (40, 100), (64, 128)])
@@ -548,21 +535,107 @@ def _square_sums_scratch(m, n):
 def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(
     grad_norm_cfg, shape, warm_peak_bytes
 ):
-    # 1.5m < n < 3m: GradNorm's output beside its squares, 2 m n, sets the peak; the Gram
-    # matrix of G~ is formed beside G~ (m n + k^2), the loop holds 3 k^2 without G~, and the
-    # last pass writes D = Z'' g - u into the one new m x n beside Z'', reading g itself, with
-    # the rescale and the rate applied in place. Plus small objects (the row statistics)
+    # 1.5m < n < 3m: the Gram matrix of GradNorm's C is formed beside C (m n + k^2; without
+    # the mean subtracted C is g itself), the loop holds 3 k^2 without C, and the last pass
+    # writes D = Z'' g - u into the one new m x n beside Z'', reading g itself, with the rescale
+    # and the rate applied in place. Plus the row statistics and s^2's terms (4 vectors of
+    # length k) and 4 KB of small objects
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
     (m, n), k = shape, min(shape)
-    assert warm_peak_bytes(swan_step, w, g, cfg) <= (2 * m * n + k * k) * 8 + 1536
+    bound = (max(m * n + k * k, 3 * k * k) + 4 * k) * 8 + 4096
+    assert bound <= (2 * m * n + k * k) * 8 + 1536
+    assert warm_peak_bytes(swan_step, w, g, cfg) <= bound
+
+
+def _textbook(g, gcfg):
+    """GradNorm with numpy's own mean and std."""
+    return (g - g.mean(axis=1, keepdims=True)) / (g.std(axis=1, keepdims=True) + gcfg.epsilon)
+
+
+# Extreme inputs of GradNorm'd steps, below and from 128 rows of the wide form, in either memory
+# order: each step gives a finite result within 1e-12 of the whole-array expressions, and
+# grad_norm of the wide form one within 1e-12 of numpy's own statistics, or both a named error
+EXTREME_SHAPES = [(50, 60), (60, 50), (200, 300), (300, 200)]
+
+
+def _extreme(shape, layout, seed=12):
+    """``w`` and ``g`` of ``shape`` in ``layout``, and ``g``'s wide form (a view)."""
+    w, g = random_matrix(*shape, seed), 3.0 * random_matrix(*shape, seed + 1) + 0.5
+    g = np.asfortranarray(g) if layout == "F" else g
+    return w, g, g if shape[0] <= shape[1] else g.T
+
+
+def _check_extreme(w, g, wide, cfg, assert_close):
+    assert_close(grad_norm(wide, cfg.grad_norm_cfg), _textbook(wide, cfg.grad_norm_cfg))
+    assert_close(swan_step(w, g, cfg), _swan_expressions(w, g, cfg))
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES, ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_extreme_zero_and_constant_rows(layout, shape, assert_close):
+    # GradNorm maps them to zeros (to round-off of their means, over epsilon), and the step
+    # centres g first where their |mean| / (std + epsilon) is large
+    w, g, wide = _extreme(shape, layout)
+    wide[1], wide[3], wide[5] = 0.0, 7.5, -1e3
+    _check_extreme(w, g, wide, OptimizerConfig(kind="swan", learning_rate=0.037), assert_close)
+    assert np.all(np.abs(grad_norm(wide)[[1, 3, 5]]) <= 1e-6)
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES, ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_extreme_epsilon_zero_names_the_first_dead_row(layout, shape):
+    w, g, wide = _extreme(shape, layout)
+    wide[[7, 30]] = 2.0
+    cfg = OptimizerConfig(kind="swan", grad_norm_cfg=GradNormConfig(epsilon=0.0))
+    with pytest.raises(ValueError, match="zero-variance row 7 with epsilon=0"):
+        grad_norm(wide, cfg.grad_norm_cfg)
+    with pytest.raises(ValueError, match="zero-variance row 7 with epsilon=0"):
+        swan_step(w, g, cfg)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 300)], ids=str)
+def test_extreme_one_row(shape, assert_close):
+    # one row (of the wide form) whitens to its own direction, which the rescale returns to
+    # GradNorm's norm: the step is w - lr G~
+    w, g, wide = _extreme(shape, "C")
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037)
+    _check_extreme(w, g, wide, cfg, assert_close)
+    step = 0.037 * grad_norm(wide)
+    assert_close(swan_step(w, g, cfg), w - (step if shape[0] == 1 else step.T))
+
+
+@pytest.mark.parametrize("k", [50, 64, 200])
+def test_extreme_rank_deficient_squares(k, assert_close):
+    # a square GradNorm'd block has rank at most k - 1: every row sums to zero
+    w, g = random_matrix(k, k, 14), grad_norm(random_matrix(k, k, 15))
+    assert np.linalg.matrix_rank(grad_norm(g)) < k
+    _check_extreme(w, g, g, OptimizerConfig(kind="swan", learning_rate=0.037), assert_close)
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES, ids=str)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_extreme_magnitudes(layout, shape, assert_close):
+    # near 1e-160 C's squares are subnormal and epsilon dominates std: G~ is about 1e-152 and the
+    # Gram matrix is taken of G~ scaled by a power of two. Near 1e+160 the row sums of squares
+    # overflow, as numpy's own std does: GradNorm's rows read 0 and the step has no direction
+    w, g, wide = _extreme(shape, layout)
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037)
+    tiny = 2.0**-530
+    _check_extreme(w, tiny * g, tiny * wide, cfg, assert_close)
+    with np.errstate(over="ignore"):
+        huge, wide_huge = 2.0**530 * g, 2.0**530 * wide
+        assert_close(grad_norm(wide_huge), _textbook(wide_huge, cfg.grad_norm_cfg))
+        assert not grad_norm(wide_huge).any()
+        with pytest.raises(ValueError, match="cannot whiten an all-zero matrix"):
+            swan_step(w, huge, cfg)
 
 
 @pytest.mark.parametrize("shape", [(50, 50), (64, 64), (512, 512)])
 def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_bytes):
     # the paper's memory claim on the square blocks of quadratic_tune, the MLP and an attention
     # projection: a warm SWAN step against a warm Adam step (its three returned arrays and one
-    # block, 4 k^2 below 2^15 entries). Below 128 rows SWAN's peak is the loop's 3 k^2 (G~ not
+    # block, 4 k^2 below 2^15 entries). Below 128 rows SWAN's peak is the loop's 3 k^2 (C not
     # held across it) beside GradNorm's row statistics (2 k doubles), held for Z'' and u: one
     # k^2 below Adam's, up to those and 1 KB of small objects. From 128 one m x n and one k x k
     # beside scratch
@@ -580,9 +653,9 @@ def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_byt
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("shape", [(64, 8192), (100, 4096), (8192, 64)])
 def test_a_warm_small_wide_swan_step_is_one_m_by_n(shape, count, cpus, warm_peak_bytes):
-    # below 128 rows with n >> m: G~ is freed once its Gram matrix is formed, and the one new
-    # m x n is the result, written by the last pass (column halves read from g itself); beside it
-    # GradNorm's squares (a row block of _BLOCK entries), or the loop's k x k arrays and Z''
+    # below 128 rows with n >> m: GradNorm's C is freed once its Gram matrix is formed, and the
+    # one new m x n is the result, written by the last pass (column halves read from g itself);
+    # beside it the k x k Gram matrix, or the loop's k x k arrays and Z''
     cpus(count)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     swan = warm_peak_bytes(swan_step, w, g, OptimizerConfig(kind="swan", learning_rate=0.1))
