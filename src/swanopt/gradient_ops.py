@@ -8,12 +8,10 @@ matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
 computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy. GradNorm is one centred copy C
-of g and its row statistics (:func:`_row_stats`); whitening scales C's Gram
-matrix by them and folds them, the rescale and the rate into Z'', whose one
-pass reads g: the step holds one m x n array beside the k x k Gram matrix, and
-below 128 rows the loop's two more, so a square block peaks at 3 k^2
-(:func:`_ns_whiten` states the rule; CHANGES.md has the numbers).
+input: their public entries hand them a copy. GradNorm is one rule: one
+centred copy of g divided in place by its row statistics (:func:`_grad_norm`).
+Whitening takes its Gram matrix and frees it, and folds the statistics into
+the one pass that reads g (:func:`_ns_whiten`; CHANGES.md has the numbers).
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ _SPECTRAL_MIN_ROWS = 128
 # entries, so a block's operands stay in L2 (Adam's block sweep is in CHANGES.md).
 _BLOCK = 32768
 
-# Below this ||C||_F^2 the Gram matrix's products lose bits to subnormals; whitening then takes it
-# of C scaled by a power of two, as it does where the squares overflow
+# Below this ||G~||_F^2 the Gram matrix's products lose bits to subnormals; whitening then takes it
+# of G~ scaled by a power of two, as it does where the squares overflow
 _TINY = 1e-280
 
 # From 128 rows a GradNorm'd step centres g before its last product where some row's |mean| / (std
@@ -131,36 +129,34 @@ def grad_norm(g, cfg: GradNormConfig = GradNormConfig()) -> np.ndarray:
     statistics. A zero-variance row with ``epsilon == 0`` is rejected with the
     offending row index; with a positive epsilon such a row maps to zeros.
     """
-    return _grad_norm(as_matrix(g, "g"), cfg)
+    return _grad_norm(as_matrix(g, "g"), cfg)[0]
 
 
 def _unbuffered(fn):
-    """``fn`` at numpy's smallest ufunc buffer, in the worker too (it runs in the caller's context).
+    """``fn`` at a ufunc buffer of 64 entries, in the worker too (it runs in the caller's context).
     Numpy buffers a broadcast operand, as GradNorm's m x 1 statistics, by min(size, 8192) entries:
-    slower on short lines, as large as a small array (CHANGES.md), with the same bits."""
+    slower on rows shorter than that, as large as a small array, with the same bits; at 16, numpy's
+    smallest, the 8-entry lines of a 64 x 8 block's view run slower (CHANGES.md). GradNorm,
+    V sqrt(phi) and each column block of SWAN's last pass run so. :func:`_ns_whiten` runs GradNorm's
+    body (``__wrapped__``) and the Gram matrix in one such block, and the Newton-Schulz loop, on
+    contiguous operands, without it, so that the loop's peak holds no context and no buffer."""
 
+    @functools.wraps(fn)
     def unbuffered(*args):
-        size = np.setbufsize(16)  # entries: numpy's smallest
-        try:
+        with np.errstate():  # which also restores the buffer size
+            np.setbufsize(64)
             return fn(*args)
-        finally:
-            np.setbufsize(size)
 
-    return functools.wraps(fn)(unbuffered)
+    return unbuffered
 
 
 @_unbuffered
-def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> np.ndarray:
-    """:func:`grad_norm` of a checked ``g``: G~ = C / S (:func:`_row_stats`), in C if it is new."""
-    c, _, s = _row_stats(g, cfg)
-    return np.divide(c, s, out=None if c is g else c)
-
-
-def _row_stats(g: np.ndarray, cfg: GradNormConfig) -> tuple:
-    """GradNorm's one rule, for a checked ``g``: (C, mu, S), with the m x 1 row means mu (0.0,
-    and C ``g`` itself, without ``subtract_mean``), C = g - mu 1^T in ``g``'s memory order and
-    S = std + epsilon, std from C's row sums of squares by one row-wise dot, which allocates no
-    m x n buffer. G~ = C / S (:func:`_grad_norm`); whitening scales C's Gram matrix instead."""
+def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
+    """GradNorm's one rule, for a checked ``g``: (G~, mu, S), with the m x 1 row means mu (0.0
+    without ``subtract_mean``) and S = std + epsilon, which whitening folds into Z''. One centred
+    copy C = g - mu 1^T in ``g``'s memory order gives std by one row-wise dot of its rows, which
+    allocates no m x n buffer, and is divided in place: G~ = C / S (a new array from ``g`` itself
+    without ``subtract_mean``)."""
     n = g.shape[1]
     if cfg.subtract_mean and n < 2:
         raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
@@ -173,7 +169,8 @@ def _row_stats(g: np.ndarray, cfg: GradNormConfig) -> tuple:
     if cfg.epsilon == 0.0 and not std.all():
         dead = int(np.argmin(std))  # the first zero
         raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
-    return c, mean, np.add(std, cfg.epsilon, out=std)
+    std = np.add(std, cfg.epsilon, out=std)
+    return np.divide(c, std, out=None if c is g else c), mean, std
 
 
 def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
@@ -252,22 +249,20 @@ def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return z
 
 
-def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0, q=1.0):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / (s2 q q^T), ``q`` a float or an
-    m x 1 column, and Z = I, as (Z / sigma, sigma); each new P goes into ``p0``, which it writes.
-    ``p0`` is either the Gram matrix, with ``product=np.matmul`` and the identity's diagonal every
-    ``stride = m + 1`` flat entries, or its eigenvalues, with ``product=np.multiply`` and
-    ``stride=1``.
+def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0):
+    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / ``s2`` and Z = I, as (Z / sigma,
+    sigma); each new P goes into ``p0``, which it writes. ``p0`` is either the Gram matrix, with
+    ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or its
+    eigenvalues, with ``product=np.multiply`` and ``stride=1``.
 
     Paired, T = b (3I - P) gives Z <- T Z and P <- T (P T) in four arrays (P, T, P T, Z), and
     sigma = 1. Chained, with P~ = P / 3 and N = 3b (P~^2 - P~), the half-steps are Q = P T = -3N and
     S = b (3I - Q) = 3b (I + N), so Z <- S Z = 3b (Z + N Z) and P~ <- S Q / 3 = -3b (N + N^2): three
     arrays (P~, N, Z), and the scale sigma = (3b)^k carried as a float, folded into Z where it
     leaves (1 / ``_SIGMA``, ``_SIGMA``)."""
-    b, shape, z, sigma, paired = step_size, p0.shape, None, 1.0, update_order == "paired"
-    p = np.divide(p0, (1.0 if paired else 3.0) * s2 * q * np.transpose(q), out=p0)  # P, or P~
-    if paired:
-        t = np.empty(shape)  # T
+    b, shape, z, sigma = step_size, p0.shape, None, 1.0
+    if update_order == "paired":
+        p, t = np.divide(p0, s2, out=p0), np.empty(shape)  # T
         diag, u = t.reshape(-1)[::stride], None
         for i in range(1, iterations + 1):
             np.multiply(p, -b, out=t)  # b (3I - P): 3b is added on the diagonal
@@ -280,7 +275,7 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1
             else:  # T Z into P T's buffer; the old Z's becomes the spare
                 z, u = product(t, z, out=u), z
     else:
-        n = np.empty(shape)
+        p, n = np.divide(p0, 3.0 * s2, out=p0), np.empty(shape)  # P~, N
         for i in range(1, iterations + 1):
             np.multiply(np.subtract(product(p, p, out=n), p, out=n), 3.0 * b, out=n)
             sigma *= 3.0 * b
@@ -296,7 +291,6 @@ def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1
     return z, sigma
 
 
-@_unbuffered
 def _ns_whiten(
     g: np.ndarray,
     cfg: WhiteningConfig,
@@ -306,57 +300,60 @@ def _ns_whiten(
     w: np.ndarray | None = None,
 ) -> np.ndarray:
     """Newton-Schulz whitening of a wide ``g``: ``w - lr D`` in a new array, or D without ``w``.
-    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ = S^-1 C is the GradNorm of ``g``
-    under ``norm`` (:func:`_row_stats`; ``g`` itself, S = I, without), s = ||G~||_F, G~n = G~ / s,
-    and Z the recursion on P = G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening`
-    and :func:`~swanopt.optimizers.swan_step`. G~ is never formed: C's Gram matrix is, by
-    :func:`_gram`, C is freed, and P is that Gram matrix over s^2 S S^T, s^2 = sum_i (C C^T)_ii /
-    S_i^2. Where ||C||_F^2 is outside (``_TINY``, inf), as where C's squares leave the floats near
-    |g| = 1e+-155, it is the Gram matrix of 2^e C, in C's buffer (a new one if C is g), and s^2 4^e
-    times the sum.
+    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ is the GradNorm of ``g`` under
+    ``norm`` (:func:`_grad_norm`; ``g`` itself without it), s = ||G~||_F, G~n = G~ / s, and Z the
+    recursion on G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening` and
+    :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
 
-    * below 128 rows (k = m) the matrix loop on P, written over the Gram matrix, gives Z / sigma
-      (:func:`_ns_recursion`; 3 k x k arrays chained, 4 paired). Without ``rescale``,
+    The Gram matrix of G~ itself is formed (:func:`_gram`) and G~ freed; s^2 = tr G~ G~^T. Where
+    s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155 or where epsilon
+    dominates std near 1e-160, it is the Gram matrix of G~ scaled by a power of two, in G~'s buffer
+    (a new one if G~ is ``g``). Z is then made in one of two ways:
+
+    * below 128 rows (k = m) by the matrix loop on P = G~n G~n^T, written over the Gram matrix, as
+      Z / sigma (:func:`_ns_recursion`; 3 k x k arrays chained, 4 paired). Without ``rescale``,
       Z' = lr sigma / s (Z / sigma), so that lr D = Z' G~; with it Z' = Z / sigma, and the rescale
       and ``lr`` are read off D = Z' G~ after the pass below, by ||D||_F.
-    * from 128 rows one ``eigh`` of the Gram matrix over S S^T gives V and lambda, and lambda_n =
-      lambda / s^2, clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the
-      rescale, s and ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2
-      lambda_n) if ``rescale`` and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of
-      V sqrt(phi + c) less c I (:func:`_v_diag_vt`); c = max(0, -min phi) is 0 chained and paired
-      up to b = 2/3.
+    * from 128 rows from the spectrum: one ``eigh`` gives V and lambda, and lambda_n = lambda / s^2,
+      clamped at 0. As ||Z G~n||_F^2 = sum f^2 lambda_n with f = f_k(lambda_n), the rescale, s and
+      ``lr`` fold into Z' = V diag(phi) V^T, with phi = lr f / sqrt(sum f^2 lambda_n) if ``rescale``
+      and lr f / s if not, so that lr D = Z' G~. Z' is the Gram matrix of V sqrt(phi + c) less c I
+      (:func:`_v_diag_vt`); c = max(0, -min phi) is 0 chained and paired up to b = 2/3.
 
-    GradNorm folds in too: Z' G~ = Z'' G - u 1^T, with Z'' = Z' S^-1 and u = Z'' mu. One pass
+    GradNorm's G~ = S^-1 (G - mu 1^T), S = diag(std + epsilon), folds in too: Z' G~ = Z'' G - u 1^T,
+    with Z'' = Z' S^-1 (the columns of Z' scaled) and u = Z'' mu. One pass
     (:func:`_descend_columns`) on the column halves of :func:`~swanopt.matrixops._in_blocks` then
     reads ``g`` itself and writes ``w - (Z'' g - u)`` (or D, to be rescaled) into the returned
     array, in ``g``'s memory order. The fold cancels in floating point, by about 2e-15 (1 + r) with
     r = max |mu_i| / S_i, so where r > ``_OFFSET`` G - mu 1^T goes into the returned array first
     and the pass reads it in place by column blocks of min(``_BLOCK``, k^2) entries, or 64 columns
-    if more, each copied by numpy's matmul. Working set: one m x n array (C, none if C is g; then
-    the result) and the k x k Gram matrix, then Z'' (over it from 128 rows), beside S S^T, the
+    if more, each copied by numpy's matmul. Working set: one m x n array (G~, GradNorm's centred
+    copy, then the result) and the k x k Gram matrix, then Z'' (over it from 128 rows), beside the
     loop's N and Z below 128 rows (a square block peaks at 3 k^2), V from 128 (its buffer holds
-    V sqrt(phi + c)) and on offset rows one column block per thread. ``eigh``'s LAPACK workspace is
-    outside numpy; CHANGES.md has the numbers."""
-    c, mean, std = (g, 0.0, None) if norm is None else _row_stats(g, norm)
-    q, e = 1.0 if std is None else std, 0  # Gram(G~) = Gram(C) / (q q^T)
-    with np.errstate(over="ignore", invalid="ignore"):  # the range is checked below
-        gram = _gram(c, np.empty((len(c), len(c))))
-    if not _TINY < gram.trace() < np.inf:  # ||C||_F^2 out of range: the Gram matrix of 2^e C
-        e = -math.frexp(max(-c.min(initial=0.0), c.max(initial=0.0)))[1]
-        _gram(np.ldexp(c, e, out=None if c is g else c), gram)  # in C's buffer
-    del c
-    s2 = gram.trace() if std is None else np.vdot(gram.diagonal(), np.reciprocal(np.square(std)))
+    V sqrt(phi + c)) and on offset rows one column block per thread. GradNorm holds no squares, and
+    no context or ufunc buffer is held across the loop (:func:`_unbuffered`). ``eigh``'s LAPACK
+    workspace is outside numpy; CHANGES.md has the numbers."""
+    quiet = None if norm else "ignore"  # only a whiten-only g's squares leave the range
+    with np.errstate(over=quiet, invalid=quiet):  # s^2 is checked below
+        np.setbufsize(64)  # GradNorm at _unbuffered's buffer, restored before the loop
+        gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm.__wrapped__(g, norm)
+        gram, e = _gram(gt, np.empty((len(gt), len(gt)))), 0
+    s2 = gram.trace()  # ||G~||_F^2
     if s2 == 0.0:
         raise ValueError("cannot whiten an all-zero matrix")
+    if not _TINY < s2 < np.inf:  # squares out of range: the Gram matrix of 2^e G~
+        e = -math.frexp(max(-gt.min(), gt.max()))[1]
+        s2 = _gram(np.ldexp(gt, e, out=None if gt is g else gt), gram).trace()
+    del gt  # G~, if GradNorm made it
     s = math.ldexp(math.sqrt(s2), -e)  # ||G~||_F
     it, small = (cfg.iterations, cfg.step_size, cfg.update_order), len(gram) < _SPECTRAL_MIN_ROWS
     late = small and rescale  # the rescale and lr read off D after the pass, not folded into Z'
     if small:
-        z, sigma = _ns_recursion(gram, *it, np.matmul, len(gram) + 1, s2, q)
+        z, sigma = _ns_recursion(gram, *it, np.matmul, len(gram) + 1, s2)
         if not late:
             np.multiply(z, lr * sigma / s, out=z)
     else:
-        lam, v = np.linalg.eigh(np.divide(gram, q * np.transpose(q), out=gram))
+        lam, v = np.linalg.eigh(gram)
         np.divide(np.maximum(lam, 0.0, out=lam), s2, out=lam)
         f, sigma = _ns_recursion(lam.copy(), *it, np.multiply, 1)
         norm_d = math.sqrt(np.dot(f * f, lam)) if rescale else s / sigma
@@ -369,7 +366,7 @@ def _ns_whiten(
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g - mu into the result
         np.divide(z, std.T, out=z)
         if norm.subtract_mean and (abs(mean) > _OFFSET * std).any():
-            g = out = np.subtract(g, mean, out=np.empty_like(g))
+            g = out = _unbuffered(np.subtract)(g, mean, np.empty_like(g))
         elif norm.subtract_mean:
             u = z @ mean
     out = np.empty_like(g) if out is None else out
@@ -384,6 +381,7 @@ def _ns_whiten(
     return out if w is None else np.subtract(w, out, out=out)
 
 
+@_unbuffered
 def _descend_columns(args, width, lo, hi) -> None:
     """Blocks lo .. hi - 1 of ``width`` columns of :func:`_ns_whiten`'s pass: ``w - (Z'' g - u)``,
     or ``Z'' g - u`` without ``w`` (u = 0 if None), into ``out``. ``g`` may be ``out`` itself, each

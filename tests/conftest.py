@@ -137,17 +137,16 @@ def cpus(monkeypatch):
     return set_count
 
 
-def _ns_loop(p: np.ndarray, k: int, b: float, order: str, s2=1.0, q=1.0) -> tuple:
+def _ns_loop(p: np.ndarray, k: int, b: float, order: str, s2: float = 1.0) -> tuple:
     """(Z / sigma, sigma) of :func:`swanopt.gradient_ops._ns_recursion` on an m x m ``p`` whose P
-    is ``p`` / (s2 q q^T), ``q`` a float or an m x 1 column, restated in plain numpy with each
-    product into a new array (``p`` is not written). Paired: T = b (3I - P), then P <- T (P T) and
-    Z <- T Z, with sigma = 1. Chained, in the three-buffer form: P~ = P / 3, divided as p / (3 s2 q
-    q^T), and N = 3b (P~^2 - P~), then Z <- Z + N Z (Z_1 = I + N) and P~ <- -3b (N + N^2), with
-    sigma = (3b)^k, folded into Z where it leaves (1e-150, 1e150)."""
+    is ``p`` / ``s2``, restated in plain numpy with each product into a new array (``p`` is not
+    written). Paired: T = b (3I - P), then P <- T (P T) and Z <- T Z, with sigma = 1. Chained, in
+    the three-buffer form: P~ = P / 3 and N = 3b (P~^2 - P~), then Z <- Z + N Z (Z_1 = I + N) and
+    P~ <- -3b (N + N^2), with sigma = (3b)^k, folded into Z where it leaves (1e-150, 1e150)."""
     diagonal = slice(None, None, len(p) + 1)
     z, sigma = None, 1.0
     if order == "paired":
-        p = p / (1.0 * s2 * q * np.transpose(q))
+        p = p / s2
         for i in range(1, k + 1):
             t = np.multiply(p, -b)
             t.reshape(-1)[diagonal] += 3.0 * b
@@ -155,7 +154,7 @@ def _ns_loop(p: np.ndarray, k: int, b: float, order: str, s2=1.0, q=1.0) -> tupl
                 p = t @ (p @ t)
             z = t.copy() if z is None else t @ z
         return z, sigma
-    p = p / (3.0 * s2 * q * np.transpose(q))
+    p = p / (3.0 * s2)
     for i in range(1, k + 1):
         n = (p @ p - p) * (3.0 * b)
         sigma *= 3.0 * b
@@ -188,35 +187,35 @@ def _width(n: int, cap: int | None, m: int) -> int:
     return n if m * n <= cap else 64 * max(1, cap // m // 64 >> split)
 
 
-def _row_stats(g, norm) -> tuple:
-    """GradNorm's (C, mu, S) under GradNormConfig ``norm``, restated in plain numpy: mu the row
-    means (0.0 without ``subtract_mean``, and C then ``g`` itself), C = g - mu in ``g``'s memory
-    order and S = std + epsilon, with the row sums of squares as one row-wise dot (einsum)."""
+def _grad_norm_whole(g, norm) -> tuple:
+    """GradNorm's (G~, mu, S) under GradNormConfig ``norm``, restated in plain numpy: mu the row
+    means (0.0 without ``subtract_mean``), C = g - mu in ``g``'s memory order, S = std + epsilon
+    with C's row sums of squares as one row-wise dot (einsum), and G~ = C / S."""
     n = g.shape[1]
     mean = np.add.reduce(g, axis=1, keepdims=True) / n if norm.subtract_mean else 0.0
     c = g - mean if norm.subtract_mean else g
-    return c, mean, np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n) + norm.epsilon
+    std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n) + norm.epsilon
+    return c / std, mean, std
 
 
 def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.ndarray:
     """:func:`swanopt.gradient_ops._ns_whiten` of a wide ``g`` below 128 rows, restated in plain
-    numpy: C with its row statistics (:func:`_row_stats` under GradNormConfig ``norm``, or ``g``
-    itself with S = 1 without), s^2 = sum_i (C C^T)_ii / S_i^2, and Z / sigma from :func:`_ns_loop`
-    on the Gram matrix of C over s^2 S S^T. Where ||C||_F^2 leaves (1e-280, inf), the Gram matrix
-    of 2^e C instead, and s^2 4^e times the sum. Then Z'' = c (Z / sigma) S^-1 with
+    numpy: G~ with its row statistics (:func:`_grad_norm_whole` under GradNormConfig ``norm``, or
+    ``g`` itself without), s^2 = tr G~ G~^T (of 2^e G~ where out of (1e-280, inf)), Z / sigma from
+    :func:`_ns_loop` on the Gram matrix over s^2, then Z'' = c (Z / sigma) S^-1 with
     c = lr sigma / s, or 1 with ``rescale``, u = Z'' mu, and one pass by the column blocks of the
-    library: ``w - (Z'' g - u)``, or where some |mu_i| > 64 S_i ``w - Z'' (g - mu)``, g - mu formed
-    whole first. With ``rescale`` the pass writes D = Z'' g - u, and the step is
+    library: ``w - (Z'' g - u)``, or where some |mu_i| > 64 (std_i + epsilon) ``w - Z'' (g - mu)``,
+    g - mu formed whole first. With ``rescale`` the pass writes D = Z'' g - u, and the step is
     w - lr s D / ||D||_F. Without ``w``, D."""
-    c, mean, std = (g, 0.0, None) if norm is None else _row_stats(g, norm)
-    q = 1.0 if std is None else std
-    gram, e = _blocked_gram(c), 0
-    if not 1e-280 < np.trace(gram) < np.inf:
-        e = -np.frexp(max(-c.min(), c.max()))[1]
-        gram = _blocked_gram(np.ldexp(c, e))
-    s2 = np.trace(gram) if std is None else np.vdot(np.diagonal(gram), 1.0 / np.square(q))
+    gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm_whole(g, norm)
+    gram, e = _blocked_gram(gt), 0
+    s2 = np.trace(gram)
+    if not 1e-280 < s2 < np.inf:
+        e = -np.frexp(max(-gt.min(), gt.max()))[1]
+        gram = _blocked_gram(np.ldexp(gt, e))
+        s2 = np.trace(gram)
     s = np.ldexp(np.sqrt(s2), -e)
-    z, sigma = _ns_loop(gram, cfg.iterations, cfg.step_size, cfg.update_order, s2, q)
+    z, sigma = _ns_loop(gram, cfg.iterations, cfg.step_size, cfg.update_order, s2)
     if not rescale:
         z = z * (lr * sigma / s)
     centre = u = None

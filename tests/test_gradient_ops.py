@@ -10,8 +10,8 @@ from swanopt.gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
     _ns_inverse_sqrt,
+    _grad_norm,
     _ns_recursion,
-    _row_stats,
     exact_polar,
     grad_norm,
     grad_whitening,
@@ -214,7 +214,7 @@ class TestGradNormBlocks:
     def test_working_set_is_the_output_and_one_block(self, shape, layout, warm_peak_bytes):
         # the m x n output, which is C and then G~ = C / S in place, beside three per-row vectors
         # (the means, the row sums of squares and std) and 4 KB for small temporaries: no
-        # squares and, at the smallest buffer, no ufunc buffer
+        # squares and, at _unbuffered's 64-entry buffer, no ufunc buffer of the array's size
         g = random_matrix(*shape, 7)
         g = np.asfortranarray(g) if layout == "F" else g
         m, n = shape
@@ -233,11 +233,10 @@ class TestGradNormBlocks:
         g = 3.0 * random_matrix(*shape, 8) - 0.5
         g = np.asfortranarray(g) if layout == "F" else g
         cfg = GradNormConfig(subtract_mean=subtract_mean)
-        first = grad_norm(g, cfg)
-        c, mean, std = _row_stats(g, cfg)
+        first, mean, std = _grad_norm(g, cfg)
         assert std.shape == (shape[0], 1)
         assert mean.shape == (shape[0], 1) if subtract_mean else mean == 0.0
-        assert (c is g) == (not subtract_mean)
+        assert first is not g
         assert_same_bits(first, _grad_norm_unblocked(g, cfg))
         assert_close(first, _textbook(g, cfg))
         whole = np.divide(np.subtract(g, mean, out=np.empty_like(first)), std)
@@ -644,9 +643,9 @@ class TestGradWhitening:
             (np.ones(3), (10, 0.8), "a must be 2-D, got ndim=1"),
             (np.eye(2), (10, 0.8, "bogus"), "update_order must be one of"),
             (np.eye(2), (0, 0.8), "iterations must be >= 1, got 0"),
+            (np.eye(2), (10, 5.0), "step_size must be in (0, 1], got 5.0"),
             (np.eye(2), (2.5, 0.8), "iterations must be an integer, got 2.5"),
             (np.eye(2), (True, 0.8), "iterations must be an integer, got True"),
-            (np.eye(2), (10, 5.0), "step_size must be in (0, 1], got 5.0"),
         ],
     )
     def test_newton_schulz_rejects_bad_input(self, a, args, message):

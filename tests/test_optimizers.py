@@ -512,18 +512,22 @@ def test_spectral_whitening_is_scale_free_at_extreme_magnitudes(shape, scale, as
 )
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_bytes):
-    # k = min(m, n), with 4 KB for small temporaries. One m x n array (GradNorm's centred C,
-    # then the result) beside one k x k (the Gram matrix of C, then Z' or Z''), with the row
-    # statistics and spectrum, 4 vectors of length k; GradNorm holds no squares and the last
-    # pass reads g itself. Below 128 rows the Newton-Schulz loop's 3 k x k arrays (the Gram
-    # matrix, reused for P / 3, N and Z) may peak above that, C not being held across it; from
-    # 128 V beside the Gram matrix (Z' is the Gram matrix of V sqrt(phi), with no row scratch)
-    # fits in m n + k^2. No bound is above the unblocked step's 2 m n + 5 k^2.
+    # k = min(m, n), with 4 KB for small temporaries. One m x n array (G~, in GradNorm's
+    # centred copy, then the result) beside one k x k (the Gram matrix of G~, then Z' or Z''),
+    # with the row statistics and spectrum, 4 vectors of length k; GradNorm holds no squares and
+    # the last pass reads g itself. Below 128 rows the Newton-Schulz loop's 3 k x k arrays (the
+    # Gram matrix, reused for P / 3, N and Z) may peak above that, G~ not being held across it,
+    # and the 4 KB then covers the row statistics: no bound below 128 rows is above
+    # max(3 k^2, 2 m n + k^2). From 128 V beside the Gram matrix (Z' is the Gram matrix of
+    # V sqrt(phi), with no row scratch) fits in m n + k^2. No bound is above the unblocked step's
+    # 2 m n + 5 k^2.
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, ablation=ablation)
     swan = warm_peak_bytes(swan_step, w, g, cfg)
     (m, n), k = shape, min(shape)
     bound = (max(3 * k * k if k < 128 else 0, m * n + k * k) + 4 * k) * 8 + 4096
+    if k < 128:
+        bound = min(bound, max(3 * k * k, 2 * m * n + k * k) * 8 + 4096)
     assert bound <= (2 * m * n + 5 * k * k) * 8 + 4096
     assert swan <= bound
 
@@ -535,11 +539,11 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
 def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(
     grad_norm_cfg, shape, warm_peak_bytes
 ):
-    # 1.5m < n < 3m: the Gram matrix of GradNorm's C is formed beside C (m n + k^2; without
-    # the mean subtracted C is g itself), the loop holds 3 k^2 without C, and the last pass
-    # writes D = Z'' g - u into the one new m x n beside Z'', reading g itself, with the rescale
-    # and the rate applied in place. Plus the row statistics and s^2's terms (4 vectors of
-    # length k) and 4 KB of small objects
+    # 1.5m < n < 3m: the Gram matrix of G~ is formed beside G~ (m n + k^2; G~ is GradNorm's
+    # centred copy, divided in place, and holds no squares), the loop holds 3 k^2 without G~,
+    # and the last pass writes D = Z'' g - u into the one new m x n beside Z'', reading g
+    # itself, with the rescale and the rate applied in place. Plus the row statistics (4
+    # vectors of length k at most) and 4 KB of small objects
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
     (m, n), k = shape, min(shape)
@@ -616,13 +620,19 @@ def test_extreme_rank_deficient_squares(k, assert_close):
 @pytest.mark.parametrize("shape", EXTREME_SHAPES, ids=str)
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_extreme_magnitudes(layout, shape, assert_close):
-    # near 1e-160 C's squares are subnormal and epsilon dominates std: G~ is about 1e-152 and the
-    # Gram matrix is taken of G~ scaled by a power of two. Near 1e+160 the row sums of squares
-    # overflow, as numpy's own std does: GradNorm's rows read 0 and the step has no direction
+    # near 1e-160 the squares of g's centred rows are subnormal and epsilon dominates std: G~ is
+    # about 1e-152 and the Gram matrix is taken of G~ scaled by a power of two. With epsilon = 0
+    # std is about 1e-159, whose square leaves the floats, and G~ is of order 1. Near 1e+160 the
+    # row sums of squares overflow, as numpy's own std does: GradNorm's rows read 0 and the step
+    # has no direction
     w, g, wide = _extreme(shape, layout)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037)
     tiny = 2.0**-530
     _check_extreme(w, tiny * g, tiny * wide, cfg, assert_close)
+    exact = OptimizerConfig(
+        kind="swan", learning_rate=0.037, grad_norm_cfg=GradNormConfig(epsilon=0.0)
+    )
+    assert_close(swan_step(w, tiny * g, exact), _swan_expressions(w, tiny * g, exact))
     with np.errstate(over="ignore"):
         huge, wide_huge = 2.0**530 * g, 2.0**530 * wide
         assert_close(grad_norm(wide_huge), _textbook(wide_huge, cfg.grad_norm_cfg))
@@ -635,7 +645,7 @@ def test_extreme_magnitudes(layout, shape, assert_close):
 def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_bytes):
     # the paper's memory claim on the square blocks of quadratic_tune, the MLP and an attention
     # projection: a warm SWAN step against a warm Adam step (its three returned arrays and one
-    # block, 4 k^2 below 2^15 entries). Below 128 rows SWAN's peak is the loop's 3 k^2 (C not
+    # block, 4 k^2 below 2^15 entries). Below 128 rows SWAN's peak is the loop's 3 k^2 (G~ not
     # held across it) beside GradNorm's row statistics (2 k doubles), held for Z'' and u: one
     # k^2 below Adam's, up to those and 1 KB of small objects. From 128 one m x n and one k x k
     # beside scratch
@@ -653,8 +663,8 @@ def test_swan_step_memory_is_at_most_adams_on_square_blocks(shape, warm_peak_byt
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("shape", [(64, 8192), (100, 4096), (8192, 64)])
 def test_a_warm_small_wide_swan_step_is_one_m_by_n(shape, count, cpus, warm_peak_bytes):
-    # below 128 rows with n >> m: GradNorm's C is freed once its Gram matrix is formed, and the
-    # one new m x n is the result, written by the last pass (column halves read from g itself);
+    # below 128 rows with n >> m: G~ is freed once its Gram matrix is formed, and the one new
+    # m x n is the result, written by the last pass (column halves read from g itself);
     # beside it the k x k Gram matrix, or the loop's k x k arrays and Z''
     cpus(count)
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
