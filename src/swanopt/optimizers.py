@@ -146,8 +146,8 @@ def swan_step(w, g, cfg: OptimizerConfig) -> np.ndarray:
     G~, then Z'', into which the rescale, the rate and GradNorm's row statistics fold), beside,
     below 128 rows, the loop's two more k x k arrays (a square block peaks at 3 k^2), from 128 V,
     whose buffer holds V sqrt(phi + c) at any step size, and ``eigh``'s uncounted LAPACK
-    workspace. The rule is
-    ``gradient_ops._ns_whiten``'s, the numbers CHANGES.md's. Exact mode keeps its SVD and buffers.
+    workspace. The rule is ``gradient_ops._ns_whiten``'s, the numbers CHANGES.md's. Exact mode
+    keeps its SVD and buffers.
     """
     w, g = np.asarray(w), np.asarray(g)
     if w.ndim == 2 and w.shape == g.shape and w.shape[0] > w.shape[1]:  # checked once, transposed
@@ -163,7 +163,7 @@ def _swan(w: np.ndarray, g: np.ndarray, cfg: OptimizerConfig, lr: float) -> np.n
         return _swan(w.T, g.T, cfg, lr).T
     norm = None if cfg.ablation == "whiten_only" else cfg.grad_norm_cfg
     if cfg.ablation != "norm_only" and cfg.whitening_cfg.mode == "newton_schulz":
-        return _ns_whiten(g, cfg.whitening_cfg, norm, cfg.swan_rescale, lr, w)
+        return _ns_whiten(g, cfg.whitening_cfg, norm, cfg.swan_rescale, lr, w)  # G~'s one owner
     g_tilde = g if norm is None else _grad_norm(g, norm)[0]  # a new array but whiten-only
     if cfg.ablation == "norm_only":
         return _descend(w, g_tilde, lr)
