@@ -7,11 +7,11 @@ through an SVD or approximately through a Newton-Schulz iteration, run as
 matrix products on a small Gram matrix G G^T and on its eigenvalues from 128
 rows on; ``orthogonalize`` is the exact factor for either shape.
 ``rescale_update`` restores the Frobenius norm of a reference matrix onto a
-computed update direction. The Newton-Schulz and rescale kernels write their
-input: their public entries hand them a copy. GradNorm is one rule: one
-centred copy of g divided in place by its row statistics (:func:`_grad_norm`).
-Whitening takes its Gram matrix and frees it, and folds the statistics into
-the one pass that reads g (:func:`_ns_whiten`; CHANGES.md has the numbers).
+computed update direction. The rescale kernel writes its input: its public
+entry hands it a copy. GradNorm is one rule: one centred copy of g divided in
+place by its row statistics (:func:`_grad_norm`). Whitening takes its Gram
+matrix and frees it, and folds the statistics into the one pass that reads g
+(:func:`_ns_whiten`, the one place that decides how Z is made).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "grad_norm",
     "grad_whitening",
     "exact_polar",
-    "newton_schulz_inverse_sqrt",
     "rescale_update",
     "orthogonalize",
 ]
@@ -90,7 +89,7 @@ class WhiteningConfig:
     G G^T inside (0, 1], where the iteration is well behaved.
 
     ``update_order`` selects how the coupled Y/Z recursions advance (both
-    track Z and P = Z Y, see :func:`newton_schulz_inverse_sqrt`):
+    track Z and P = Z Y, see :func:`_ns_recursion`):
 
     * ``"chained"``: Y is overwritten first and the Z update reads the new Y
       (the two assignments executed in order). At step_size 0.8 this contracts
@@ -164,12 +163,15 @@ def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
         raise ValueError("grad_norm needs at least one column")
     mean = np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
     c = np.subtract(g, mean, out=np.empty_like(g)) if cfg.subtract_mean else g
-    std = np.divide(np.einsum("ij,ij->i", c, c)[:, None], n)  # row sums of squares, by a dot
-    np.sqrt(std, out=std)
+    std = np.einsum("ij,ij->i", c, c)  # row sums of squares, by a dot
+    np.sqrt(np.divide(std, n, out=std), out=std)
+    if std.dot(std) == np.inf:  # some rows' squares overflow: their norms by _fro's rescue
+        for i in np.flatnonzero(std == np.inf):
+            std[i] = _fro(c[i]) / math.sqrt(n)
     if cfg.epsilon == 0.0 and not std.all():
         dead = int(np.argmin(std))  # the first zero
         raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
-    std = np.add(std, cfg.epsilon, out=std)
+    std = np.add(std[:, None], cfg.epsilon)  # new, not a view: one object held across the loop
     return np.divide(c, std, out=None if c is g else c), mean, std
 
 
@@ -193,55 +195,12 @@ def _exact_polar(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vt, s
 
 
-def newton_schulz_inverse_sqrt(
-    a, iterations: int, step_size: float, update_order: str = "chained"
-) -> np.ndarray:
-    """Run the coupled Newton-Schulz recursion from Y=a, Z=I; return Z.
-
-    Each iteration applies ``Y <- b Y (3I - Z Y)`` and ``Z <- b (3I - Z Y) Z`` with b =
-    ``step_size``, in either order of :class:`WhiteningConfig`. With ``step_size=0.5``,
-    ``update_order="paired"`` and the spectrum of ``a`` inside (0, 2), Z converges to
-    ``a^{-1/2}``. The iterates are polynomials in ``a`` and commute, so the recursion tracks
-    P = Z Y for Y: with T = b (3I - P), ``paired`` sets Z <- T Z, P <- T (P T), and
-    ``chained`` sets Z <- S Z, P <- S Q with Q = P T and S = b (3I - Q).
-
-    ``a`` is a Gram matrix (symmetric positive semidefinite) and is not written. Below 128 rows
-    the recursion runs on matrices: 3k - 2 m x m products chained and 3k - 3 paired (Z_1 is I + N_1
-    or T_1 itself; the last P, and paired its P T, are not read), chained in 3 m x m arrays (a copy
-    of ``a``, which holds P / 3, and N and Z, whose scale (3b)^k is carried as a float;
-    :func:`_ns_recursion`), paired in 4 (P, T, P T and Z). From 128 rows it runs on the spectrum: Z
-    is a polynomial f_k(a), so one ``eigh`` of ``a`` (which reads its lower triangle) gives Z = V
-    f_k(lambda) V^T in the copy of ``a`` beside V, one Gram matrix also where f is signed (paired
-    on eigenvalues above 3; :func:`_v_diag_vt`). The eigenvalues are clamped at 0 first: on a
-    rank-deficient ``a`` the round-off negatives are what the recursion grows by about 9 b^2 per
-    iteration. Agrees with the matrix loop to round-off. Arguments as :class:`WhiteningConfig`'s.
-    """
-    WhiteningConfig(iterations, step_size, update_order=update_order)  # checks the arguments
-    a = as_matrix(a, "a")
-    if a.shape[1] != a.shape[0]:
-        raise ValueError("newton_schulz_inverse_sqrt needs a square matrix")
-    return _ns_inverse_sqrt(a.copy(), iterations, step_size, update_order)
-
-
-def _ns_inverse_sqrt(a: np.ndarray, iterations, step_size, update_order):
-    """:func:`newton_schulz_inverse_sqrt` of a square ``a``, which it writes: P goes into ``a``
-    beside 2 m x m arrays below 128 rows (N and Z; paired 3: T, P T and Z), and from 128 Z
-    beside V (:func:`_v_diag_vt`)."""
-    m = len(a)
-    if m < _SPECTRAL_MIN_ROWS:
-        z, sigma = _ns_recursion(a, iterations, step_size, update_order, np.matmul, m + 1)
-        return np.multiply(z, sigma, out=z)
-    lam, v = np.linalg.eigh(a)
-    np.maximum(lam, 0.0, out=lam)
-    f, sigma = _ns_recursion(lam, iterations, step_size, update_order, np.multiply, 1)
-    return _v_diag_vt(v, np.multiply(f, sigma, out=f), a)
-
-
 @_unbuffered
 def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """V diag(``d``) V^T into the k x k ``out``, writing V and ``d``. V is orthogonal, so this is
-    the Gram matrix of V sqrt(d + c) (in V's buffer, :func:`_gram`: half the flops, no row scratch)
-    less c I, with c = max(0, -min d): 0 unless ``d`` is signed (then about 1e-14 of round-off)."""
+    """Z' = V diag(``d``) V^T of :func:`_ns_whiten` into the k x k ``out``, writing V and ``d``. V
+    is orthogonal, so this is the Gram matrix of V sqrt(d + c) (in V's buffer, :func:`_gram`: half
+    the flops, no row scratch) less c I, with c = max(0, -min d): 0 unless ``d`` is signed, which
+    only the paired order above b = 2/3 makes (then about 1e-14 of round-off)."""
     c = max(0.0, -d.min())
     np.sqrt(np.add(d, c, out=d), out=d)
     z = _gram(np.multiply(v, d, out=v), out)
@@ -250,8 +209,11 @@ def _v_diag_vt(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _ns_recursion(p0, iterations, step_size, update_order, product, stride, s2=1.0):
-    """Z of :func:`newton_schulz_inverse_sqrt` from P = ``p0`` / ``s2`` and Z = I, as (Z / sigma,
-    sigma); each new P goes into ``p0``, which it writes. ``p0`` is either the Gram matrix, with
+    """Z of the coupled Newton-Schulz recursion from Y = a = ``p0`` / ``s2`` and Z = I, as (Z /
+    sigma, sigma): each iteration applies Y <- b Y (3I - Z Y) and Z <- b (3I - Z Y) Z with b =
+    ``step_size``, in either order of :class:`WhiteningConfig`; paired at b = 0.5 with the spectrum
+    of a inside (0, 2), Z -> a^{-1/2}. The iterates are polynomials in a and commute, so P = Z Y
+    stands for Y, each new P into ``p0``, which it writes. ``p0`` is either the Gram matrix, with
     ``product=np.matmul`` and the identity's diagonal every ``stride = m + 1`` flat entries, or its
     eigenvalues, with ``product=np.multiply`` and ``stride=1``.
 

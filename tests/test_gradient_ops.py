@@ -9,17 +9,15 @@ from swanopt import gradient_ops
 from swanopt.gradient_ops import (
     GradNormConfig,
     WhiteningConfig,
-    _ns_inverse_sqrt,
     _grad_norm,
     _ns_recursion,
     exact_polar,
     grad_norm,
     grad_whitening,
-    newton_schulz_inverse_sqrt,
     orthogonalize,
     rescale_update,
 )
-from swanopt.matrixops import random_matrix, sample_stiefel, sym_eig
+from swanopt.matrixops import random_matrix, sample_stiefel
 
 EXACT = WhiteningConfig(mode="exact_eig")
 NOEPS = GradNormConfig(epsilon=0.0)
@@ -369,16 +367,13 @@ class TestGradWhitening:
             assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_classical_z_converges_to_inverse_sqrt(self):
-        # beta = 0.5 paired is the classical coupling: Z_k -> (g g^T)^{-1/2};
-        # the m = 128 case runs on the Gram spectrum
+        # beta = 0.5 paired is the classical coupling: Z_k -> (g g^T)^{-1/2}, so Z g is the
+        # exact polar factor; the m = 128 case runs on the Gram spectrum
+        cfg = WhiteningConfig(iterations=40, step_size=0.5, update_order="paired")
         cases = [(seed, 16) for seed in range(5)] + [(0, 128)]
         for seed, m in cases:
             g = conditioned_gradient(seed, m=m, n=2 * m, kappa=100.0)
-            a = g @ g.T
-            z = newton_schulz_inverse_sqrt(a, 40, 0.5, "paired")
-            dec = sym_eig(a)
-            target = dec.eigenvectors @ np.diag(dec.eigenvalues**-0.5) @ dec.eigenvectors.T
-            assert np.linalg.norm(z - target) <= 1e-6
+            assert np.linalg.norm(grad_whitening(g, cfg) - exact_polar(g)[0]) <= 1e-6
 
     @pytest.mark.parametrize("order, beta, k", NS_CASES)
     def test_newton_schulz_matches_plain_recursion(self, order, beta, k):
@@ -433,32 +428,21 @@ class TestGradWhitening:
             f = f_k(lam, k, b, "chained")
             assert_close(f, plain_f(lam, k, b))
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("order", ["chained", "paired"])
-    def test_newton_schulz_working_set(self, order, warm_peak_bytes):
-        m = 50
+    @pytest.mark.parametrize("m", [50, 300, 512])
+    def test_newton_schulz_working_set(self, m, order, layout, warm_peak_bytes):
+        # an m x 2m g: below 128 rows the loop's k x k arrays (the Gram matrix, reused for P / 3,
+        # N and Z chained, for P, T, P T and Z paired), then Z'' and the result; from 128 the Gram
+        # matrix, then Z' over it, and the result (V and the spectrum are freed before it). Measured
+        # at 50 x 100: 3 k^2 + 1455 B chained and 4 k^2 + 1191 B paired; at 300 x 600 and
+        # 512 x 1024: k^2 + m n + 1703 B on one CPU and at most + 3127 B on two
         g = conditioned_gradient(2, m=m, n=2 * m)
-        a = g @ g.T
-        # chained: the copy of a (P / 3), N and Z; paired: P, T, P T and Z
-        peak = warm_peak_bytes(newton_schulz_inverse_sqrt, a, 10, 0.8, order)
-        assert peak <= (4 if order == "chained" else 5) * m * m * 8 + 2048
-
-    @pytest.mark.parametrize("order", ["chained", "paired"])
-    @pytest.mark.parametrize("m, squares", [(50, 2), (300, 1), (512, 1)])
-    def test_owned_newton_schulz_working_set(self, m, squares, order, warm_peak_bytes):
-        # beside the owned a: below 128 rows N and Z chained, T, P T and Z paired; from 128 V,
-        # whose buffer holds V sqrt(f) (Z goes into a as its Gram matrix, with no row scratch),
-        # and the spectral path's eigenvalues and recursion vectors (4 of length m)
-        g = conditioned_gradient(2, m=m, n=2 * m)
-        a0 = g @ g.T
-        a = a0.copy()
-
-        def owned():
-            np.copyto(a, a0)
-            return _ns_inverse_sqrt(a, 10, 0.8, order)
-
-        vectors = 4 * m if m >= 128 else 0
-        squares += m < 128 and order == "paired"
-        assert warm_peak_bytes(owned) <= (squares * m * m + vectors) * 8 + 2048
+        g = np.asfortranarray(g) if layout == "F" else g
+        cfg = WhiteningConfig(update_order=order)
+        squares = (3 if order == "chained" else 4) if m < 128 else 0
+        bound = max(squares * m * m, m * m + g.size) * 8 + 4096
+        assert warm_peak_bytes(grad_whitening, g, cfg) <= bound
 
     @pytest.mark.parametrize("k", [1, 2, 10])
     @pytest.mark.parametrize("order", ["chained", "paired"])
@@ -469,31 +453,28 @@ class TestGradWhitening:
         g = conditioned_gradient(5, m=m, n=2 * m)
         a = g @ g.T
         z, sigma = ns_loop(a, k, 0.8, order)
-        whole = plain_ns_z(a, k, 0.8, order)
-        assert_same_bits(_ns_inverse_sqrt(a.copy(), k, 0.8, order), z * sigma, whole)
+        got, got_sigma = _ns_recursion(a.copy(), k, 0.8, order, np.matmul, m + 1)
+        assert got_sigma == sigma
+        assert_same_bits(got, z, plain_ns_z(a, k, 0.8, order) / sigma)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [20, 127, 128, 192, 300])
     def test_public_recursion_leaves_a_read_only_input_unwritten(
-        self, m, order, assert_same_bits, blocked_spectral, ns_loop
+        self, m, order, layout, assert_same_bits
     ):
-        # the owned body runs on a copy: the bits of the products into new arrays (below
-        # 128 rows) and from 128 of the Gram matrix of V sqrt(f(lambda)) (f > 0 on this
-        # spectrum; within the tolerance of the whole product V f(lambda) V^T)
+        # whitening reads g and writes only arrays of its own: a read-only g keeps its bytes and
+        # gives a writable copy's bits, below 128 rows within 1e-12 of the plain Y/Z recursion
         g = conditioned_gradient(7, m=m, n=2 * m)
-        a = g @ g.T
-        before = a.tobytes()
-        a.flags.writeable = False  # any write to a raises
-        z = newton_schulz_inverse_sqrt(a, 10, 0.8, order)
-        assert a.tobytes() == before
-        if m < 128:
-            loop, sigma = ns_loop(a, 10, 0.8, order)
-            assert_same_bits(z, loop * sigma, plain_ns_z(a, 10, 0.8, order))
-        else:
-            lam, v = np.linalg.eigh(a)
-            f = f_k(np.maximum(lam, 0.0), 10, 0.8, order)
-            assert f.min() > 0.0
-            assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
+        g = np.asfortranarray(g) if layout == "F" else g
+        cfg = WhiteningConfig(update_order=order)
+        want = grad_whitening(g.copy(order="K"), cfg)
+        before = g.tobytes(order="A")
+        g.flags.writeable = False  # any write to g raises
+        got = grad_whitening(g, cfg)
+        assert g.tobytes(order="A") == before
+        whole = plain_ns_whitening(g, 10, 0.8, order) if m < 128 else None
+        assert_same_bits(got, want, whole)
 
     @pytest.mark.parametrize("order", ["chained", "paired"])
     @pytest.mark.parametrize("m", [128, 192, 300, 407, 512, 1024])
@@ -508,7 +489,7 @@ class TestGradWhitening:
         lam, v = np.linalg.eigh(a)
         f = f_k(np.maximum(lam, 0.0), 10, 0.8, order)
         owned = a.copy()
-        z = _ns_inverse_sqrt(owned, 10, 0.8, order)
+        z = gradient_ops._v_diag_vt(v.copy(), f.copy(), owned)
         assert z is owned
         assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
 
@@ -547,26 +528,6 @@ class TestGradWhitening:
         assert f.min() < 0.0 < f.max()
         assert_close(got, ((v * f) @ v.T) @ g / np.sqrt(s2))
 
-    def test_a_public_input_with_eigenvalues_above_3_takes_v_diag_vt(
-        self, monkeypatch, assert_same_bits, blocked_spectral
-    ):
-        # an unnormalized Gram matrix with its spectrum in [0, 3.5], paired at b = 0.5: T_1 =
-        # b (3 - lambda) < 0 above 3, so f is signed and Z is the one Gram matrix formed, of
-        # V sqrt(f + c), less c I: its bits, within 1e-12 of the whole product V f V^T
-        g = random_matrix(200, 400, 1)
-        a = g @ g.T
-        a *= 3.5 / np.linalg.eigvalsh(a)[-1]
-        grams, gram = [], gradient_ops._gram
-        monkeypatch.setattr(
-            gradient_ops, "_gram", lambda x, out: grams.append(x.shape) or gram(x, out)
-        )
-        z = newton_schulz_inverse_sqrt(a, 2, 0.5, "paired")
-        assert grams == [a.shape]
-        lam, v = np.linalg.eigh(a)
-        f = f_k(np.maximum(lam, 0.0), 2, 0.5, "paired")
-        assert f.min() < 0.0 < f.max()
-        assert_same_bits(z, blocked_spectral(v, f), (v * f) @ v.T)
-
     @pytest.mark.parametrize(
         "shape, seed, k, b",
         [((160, 320), 0, 10, 1.0), ((512, 2048), 0, 10, 1.0), ((200, 400), 1, 2, 0.5)],
@@ -574,7 +535,7 @@ class TestGradWhitening:
     )
     def test_a_signed_spectrum_is_within_1e_12_of_v_diag_vt(self, shape, seed, k, b, assert_close):
         # paired b = 1 on the trace-normalized spectrum of G with one row scaled by 40, as the
-        # spectral step runs it, and b = 0.5 on a public Gram matrix with eigenvalues up to 3.5:
+        # spectral step runs it, and b = 0.5 on a Gram matrix with eigenvalues up to 3.5:
         # f is signed, and the Gram matrix of V sqrt(f + c) less c I is within 1e-12 of
         # V diag(f) V^T (largest error measured: 1.7e-14)
         g = random_matrix(*shape, seed)
@@ -634,23 +595,6 @@ class TestGradWhitening:
 
             _ns_recursion(p0, k, 0.8, order, counting, stride)
             assert len(calls) == 3 * k - unread
-
-    @pytest.mark.parametrize(
-        "a, args, message",
-        [
-            (np.ones((2, 3)), (10, 0.8), "newton_schulz_inverse_sqrt needs a square matrix"),
-            (np.array([[1.0, np.nan], [np.nan, 1.0]]), (10, 0.8), "a contains non-finite entries"),
-            (np.ones(3), (10, 0.8), "a must be 2-D, got ndim=1"),
-            (np.eye(2), (10, 0.8, "bogus"), "update_order must be one of"),
-            (np.eye(2), (0, 0.8), "iterations must be >= 1, got 0"),
-            (np.eye(2), (10, 5.0), "step_size must be in (0, 1], got 5.0"),
-            (np.eye(2), (2.5, 0.8), "iterations must be an integer, got 2.5"),
-            (np.eye(2), (True, 0.8), "iterations must be an integer, got True"),
-        ],
-    )
-    def test_newton_schulz_rejects_bad_input(self, a, args, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            newton_schulz_inverse_sqrt(a, *args)
 
     def test_chained_defaults_bounded_and_improving(self):
         for seed in range(5):
@@ -727,17 +671,21 @@ class TestConfigValidation:
             GradNormConfig(epsilon=-1.0)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(iterations=0),
-            dict(step_size=0.0),
-            dict(step_size=1.5),
-            dict(mode="pade"),
-            dict(update_order="zigzag"),
+            (dict(iterations=0), "iterations must be >= 1, got 0"),
+            (dict(step_size=0.0), "step_size must be in (0, 1], got 0.0"),
+            (dict(step_size=1.5), "step_size must be in (0, 1], got 1.5"),
+            (dict(step_size=5.0), "step_size must be in (0, 1], got 5.0"),
+            (dict(mode="pade"), "mode must be one of"),
+            (dict(update_order="zigzag"), "update_order must be one of"),
+            (dict(update_order="bogus"), "update_order must be one of"),
+            (dict(iterations=2.5), "iterations must be an integer, got 2.5"),
+            (dict(iterations=True), "iterations must be an integer, got True"),
         ],
     )
-    def test_bad_whitening_config(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_bad_whitening_config(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             WhiteningConfig(**kwargs)
 
     @pytest.mark.parametrize("iterations", [2.5, True, False, "10", np.float64(3.0)])

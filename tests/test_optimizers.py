@@ -622,9 +622,10 @@ def test_extreme_rank_deficient_squares(k, assert_close):
 def test_extreme_magnitudes(layout, shape, assert_close):
     # near 1e-160 the squares of g's centred rows are subnormal and epsilon dominates std: G~ is
     # about 1e-152 and the Gram matrix is taken of G~ scaled by a power of two. With epsilon = 0
-    # std is about 1e-159, whose square leaves the floats, and G~ is of order 1. Near 1e+160 the
-    # row sums of squares overflow, as numpy's own std does: GradNorm's rows read 0 and the step
-    # has no direction
+    # std is about 1e-159, whose square leaves the floats, and G~ is of order 1. From 2^508 (about
+    # 8e152) the row sums of squares overflow, as numpy's own std does: GradNorm takes those rows'
+    # std of the rows scaled by a power of two, so it and the step are scale-free there, and
+    # epsilon is negligible beside std
     w, g, wide = _extreme(shape, layout)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037)
     tiny = 2.0**-530
@@ -633,12 +634,17 @@ def test_extreme_magnitudes(layout, shape, assert_close):
         kind="swan", learning_rate=0.037, grad_norm_cfg=GradNormConfig(epsilon=0.0)
     )
     assert_close(swan_step(w, tiny * g, exact), _swan_expressions(w, tiny * g, exact))
-    with np.errstate(over="ignore"):
-        huge, wide_huge = 2.0**530 * g, 2.0**530 * wide
-        assert_close(grad_norm(wide_huge), _textbook(wide_huge, cfg.grad_norm_cfg))
-        assert not grad_norm(wide_huge).any()
-        with pytest.raises(ValueError, match="cannot whiten an all-zero matrix"):
-            swan_step(w, huge, cfg)
+    for e in (508, 530):
+        huge = 2.0**e
+        c = huge * (wide - wide.mean(axis=1, keepdims=True))
+        assert np.isinf(np.einsum("ij,ij->i", c, c)).all()
+        for subtract_mean in (True, False):
+            norm = GradNormConfig(subtract_mean=subtract_mean)
+            want = grad_norm(wide, GradNormConfig(subtract_mean=subtract_mean, epsilon=0.0))
+            assert_close(grad_norm(huge * wide, norm), want)
+        step = swan_step(w, huge * g, cfg)
+        assert np.all(np.isfinite(step))
+        assert_close(step, swan_step(w, g, exact))
 
 
 @pytest.mark.parametrize("shape", [(50, 50), (64, 64), (512, 512)])
