@@ -62,15 +62,8 @@ _SIGMA = 1e150
 
 @dataclass(frozen=True)
 class GradNormConfig:
-    """Row standardization settings.
+    """GradNorm's one setting: ``epsilon`` is added to each row's std to guard constant rows."""
 
-    ``subtract_mean=False`` drops the per-row mean (taking it as 0) and uses
-    the per-row root-mean-square in place of the standard deviation, a cheaper
-    variant that behaves identically when row means are small. ``epsilon`` is
-    added to the std denominator to guard zero-variance rows.
-    """
-
-    subtract_mean: bool = True
     epsilon: float = 1e-8
 
     def __post_init__(self):
@@ -151,28 +144,27 @@ def _unbuffered(fn):
 
 @_unbuffered
 def _grad_norm(g: np.ndarray, cfg: GradNormConfig) -> tuple:
-    """GradNorm's one rule, for a checked ``g``: (G~, mu, S), with the m x 1 row means mu (0.0
-    without ``subtract_mean``) and S = std + epsilon, which whitening folds into Z''. One centred
-    copy C = g - mu 1^T in ``g``'s memory order gives std by one row-wise dot of its rows, which
-    allocates no m x n buffer, and is divided in place: G~ = C / S (a new array from ``g`` itself
-    without ``subtract_mean``)."""
+    """GradNorm's one rule, for a checked ``g``: (G~, mu, S), with the m x 1 row means mu and
+    S = std + epsilon, which whitening folds into Z''. One centred copy C = g - mu 1^T in ``g``'s
+    memory order gives std by one row-wise dot of its rows, which allocates no m x n buffer, and
+    is divided in place: G~ = C / S. Rows whose squares overflow, or with epsilon = 0 whose std is
+    below sqrt(``_TINY``), take it from :func:`_fro`: scale-free at both ends, so that a row is dead
+    with epsilon = 0 only if its norm is 0."""
     n = g.shape[1]
-    if cfg.subtract_mean and n < 2:
-        raise ValueError(f"grad_norm with subtract_mean needs >= 2 columns, got {n}")
-    if n < 1:
-        raise ValueError("grad_norm needs at least one column")
-    mean = np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else 0.0
-    c = np.subtract(g, mean, out=np.empty_like(g)) if cfg.subtract_mean else g
+    if n < 2:
+        raise ValueError(f"grad_norm needs >= 2 columns, got {n}")
+    mean = np.add.reduce(g, axis=1, keepdims=True) / n
+    c = np.subtract(g, mean, out=np.empty_like(g))
     std = np.einsum("ij,ij->i", c, c)  # row sums of squares, by a dot
     np.sqrt(np.divide(std, n, out=std), out=std)
-    if std.dot(std) == np.inf:  # some rows' squares overflow: their norms by _fro's rescue
-        for i in np.flatnonzero(std == np.inf):
+    low = math.sqrt(_TINY) if cfg.epsilon == 0.0 else 0.0  # below, subnormal squares set std
+    if std.dot(std) == np.inf or low and std.min(initial=low) < low:  # out of range: _fro's rescue
+        for i in np.flatnonzero((std == np.inf) | (std < low)):
             std[i] = _fro(c[i]) / math.sqrt(n)
-    if cfg.epsilon == 0.0 and not std.all():
-        dead = int(np.argmin(std))  # the first zero
-        raise ValueError(f"zero-variance row {dead} with epsilon=0 (division by zero)")
+    if cfg.epsilon == 0.0 and not std.all():  # name the first zero
+        raise ValueError(f"zero-variance row {np.argmin(std)} with epsilon=0 (division by zero)")
     std = np.add(std[:, None], cfg.epsilon)  # new, not a view: one object held across the loop
-    return np.divide(c, std, out=None if c is g else c), mean, std
+    return np.divide(c, std, out=c), mean, std
 
 
 def exact_polar(g) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +253,11 @@ def _ns_whiten(
     lr: float = 1.0,
     w: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Newton-Schulz whitening of a wide ``g``: ``w - lr D`` in a new array, or D without ``w``.
-    D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ is the GradNorm of ``g`` under
-    ``norm`` (:func:`_grad_norm`; ``g`` itself without it), s = ||G~||_F, G~n = G~ / s, and Z the
-    recursion on G~n G~n^T. The one Newton-Schulz path of :func:`grad_whitening` and
-    :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
+    """Newton-Schulz whitening of a wide ``g``: ``w - lr D`` in a new array, or D without ``w``,
+    which ``rescale`` needs. D = Z G~n, scaled to Frobenius norm s if ``rescale``, where G~ is the
+    GradNorm of ``g`` under ``norm`` (:func:`_grad_norm`; ``g`` itself without it), s = ||G~||_F,
+    G~n = G~ / s, and Z the recursion on G~n G~n^T. The one Newton-Schulz path of
+    :func:`grad_whitening` and :func:`~swanopt.optimizers.swan_step`, and the one owner of G~.
 
     The Gram matrix of G~ itself is formed (:func:`_gram`) and G~ freed; s^2 = tr G~ G~^T. Where
     s^2 is outside (``_TINY``, inf), as for a whiten-only ``g`` near 1e+-155 or where epsilon
@@ -327,9 +319,9 @@ def _ns_whiten(
     out = u = None
     if std is not None:  # Z'' = Z' S^-1; then u = Z'' mu, or on offset rows g - mu into the result
         np.divide(z, std.T, out=z)
-        if norm.subtract_mean and (abs(mean) > _OFFSET * std).any():
+        if (abs(mean) > _OFFSET * std).any():
             g = out = _unbuffered(np.subtract)(g, mean, np.empty_like(g))
-        elif norm.subtract_mean:
+        else:
             u = z @ mean
     out = np.empty_like(g) if out is None else out
     args, cap = (z, g, u, None if late else w, out), min(_BLOCK, z.size) if g is out else None
@@ -337,10 +329,7 @@ def _ns_whiten(
         _descend_columns(args, out.shape[1], 0, 1)
     else:  # column halves from g, or capped column blocks from the centred result
         _in_blocks(_descend_columns, args, out, 1, 64, cap)
-    if not late:
-        return out
-    _rescale(out, lr * s)  # lr D from D = Z'' g - u
-    return out if w is None else np.subtract(w, out, out=out)
+    return np.subtract(w, _rescale(out, lr * s), out=out) if late else out  # late: w - lr D
 
 
 @_unbuffered

@@ -189,11 +189,11 @@ def _width(n: int, cap: int | None, m: int) -> int:
 
 def _grad_norm_whole(g, norm) -> tuple:
     """GradNorm's (G~, mu, S) under GradNormConfig ``norm``, restated in plain numpy: mu the row
-    means (0.0 without ``subtract_mean``), C = g - mu in ``g``'s memory order, S = std + epsilon
-    with C's row sums of squares as one row-wise dot (einsum), and G~ = C / S."""
+    means, C = g - mu in ``g``'s memory order, S = std + epsilon with C's row sums of squares as
+    one row-wise dot (einsum), and G~ = C / S."""
     n = g.shape[1]
-    mean = np.add.reduce(g, axis=1, keepdims=True) / n if norm.subtract_mean else 0.0
-    c = g - mean if norm.subtract_mean else g
+    mean = np.add.reduce(g, axis=1, keepdims=True) / n
+    c = g - mean
     std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n) + norm.epsilon
     return c / std, mean, std
 
@@ -206,7 +206,7 @@ def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.
     c = lr sigma / s, or 1 with ``rescale``, u = Z'' mu, and one pass by the column blocks of the
     library: ``w - (Z'' g - u)``, or where some |mu_i| > 64 (std_i + epsilon) ``w - Z'' (g - mu)``,
     g - mu formed whole first. With ``rescale`` the pass writes D = Z'' g - u, and the step is
-    w - lr s D / ||D||_F. Without ``w``, D."""
+    w - lr s D / ||D||_F. Without ``w``, which ``rescale`` needs, D."""
     gt, mean, std = (g, 0.0, None) if norm is None else _grad_norm_whole(g, norm)
     gram, e = _blocked_gram(gt), 0
     s2 = np.trace(gram)
@@ -221,9 +221,9 @@ def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.
     centre = u = None
     if std is not None:
         z = z / std.T
-        if norm.subtract_mean and np.any(np.abs(mean) > 64.0 * std):
+        if np.any(np.abs(mean) > 64.0 * std):
             centre = mean
-        elif norm.subtract_mean:
+        else:
             u = z @ mean
     out, m, n = np.empty_like(g), *g.shape
     x = g if centre is None else g - centre
@@ -239,8 +239,7 @@ def _folded_tail(w, g, norm, cfg, rescale: bool = False, lr: float = 1.0) -> np.
             out[:, b] = d
     if rescale:
         out *= lr * s / np.linalg.norm(out)
-        if w is not None:
-            out = np.subtract(w, out, out=out)
+        out = np.subtract(w, out, out=out)
     return out
 
 

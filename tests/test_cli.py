@@ -30,6 +30,16 @@ class TestExitCodes:
         assert run(["--out-dir", str(tmp_path), "run", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_removed_subtract_mean_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "[problem]\nkind = quadratic\nm = 4\nn = 4\n"
+            "[optimizer:a]\nkind = swan\ngradnorm_subtract_mean = no\n"
+        )
+        assert run(["--out-dir", str(tmp_path / "out"), "run", str(cfg)]) == 1
+        assert "unknown key 'gradnorm_subtract_mean'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_whitening_value_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(

@@ -106,14 +106,6 @@ class TestGradNorm:
         with pytest.raises(ValueError, match="g contains non-finite entries"):
             grad_norm(g)
 
-    def test_rms_mode(self):
-        g = np.array([[3.0, -4.0]])
-        cfg = GradNormConfig(subtract_mean=False, epsilon=0.0)
-        rms = np.sqrt((9.0 + 16.0) / 2.0)
-        assert np.allclose(grad_norm(g, cfg), g / rms, atol=1e-14)
-        # single column is fine without mean subtraction
-        assert np.allclose(grad_norm(np.array([[2.0]]), cfg), [[1.0]])
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_output_row_statistics(self, seed):
@@ -152,7 +144,7 @@ def _grad_norm_unblocked(g, cfg):
     sums of squares as one row-wise dot: the oracle of the kernel's bits. A dead row under
     epsilon = 0 gives the index of the first one."""
     n = g.shape[1]
-    c = g - np.add.reduce(g, axis=1, keepdims=True) / n if cfg.subtract_mean else g
+    c = g - np.add.reduce(g, axis=1, keepdims=True) / n
     std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n)
     dead = np.flatnonzero(std.ravel() == 0.0)
     if cfg.epsilon == 0.0 and dead.size:
@@ -161,10 +153,8 @@ def _grad_norm_unblocked(g, cfg):
 
 
 def _textbook(g, cfg):
-    """GradNorm with numpy's own mean and std (root mean square without ``subtract_mean``)."""
-    if cfg.subtract_mean:
-        return (g - g.mean(axis=1, keepdims=True)) / (g.std(axis=1, keepdims=True) + cfg.epsilon)
-    return g / (np.sqrt(np.mean(g * g, axis=1, keepdims=True)) + cfg.epsilon)
+    """GradNorm with numpy's own mean and std."""
+    return (g - g.mean(axis=1, keepdims=True)) / (g.std(axis=1, keepdims=True) + cfg.epsilon)
 
 
 # one short block, many short and a few very long rows, an empty one, in both memory orders
@@ -174,30 +164,25 @@ GRAD_NORM_SHAPES = [
 
 
 class TestGradNormBlocks:
-    @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("shape", GRAD_NORM_SHAPES)
-    def test_matches_unblocked_expressions(
-        self, shape, layout, subtract_mean, assert_same_bits, assert_close
-    ):
+    def test_matches_unblocked_expressions(self, shape, layout, assert_same_bits, assert_close):
         g = 3.0 * random_matrix(*shape, 5) + 0.5
         g = np.asfortranarray(g) if layout == "F" else g  # as a tall block's transposed view
-        cfg = GradNormConfig(subtract_mean=subtract_mean)
+        cfg = GradNormConfig()
         got = grad_norm(g, cfg)
         assert_same_bits(got, _grad_norm_unblocked(g, cfg))
         assert_close(got, _textbook(g, cfg))
 
-    @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("dead", [(0, 99), (45, 60), (93, 99), (99,)])
-    def test_epsilon_zero_names_the_first_dead_row(self, dead, layout, subtract_mean):
+    def test_epsilon_zero_names_the_first_dead_row(self, dead, layout):
         g = random_matrix(100, 700, 6)
-        g[list(dead)] = 2.0 if subtract_mean else 0.0
+        g[list(dead)] = 2.0
         g = np.asfortranarray(g) if layout == "F" else g
-        cfg = GradNormConfig(subtract_mean=subtract_mean, epsilon=0.0)
-        assert _grad_norm_unblocked(g, cfg) == dead[0]
+        assert _grad_norm_unblocked(g, NOEPS) == dead[0]
         with pytest.raises(ValueError, match=f"zero-variance row {dead[0]} with epsilon=0"):
-            grad_norm(g, cfg)
+            grad_norm(g, NOEPS)
 
     @pytest.mark.parametrize(
         "shape, layout",
@@ -218,33 +203,31 @@ class TestGradNormBlocks:
         m, n = shape
         assert warm_peak_bytes(grad_norm, g) <= (m * n + 3 * m) * 8 + 4096
 
-    @pytest.mark.parametrize("subtract_mean", [True, False])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize(
         "shape", [(16, 64), (50, 50), (64, 8), (100, 700), (7, 40000), (512, 2048), (300, 1001)]
     )
     def test_rebuilt_from_its_row_statistics_with_the_same_bits(
-        self, shape, layout, subtract_mean, assert_same_bits, assert_close
+        self, shape, layout, assert_same_bits, assert_close
     ):
         # the m x 1 (mean, std + eps) that Z'' folds in are G~'s own, so (g - mean) / std
         # rebuilds G~ whole, by row halves and by column blocks with its bits
         g = 3.0 * random_matrix(*shape, 8) - 0.5
         g = np.asfortranarray(g) if layout == "F" else g
-        cfg = GradNormConfig(subtract_mean=subtract_mean)
+        cfg = GradNormConfig()
         first, mean, std = _grad_norm(g, cfg)
-        assert std.shape == (shape[0], 1)
-        assert mean.shape == (shape[0], 1) if subtract_mean else mean == 0.0
+        assert std.shape == mean.shape == (shape[0], 1)
         assert first is not g
         assert_same_bits(first, _grad_norm_unblocked(g, cfg))
         assert_close(first, _textbook(g, cfg))
         whole = np.divide(np.subtract(g, mean, out=np.empty_like(first)), std)
         assert_same_bits(whole, first)
-        assert_close(whole, (g - g.mean(axis=1, keepdims=True) * subtract_mean) / std)
+        assert_close(whole, (g - g.mean(axis=1, keepdims=True)) / std)
         (m, n), half = shape, -(-shape[0] // 2)
         rows, columns = np.empty_like(first), np.empty_like(first)
         for i in range(0, m, half):
             b = slice(i, i + half)
-            rows[b] = (g[b] - (mean[b] if subtract_mean else mean)) / std[b]
+            rows[b] = (g[b] - mean[b]) / std[b]
         for j in range(0, n, 64):
             b = slice(j, j + 64)
             columns[:, b] = (g[:, b] - mean) / std

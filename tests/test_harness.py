@@ -242,10 +242,11 @@ class TestRunExperiment:
     def test_config_hash_is_pinned(self):
         # every scientific field of a fixed spec, nested configs included, feeds
         # the hash; its value is pinned so that old run directories stay comparable
+        # (it moved once, from 8de6a01f00102027, when GradNormConfig lost subtract_mean)
         swan = OptimizerConfig(
             kind="swan",
             learning_rate=0.02,
-            grad_norm_cfg=GradNormConfig(epsilon=1e-6, subtract_mean=False),
+            grad_norm_cfg=GradNormConfig(epsilon=1e-6),
             whitening_cfg=WhiteningConfig(mode="exact_eig"),
         )
         optimizers = (
@@ -254,7 +255,7 @@ class TestRunExperiment:
         )
         problem = ProblemSpec("quadratic", seed=4, m=11, n=6, kappa=50.0, c_scale=0.7)
         spec = ExperimentSpec(problem, optimizers, 77, 3, 5, 1e-3, "x", "json")
-        assert spec_hash(spec) == "8de6a01f00102027"
+        assert spec_hash(spec) == "69ecbbc70d24a067"
         assert spec_hash(ExperimentSpec(problem, optimizers, 77, 3, 5, 1e-3)) == spec_hash(spec)
         assert spec_hash(ExperimentSpec(problem, optimizers, 77, 3, 6, 1e-3)) != spec_hash(spec)
 
@@ -341,7 +342,7 @@ class TestConfigParsing:
             "c_scale = 0.5\namplitude = 3.0\ninit_scale = 0.25\n"
             "[optimizer:a]\nkind = adam\nlearning_rate = 0.02\nadam_beta1 = 0.8\n"
             "adam_beta2 = 0.99\nadam_epsilon = 1e-6\nswan_rescale = false\n"
-            "ablation = norm_only\ngradnorm_subtract_mean = no\ngradnorm_epsilon = 1e-6\n"
+            "ablation = norm_only\ngradnorm_epsilon = 1e-6\n"
             "whiten_iterations = 12\nwhiten_step_size = 0.5\nwhiten_mode = exact_eig\n"
             "whiten_update_order = paired\northogonal_init = yes\nschedule = linear_decay\n"
             "warmup_fraction = 0.2\n"
@@ -356,7 +357,7 @@ class TestConfigParsing:
             (spec.problem, dict(amplitude=3.0, init_scale=0.25)),
             (cfg, dict(kind="adam", learning_rate=0.02, adam_beta1=0.8, adam_beta2=0.99)),
             (cfg, dict(adam_epsilon=1e-6, swan_rescale=False, ablation="norm_only")),
-            (cfg.grad_norm_cfg, dict(subtract_mean=False, epsilon=1e-6)),
+            (cfg.grad_norm_cfg, dict(epsilon=1e-6)),
             (cfg.whitening_cfg, dict(iterations=12, step_size=0.5, mode="exact_eig")),
             (cfg.whitening_cfg, dict(update_order="paired")),
             (desc, dict(name="a", orthogonal_init=True, schedule="linear_decay")),
@@ -378,3 +379,12 @@ class TestConfigParsing:
         path.write_text(GOOD_CONFIG + "whiten_pre_normalize = true\n")
         with pytest.raises(ConfigError, match="whiten_pre_normalize"):
             parse_config(path)
+
+    def test_removed_subtract_mean_key_rejected(self, tmp_path):
+        # GradNorm always centres its rows: the root-mean-square variant is gone
+        path = tmp_path / "exp.cfg"
+        path.write_text(GOOD_CONFIG + "gradnorm_subtract_mean = no\n")
+        with pytest.raises(ConfigError, match="unknown key 'gradnorm_subtract_mean'"):
+            parse_config(path)
+        with pytest.raises(TypeError, match="subtract_mean"):
+            GradNormConfig(subtract_mean=False)

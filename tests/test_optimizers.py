@@ -225,7 +225,7 @@ def _swan_expressions(w, g, cfg):
     gcfg, wcfg, (m, n) = cfg.grad_norm_cfg, cfg.whitening_cfg, g.shape
     g_tilde = g
     if cfg.ablation != "whiten_only":
-        c = g - np.add.reduce(g, axis=1, keepdims=True) / n if gcfg.subtract_mean else g
+        c = g - np.add.reduce(g, axis=1, keepdims=True) / n
         std = np.sqrt(np.einsum("ij,ij->i", c, c)[:, None] / n)
         g_tilde = c / (std + gcfg.epsilon)
     delta = g_tilde
@@ -307,12 +307,11 @@ def test_swan_step_matches_unblocked_expressions(case, ablation, check_swan_step
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"grad_norm_cfg": GradNormConfig(subtract_mean=False)},  # a tall c is C-ordered
         {"grad_norm_cfg": GradNormConfig(epsilon=0.0)},
         {"whitening_cfg": WhiteningConfig(update_order="paired", step_size=0.5)},
         {"swan_rescale": False},
     ],
-    ids=["rms", "epsilon0", "paired", "no_rescale"],
+    ids=["epsilon0", "paired", "no_rescale"],
 )
 @pytest.mark.parametrize("shape", [(512, 2048), (2048, 512), (130, 1216), (50, 50)])
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -438,19 +437,15 @@ def test_rows_constant_under_epsilon_match_centring_first(
     assert not _fused(last_pass)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"grad_norm_cfg": GradNormConfig(subtract_mean=False)}, {"ablation": "whiten_only"}],
-    ids=["rms", "whiten_only"],
-)
 @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_steps_without_means_never_centre(layout, shape, kwargs, last_pass, check_swan_step):
-    # one row at |mean| / std = 2R, which a GradNorm'd step centres (more such rows, or larger
-    # means, would be nearly parallel without GradNorm's subtract, and ill-conditioned)
+def test_steps_without_means_never_centre(layout, shape, last_pass, check_swan_step):
+    # one row at |mean| / std = 2R, which a GradNorm'd step centres, in a whiten-only step (more
+    # such rows, or larger means, would be nearly parallel without GradNorm, and ill-conditioned)
     w, g, rows = _offset_rows(shape, layout, 0.0)
     rows[1] += 2 * gradient_ops._OFFSET
-    check_swan_step(w, g, OptimizerConfig(kind="swan", learning_rate=0.037, **kwargs))
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.037, ablation="whiten_only")
+    check_swan_step(w, g, cfg)
     assert _fused(last_pass)
 
 
@@ -533,19 +528,14 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
 
 
 @pytest.mark.parametrize("shape", [(16, 47), (20, 50), (40, 100), (64, 128)])
-@pytest.mark.parametrize(
-    "grad_norm_cfg", [GradNormConfig(), GradNormConfig(subtract_mean=False)], ids=["std", "rms"]
-)
-def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(
-    grad_norm_cfg, shape, warm_peak_bytes
-):
+def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(shape, warm_peak_bytes):
     # 1.5m < n < 3m: the Gram matrix of G~ is formed beside G~ (m n + k^2; G~ is GradNorm's
     # centred copy, divided in place, and holds no squares), the loop holds 3 k^2 without G~,
     # and the last pass writes D = Z'' g - u into the one new m x n beside Z'', reading g
     # itself, with the rescale and the rate applied in place. Plus the row statistics (4
     # vectors of length k at most) and 4 KB of small objects
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
-    cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.1)
     (m, n), k = shape, min(shape)
     bound = (max(m * n + k * k, 3 * k * k) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + k * k) * 8 + 1536
@@ -622,10 +612,11 @@ def test_extreme_rank_deficient_squares(k, assert_close):
 def test_extreme_magnitudes(layout, shape, assert_close):
     # near 1e-160 the squares of g's centred rows are subnormal and epsilon dominates std: G~ is
     # about 1e-152 and the Gram matrix is taken of G~ scaled by a power of two. With epsilon = 0
-    # std is about 1e-159, whose square leaves the floats, and G~ is of order 1. From 2^508 (about
-    # 8e152) the row sums of squares overflow, as numpy's own std does: GradNorm takes those rows'
-    # std of the rows scaled by a power of two, so it and the step are scale-free there, and
-    # epsilon is negligible beside std
+    # GradNorm takes the std of rows below 1e-140 from the rows scaled by a power of two, so that
+    # it and the step are scale-free down to 2^-600 (about 2e-181), where the squares are all 0,
+    # and a row is dead only if it is constant. From 2^508 (about 8e152) the row sums of squares
+    # overflow, as numpy's own std does: GradNorm takes those rows' std of the rows scaled by a
+    # power of two, so it and the step are scale-free there, and epsilon is negligible beside std
     w, g, wide = _extreme(shape, layout)
     cfg = OptimizerConfig(kind="swan", learning_rate=0.037)
     tiny = 2.0**-530
@@ -633,18 +624,23 @@ def test_extreme_magnitudes(layout, shape, assert_close):
     exact = OptimizerConfig(
         kind="swan", learning_rate=0.037, grad_norm_cfg=GradNormConfig(epsilon=0.0)
     )
-    assert_close(swan_step(w, tiny * g, exact), _swan_expressions(w, tiny * g, exact))
+    unit_norm, unit_step = grad_norm(wide, exact.grad_norm_cfg), swan_step(w, g, exact)
+    for e in (-520, -530, -540, -600):
+        tiny = 2.0**e
+        assert_close(grad_norm(tiny * wide, exact.grad_norm_cfg), unit_norm)
+        assert_close(swan_step(w, tiny * g, exact), unit_step)
+    flat = tiny * wide
+    flat[7] = tiny
+    with pytest.raises(ValueError, match="zero-variance row 7 with epsilon=0"):
+        grad_norm(flat, exact.grad_norm_cfg)
     for e in (508, 530):
         huge = 2.0**e
         c = huge * (wide - wide.mean(axis=1, keepdims=True))
         assert np.isinf(np.einsum("ij,ij->i", c, c)).all()
-        for subtract_mean in (True, False):
-            norm = GradNormConfig(subtract_mean=subtract_mean)
-            want = grad_norm(wide, GradNormConfig(subtract_mean=subtract_mean, epsilon=0.0))
-            assert_close(grad_norm(huge * wide, norm), want)
+        assert_close(grad_norm(huge * wide), unit_norm)
         step = swan_step(w, huge * g, cfg)
         assert np.all(np.isfinite(step))
-        assert_close(step, swan_step(w, g, exact))
+        assert_close(step, unit_step)
 
 
 @pytest.mark.parametrize("shape", [(50, 50), (64, 64), (512, 512)])
