@@ -164,25 +164,47 @@ GRAD_NORM_SHAPES = [
 
 
 class TestGradNormBlocks:
+    @pytest.mark.parametrize("cfg", [GradNormConfig(), NOEPS], ids=["epsilon", "epsilon0"])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("shape", GRAD_NORM_SHAPES)
-    def test_matches_unblocked_expressions(self, shape, layout, assert_same_bits, assert_close):
+    def test_matches_unblocked_expressions(
+        self, shape, layout, cfg, assert_same_bits, assert_close
+    ):
+        # epsilon = 0 adds the check for rows below sqrt(_TINY), which rows of order 1 never meet
         g = 3.0 * random_matrix(*shape, 5) + 0.5
         g = np.asfortranarray(g) if layout == "F" else g  # as a tall block's transposed view
-        cfg = GradNormConfig()
         got = grad_norm(g, cfg)
         assert_same_bits(got, _grad_norm_unblocked(g, cfg))
         assert_close(got, _textbook(g, cfg))
 
+    @pytest.mark.parametrize("fill", [2.0, 0.0, -(2.0**-600)], ids=["two", "zero", "tiny"])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("dead", [(0, 99), (45, 60), (93, 99), (99,)])
-    def test_epsilon_zero_names_the_first_dead_row(self, dead, layout):
+    def test_epsilon_zero_names_the_first_dead_row(self, dead, layout, fill):
+        # a constant row is dead at any magnitude: at 2^-600 its std is taken again from _fro of
+        # its centred row, which is 0 too
         g = random_matrix(100, 700, 6)
-        g[list(dead)] = 2.0
+        g[list(dead)] = fill
         g = np.asfortranarray(g) if layout == "F" else g
         assert _grad_norm_unblocked(g, NOEPS) == dead[0]
         with pytest.raises(ValueError, match=f"zero-variance row {dead[0]} with epsilon=0"):
             grad_norm(g, NOEPS)
+
+    @pytest.mark.parametrize("e", [-520, -530, -540, -600, -800, -1000])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(50, 60), (200, 300)])
+    def test_epsilon_zero_is_scale_free_at_the_small_end(self, shape, layout, e, assert_close):
+        # below 2^-510 the squares of the centred rows are subnormal, and from 2^-540 they are
+        # all 0: with epsilon = 0 rows whose std is below sqrt(_TINY) take it from _fro, so G~ is
+        # that of the unscaled rows and S scales with them
+        g = 3.0 * random_matrix(*shape, 13) + 0.5
+        g = np.asfortranarray(g) if layout == "F" else g
+        tiny = 2.0**e
+        unit, _, unit_std = _grad_norm(g, NOEPS)
+        got, _, std = _grad_norm(tiny * g, NOEPS)
+        assert_close(got, unit)
+        assert_close(std / tiny, unit_std)
+        assert np.all(std > 0.0)
 
     @pytest.mark.parametrize(
         "shape, layout",
@@ -203,18 +225,18 @@ class TestGradNormBlocks:
         m, n = shape
         assert warm_peak_bytes(grad_norm, g) <= (m * n + 3 * m) * 8 + 4096
 
+    @pytest.mark.parametrize("cfg", [GradNormConfig(), NOEPS], ids=["epsilon", "epsilon0"])
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize(
         "shape", [(16, 64), (50, 50), (64, 8), (100, 700), (7, 40000), (512, 2048), (300, 1001)]
     )
     def test_rebuilt_from_its_row_statistics_with_the_same_bits(
-        self, shape, layout, assert_same_bits, assert_close
+        self, shape, layout, cfg, assert_same_bits, assert_close
     ):
         # the m x 1 (mean, std + eps) that Z'' folds in are G~'s own, so (g - mean) / std
         # rebuilds G~ whole, by row halves and by column blocks with its bits
         g = 3.0 * random_matrix(*shape, 8) - 0.5
         g = np.asfortranarray(g) if layout == "F" else g
-        cfg = GradNormConfig()
         first, mean, std = _grad_norm(g, cfg)
         assert std.shape == mean.shape == (shape[0], 1)
         assert first is not g

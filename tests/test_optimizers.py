@@ -528,14 +528,19 @@ def test_swan_step_memory_is_sgd_plus_gram_buffers(ablation, shape, warm_peak_by
 
 
 @pytest.mark.parametrize("shape", [(16, 47), (20, 50), (40, 100), (64, 128)])
-def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(shape, warm_peak_bytes):
+@pytest.mark.parametrize(
+    "grad_norm_cfg", [GradNormConfig(), GradNormConfig(epsilon=0.0)], ids=["std", "epsilon0"]
+)
+def test_small_wide_swan_steps_peak_within_gradnorm_and_one_gram(
+    grad_norm_cfg, shape, warm_peak_bytes
+):
     # 1.5m < n < 3m: the Gram matrix of G~ is formed beside G~ (m n + k^2; G~ is GradNorm's
     # centred copy, divided in place, and holds no squares), the loop holds 3 k^2 without G~,
     # and the last pass writes D = Z'' g - u into the one new m x n beside Z'', reading g
     # itself, with the rescale and the rate applied in place. Plus the row statistics (4
     # vectors of length k at most) and 4 KB of small objects
     w, g = random_matrix(*shape, 0), random_matrix(*shape, 1)
-    cfg = OptimizerConfig(kind="swan", learning_rate=0.1)
+    cfg = OptimizerConfig(kind="swan", learning_rate=0.1, grad_norm_cfg=grad_norm_cfg)
     (m, n), k = shape, min(shape)
     bound = (max(m * n + k * k, 3 * k * k) + 4 * k) * 8 + 4096
     assert bound <= (2 * m * n + k * k) * 8 + 1536
