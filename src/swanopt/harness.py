@@ -11,10 +11,11 @@ optimizer whose loss turns non-finite, or whose step or loss raises a
 
 Every step comes from the one step table, :func:`swanopt.optimizers.make_step`.
 Inputs are checked where they enter: the spec dataclasses check their
-fields, the problem's ``loss_and_grad`` checks each iterate, and the step
-entries trust the arrays the harness hands them. One ``loss_and_grad`` call
-per step gives the loss at the new iterate and the gradient the next step
-takes.
+fields and the problem's ``loss_and_grad`` checks W0. Later iterates are the
+steps' own, trusted by the problem's unchecked ``_loss_and_grad`` and the step
+entries; a non-finite one shows as a non-finite loss, and numpy's overflow
+and invalid warnings are off for the whole run. One ``_loss_and_grad`` call
+per step gives the loss at the new iterate and the gradient the next step takes.
 
 Specs can be built in code or parsed from a flat INI-style config file with
 one ``[optimizer:NAME]`` section per optimizer. Its keys are the field names
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -204,12 +206,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     ``out_dir`` is set, one trajectory file per optimizer and a strict-JSON
     ``summary.json`` are written.
 
-    The problem's ``loss_and_grad`` runs once at W0 and once per step, at the
-    new iterate; the step after takes that gradient. It checks every iterate
-    (a non-finite one is a ``ValueError``, so a diverged run). A finite loss
-    implies a finite gradient, so the step entries take their arrays
-    unchecked; only W0's gradient, which no finite loss vouches for yet, is
-    checked inside the first step.
+    The problem's checked ``loss_and_grad`` runs once, at W0; each step then
+    runs its unchecked body ``_loss_and_grad`` at the new iterate, whose
+    gradient the next step takes. A non-finite iterate gives a non-finite
+    loss, so a diverged run; numpy's overflow and invalid warnings are off for
+    the whole loop. A finite loss implies a finite gradient, so the step
+    entries take their arrays unchecked; only W0's gradient, which no finite
+    loss vouches for yet, is checked inside the first step.
     """
     try:
         problem = spec.problem.build()
@@ -238,35 +241,35 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         initial_excess = loss - l_star
         diverged_at = cause = None
         steps_to_threshold = None
-        for t in range(1, spec.steps + 1):
-            if desc.schedule == "linear_decay":
-                lr = linear_warmup_decay(
-                    t - 1, spec.steps, desc.config.learning_rate, desc.warmup_fraction
-                )
-            else:
-                lr = desc.config.learning_rate
-            try:
-                if t == 1:  # no finite loss vouches for W0's gradient
-                    as_matrix(g, "g")
-                w_next, state, eta, info = step(w, g, state, lr)
-                loss, g_next = problem.loss_and_grad(w_next)
-            except ValueError as exc:
-                cause = str(exc)
-            else:
-                if not np.isfinite(loss):
-                    cause = "non-finite loss"
-            if cause is not None:
-                diverged_at = t
-                break
-            excess = loss - l_star
-            if (
-                steps_to_threshold is None
-                and initial_excess > 0
-                and excess / initial_excess <= spec.threshold
-            ):
-                steps_to_threshold = t
-            if t % spec.record_every == 0 or t == spec.steps:
-                with np.errstate(over="ignore", invalid="ignore"):  # a norm may overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite loss
+            for t in range(1, spec.steps + 1):
+                if desc.schedule == "linear_decay":
+                    lr = linear_warmup_decay(
+                        t - 1, spec.steps, desc.config.learning_rate, desc.warmup_fraction
+                    )
+                else:
+                    lr = desc.config.learning_rate
+                try:
+                    if t == 1:  # no finite loss vouches for W0's gradient
+                        as_matrix(g, "g")
+                    w_next, state, eta, info = step(w, g, state, lr)
+                    loss, g_next = problem._loss_and_grad(w_next)
+                except ValueError as exc:
+                    cause = str(exc)
+                else:
+                    if not math.isfinite(loss):
+                        cause = "non-finite loss"
+                if cause is not None:
+                    diverged_at = t
+                    break
+                excess = loss - l_star
+                if (
+                    steps_to_threshold is None
+                    and initial_excess > 0
+                    and excess / initial_excess <= spec.threshold
+                ):
+                    steps_to_threshold = t
+                if t % spec.record_every == 0 or t == spec.steps:
                     records.append(
                         TrajectoryRecord(
                             step=t,
@@ -278,7 +281,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                             diag1=info,
                         )
                     )
-            w, g = w_next, g_next
+                w, g = w_next, g_next
         trajectories[desc.name] = records
         rows[desc.name] = {
             "final_loss": records[-1].loss if records else None,

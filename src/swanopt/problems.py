@@ -47,7 +47,8 @@ class QuadraticProblem:
     symmetrized H, which is also its check. A :meth:`seeded` problem keeps the factors
     :func:`make_spd` builds H from, so its spectrum is exactly the constructed lam. C defaults to
     the square zero matrix. The loss is <W, 1/2 H W - C>, one matrix product (by blocks,
-    CHANGES.md); :meth:`loss_and_grad` shares that product with the gradient H W - C."""
+    CHANGES.md); :meth:`loss_and_grad` shares that product with the gradient H W - C. It checks W
+    and runs the unchecked body ``_loss_and_grad``, where a non-finite W gives a non-finite loss."""
 
     def __init__(self, h, c=None):
         h = as_matrix(h, "h")
@@ -104,8 +105,11 @@ class QuadraticProblem:
         product H w. Where the loss is finite, so is the gradient."""
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            hw = _matmul_blocks(self.h, w)
-            return self._loss(w, hw), _subtract(hw, self.c)
+            return self._loss_and_grad(w)
+
+    def _loss_and_grad(self, w) -> tuple[float, np.ndarray]:
+        hw = _matmul_blocks(self.h, w)
+        return self._loss(w, hw), _subtract(hw, self.c)
 
     def _loss(self, w, hw) -> float:
         return float(np.vdot(w, 0.5 * hw - self.c))
@@ -120,7 +124,8 @@ class RastriginProblem:
 
     loss(W) = m^2 A + 1/2 Tr(W^T W) - A sum_ij cos(2 pi W_ij); the constant
     term makes loss(0) = 0 the global minimum. Overflow on runaway iterates
-    gives a non-finite loss, the divergence signal, and no warning.
+    gives a non-finite loss, the divergence signal, and no warning. ``loss_and_grad``
+    checks W and runs the unchecked body ``_loss_and_grad``, as on the quadratic.
     """
 
     amplitude: float = 10.0
@@ -150,8 +155,11 @@ class RastriginProblem:
         2 pi W. Where the loss is finite, so is the gradient."""
         w = as_matrix(w, "w", self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            two_pi_w = 2.0 * np.pi * w
-            return self._loss(w, two_pi_w), self._grad(w, two_pi_w)
+            return self._loss_and_grad(w)
+
+    def _loss_and_grad(self, w) -> tuple[float, np.ndarray]:
+        two_pi_w = 2.0 * np.pi * w
+        return self._loss(w, two_pi_w), self._grad(w, two_pi_w)
 
     def _loss(self, w, two_pi_w) -> float:
         return float(

@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,26 +151,42 @@ class TestRunExperiment:
         row = row["optimizers"]["sgd"]
         assert row["diverged_at"] == 1 and row["diverged_cause"] == "g contains non-finite entries"
 
+    @pytest.mark.parametrize("kind", ("newton", "sgd"))
+    @pytest.mark.parametrize("action", ("error", "always"))
+    def test_a_step_that_overflows_ends_as_a_non_finite_loss(self, kind, action):
+        # rate 1e308 overflows the step itself; no warning escapes, under either filter
+        desc = OptimizerDescriptor(kind, OptimizerConfig(kind=kind, learning_rate=1e308))
+        problem = ProblemSpec(kind="quadratic", seed=0, m=6, n=6, kappa=10.0)
+        spec = ExperimentSpec(problem=problem, optimizers=(desc,), steps=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            row = run_experiment(spec).summary["optimizers"][kind]
+        assert caught == []
+        assert row["diverged_at"] == 1 and row["diverged_cause"] == "non-finite loss"
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_loss_and_grad_per_step(self, kind, monkeypatch):
-        calls = []
-        loss_and_grad = QuadraticProblem.loss_and_grad
+        # W0 goes through the checked loss_and_grad, every later iterate through the body alone
+        checked, bodies = [], []
+        loss_and_grad, body = QuadraticProblem.loss_and_grad, QuadraticProblem._loss_and_grad
 
-        def counting(self, w):
-            calls.append(w)
-            return loss_and_grad(self, w)
+        def counting(calls, fn):
+            return lambda self, w: calls.append(w) or fn(self, w)
 
         def forbidden(self, w):
             raise AssertionError("the harness evaluates the problem through loss_and_grad")
 
-        monkeypatch.setattr(QuadraticProblem, "loss_and_grad", counting)
+        monkeypatch.setattr(QuadraticProblem, "loss_and_grad", counting(checked, loss_and_grad))
+        monkeypatch.setattr(QuadraticProblem, "_loss_and_grad", counting(bodies, body))
         monkeypatch.setattr(QuadraticProblem, "loss", forbidden)
         monkeypatch.setattr(QuadraticProblem, "grad", forbidden)
         desc = OptimizerDescriptor("x", OptimizerConfig(kind=kind))
-        spec = quadratic_spec(optimizers=(desc,), steps=20)
+        spec = quadratic_spec(optimizers=(desc, replace(desc, name="y")), steps=20)
         result = run_experiment(spec)
         assert not result.summary["optimizers"]["x"]["diverged"]
-        assert len(calls) == spec.steps + 1
+        assert not result.summary["optimizers"]["y"]["diverged"]
+        assert len(checked) == 2
+        assert len(bodies) == 2 * (spec.steps + 1)
 
     def test_newton_records_are_exactly_zero(self):
         # swanopt quadratic's defaults: C = 0, so Newton at rate 1 lands on W* = 0

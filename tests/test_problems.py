@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from swanopt import harness
 from swanopt.matrixops import make_spd, random_matrix
+from swanopt.optimizers import OptimizerConfig
 from swanopt.problems import (
     MlpProblem,
     QuadraticProblem,
@@ -199,16 +201,39 @@ LOSS_AND_GRAD_PROBLEMS = {
 }
 
 
+# the problems whose unchecked body the harness runs, and a diagonal H as in
+# theory.gd_adversarial_factors: zero off the diagonal, one column
+BODY_PROBLEMS = {
+    **LOSS_AND_GRAD_PROBLEMS,
+    "quadratic_diag": QuadraticProblem(np.diag(np.geomspace(1.0, 50.0, 6)), np.zeros((6, 1))),
+}
+ENTRIES = ("first", "middle", "last")
+
+
+def _plant(w, entry, value):
+    """A copy of ``w`` with ``value`` at its first, middle or last entry."""
+    w = w.copy()
+    w.flat[{"first": 0, "middle": w.size // 2, "last": w.size - 1}[entry]] = value
+    return w
+
+
+def _body(p, w):
+    with np.errstate(over="ignore", invalid="ignore"):  # the harness's error context
+        return p._loss_and_grad(w)
+
+
 class TestLossAndGrad:
-    @pytest.mark.parametrize("name", LOSS_AND_GRAD_PROBLEMS)
+    @pytest.mark.parametrize("name", BODY_PROBLEMS)
     @pytest.mark.parametrize("scale", (1e-3, 1.0, 1e3))
     def test_equals_loss_and_grad_bit_for_bit(self, name, scale):
-        p = LOSS_AND_GRAD_PROBLEMS[name]
+        p = BODY_PROBLEMS[name]
         for seed in range(5):
             w = random_matrix(*p.shape, seed, scale=scale)
             loss, g = p.loss_and_grad(w)
             assert loss == p.loss(w)
             assert np.array_equal(g, p.grad(w))
+            body_loss, body_g = p._loss_and_grad(w)  # the body the harness runs unchecked
+            assert body_loss == loss and np.array_equal(body_g, g)
 
     @pytest.mark.parametrize("name", LOSS_AND_GRAD_PROBLEMS)
     def test_rejects_what_loss_and_grad_reject(self, name):
@@ -231,6 +256,52 @@ class TestLossAndGrad:
         loss, g = p.loss_and_grad(w)
         assert not np.isfinite(loss)
         np.testing.assert_equal(g, p.grad(w))
+
+
+class TestUncheckedBody:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", BODY_PROBLEMS)
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_non_finite_iterate_ends_a_harness_run(self, name, value, entry, monkeypatch):
+        # a step that plants the entry: the body's loss at it is non-finite, so the run
+        # diverges at once, and no warning escapes
+        def planting(cfg, problem):
+            def step(w, g, state, lr):
+                return _plant(w, entry, value), state, lr, np.nan
+
+            return step
+
+        monkeypatch.setattr(harness, "make_step", planting)
+        monkeypatch.setattr(harness.ProblemSpec, "build", lambda spec: BODY_PROBLEMS[name])
+        sgd = harness.OptimizerDescriptor("sgd", OptimizerConfig(kind="sgd"))
+        spec = harness.ExperimentSpec(harness.ProblemSpec(kind="quadratic"), (sgd,), steps=3)
+        row = harness.run_experiment(spec).summary["optimizers"]["sgd"]
+        assert row["diverged_at"] == 1 and row["diverged_cause"] == "non-finite loss"
+
+    @pytest.mark.parametrize("name", BODY_PROBLEMS)
+    def test_a_finite_loss_comes_with_a_finite_gradient(self, name):
+        # scales across the overflow edge of the loss (|w| about 1.3e154 for a unit H)
+        p = BODY_PROBLEMS[name]
+        finite = set()
+        for scale in np.geomspace(1e150, 1e156, 25):
+            for seed in range(3):
+                w = random_matrix(*p.shape, seed, scale=scale)
+                loss, g = _body(p, w)
+                finite.add(np.isfinite(loss))
+                if np.isfinite(loss):
+                    assert np.isfinite(g).all(), (scale, seed)
+        assert finite == {True, False}  # the sweep crosses the edge
+
+    @pytest.mark.parametrize("edge", (1e150, 1.3e154, 1.35e154, 1e155))
+    def test_rastrigin_one_entry_at_the_overflow_edge(self, edge):
+        # w^2 overflows above sqrt(max float) = 1.34e154; 2 pi w only above 2.9e307
+        p = RastriginProblem(size=6)
+        for entry in ENTRIES:
+            w = _plant(random_matrix(*p.shape, 1), entry, edge)
+            loss, g = _body(p, w)
+            assert np.isfinite(loss) == (edge < 1.34e154)
+            assert np.isfinite(g).all()
 
 
 class TestMlp:

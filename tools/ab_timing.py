@@ -1,4 +1,4 @@
-"""Per-call timing of one step rule in two or more ``swanopt`` source trees, in one process.
+"""Per-call timing of one library call in two or more ``swanopt`` source trees, in one process.
 
 Each tree is imported as its own copy of the package, and the copies run in turn, in a
 rotating order, so that they share the machine's state (clocks, caches, other load). A
@@ -12,10 +12,13 @@ Run from the root of a checkout, with the parent commit in a second directory::
 
 A tree may end in ``@1``: that copy then reads one CPU, so that no pass runs its upper half
 on the library's worker thread (``src@1`` against ``src`` times the worker on and off).
-``--op`` chooses the call: a GradNorm'd public ``swan_step`` (the default), ``adam_step`` or
-``QuadraticProblem.grad``. For every shape and tree it prints the best and the median
-per-call time over ``--rounds`` rounds, each the mean of ``--calls`` calls, then against the
-first tree the difference of the bests and the median of the per-round (paired) differences.
+``--op`` chooses the call: a GradNorm'd public ``swan_step`` (the default), ``adam_step``,
+``QuadraticProblem.grad``, or ``run``: one ``run_experiment`` of ``swanopt quadratic``'s Adam
+tuning trial (kappa 1e4, 500 steps, one record, no output directory), which carries the
+harness's per-step cost; ``--op run --shapes 50x50 --calls 5`` times the CLI's own trial. For
+every shape and tree it prints the best and the median per-call time over ``--rounds`` rounds,
+each the mean of ``--calls`` calls, then against the first tree the difference of the bests and
+the median of the per-round (paired) differences.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ def load(spec: str):
     saved = {k: sys.modules.pop(k) for k in list(sys.modules) if k.split(".")[0] == "swanopt"}
     sys.path.insert(0, os.path.abspath(path))
     try:
-        pkg = importlib.import_module("swanopt")  # which imports its modules
+        pkg = importlib.import_module("swanopt")  # which imports its modules but the harness
+        importlib.import_module("swanopt.harness")
     finally:
         sys.path.pop(0)
         for k in [k for k in sys.modules if k.split(".")[0] == "swanopt"]:
@@ -62,6 +66,12 @@ def make_call(pkg, op: str, shape: tuple[int, int]):
         cfg = opt.OptimizerConfig(kind="adam", learning_rate=0.037)
         state = opt.adam_step(w, g, opt.init_state(cfg, shape), cfg)[1]
         return lambda: opt.adam_step(w, g, state, cfg)
+    if op == "run":
+        h = pkg.harness
+        adam = h.OptimizerDescriptor("adam", opt.OptimizerConfig(kind="adam", learning_rate=0.037))
+        problem = h.ProblemSpec(kind="quadratic", m=shape[0], n=shape[1], kappa=1e4)
+        spec = h.ExperimentSpec(problem=problem, optimizers=(adam,), steps=500, record_every=500)
+        return lambda: h.run_experiment(spec)
     problem = pkg.problems.QuadraticProblem.seeded(*shape, 100.0, 0)
     return lambda: problem.grad(w)
 
@@ -77,7 +87,7 @@ def per_call(fn, calls: int) -> float:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="+", help="source directories, the first the baseline")
-    parser.add_argument("--op", choices=("swan", "adam", "grad"), default="swan")
+    parser.add_argument("--op", choices=("swan", "adam", "grad", "run"), default="swan")
     parser.add_argument("--shapes", default="16x64,64x64,50x50,64x8")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--calls", type=int, default=200)
